@@ -1,10 +1,11 @@
 """CSMA-CA transmit state machine and the MAC queue.
 
 The machine is a pure transition function ``(state, input) -> (state, action)``
-plus an RNG for backoff draws: it owns no clock and schedules nothing.  The
-caller performs each emitted action (wait, CCA, transmit, arm a timer) and
-feeds the observed outcome back as the next input, which keeps the protocol
-logic unit-testable without a simulator.
+plus an RNG stream (a :class:`~wpansim.kernel.BlockDraws`) for backoff draws:
+it owns no clock and schedules nothing.  The caller performs each emitted
+action (wait, CCA, transmit, arm a timer) and feeds the observed outcome back
+as the next input, which keeps the protocol logic unit-testable without a
+simulator.  States and actions are interned, so a transition allocates nothing.
 
 The slotted variant (contention window, CAP deference) shares this core; see
 :func:`wpansim.superframe.slotted_step`.
@@ -16,10 +17,10 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from wpansim.kernel import SimulationError, rng_uniform_units
+from wpansim.kernel import BlockDraws, SimulationError, rng_uniform_units
 from wpansim.phy import ACK_WAIT, UNIT_BACKOFF
+
+MAX_BE = 8   # largest permitted macMaxBE
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,8 +34,8 @@ class CsmaParams:
     ack_enabled: bool = True
 
     def __post_init__(self):
-        if not 3 <= self.max_be <= 8:
-            raise ValueError(f"max_be must be in [3, 8], got {self.max_be}")
+        if not 3 <= self.max_be <= MAX_BE:
+            raise ValueError(f"max_be must be in [3, {MAX_BE}], got {self.max_be}")
         if not 0 <= self.min_be <= self.max_be:
             raise ValueError(
                 f"min_be must be in [0, max_be={self.max_be}], got {self.min_be}")
@@ -113,12 +114,25 @@ class DeferToNextCap:
 
 MacAction = Wait | DoCca | Transmit | ArmAckTimeout | Success | Fail | DeferToNextCap
 
-# Field-less actions are interned; Wait/Fail/ArmAckTimeout carry payloads.
+# Actions are interned: field-less ones once, Wait per backoff length, Fail
+# per reason.  A backoff draw never exceeds 2**MAX_BE - 1 units.
 _DO_CCA = DoCca()
 _TRANSMIT = Transmit()
 _SUCCESS = Success()
 _DEFER = DeferToNextCap()
 _ARM_ACK = ArmAckTimeout(ACK_WAIT)
+_WAITS = tuple(Wait(units * UNIT_BACKOFF) for units in range(1 << MAX_BE))
+_FAIL_ACCESS = Fail(DropReason.CHANNEL_ACCESS_FAILURE)
+_FAIL_RETRIES = Fail(DropReason.RETRY_EXHAUSTED)
+
+# Enum class attribute lookups are slow on the hot path; bind the members once.
+_IDLE, _BACKOFF, _CCA = Phase.IDLE, Phase.BACKOFF, Phase.CCA
+_TRANSMITTING, _AWAITING_ACK = Phase.TRANSMITTING, Phase.AWAITING_ACK
+_SUCCEEDED, _FAILED = Phase.SUCCESS, Phase.FAILED
+_START_TX, _BACKOFF_EXPIRED = MacInput.START_TX, MacInput.BACKOFF_EXPIRED
+_CCA_IDLE, _CCA_BUSY = MacInput.CCA_IDLE, MacInput.CCA_BUSY
+_TX_DONE, _ACK_RECEIVED, _ACK_TIMEOUT = (MacInput.TX_DONE, MacInput.ACK_RECEIVED,
+                                         MacInput.ACK_TIMEOUT)
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,63 +148,68 @@ class TxAttemptState:
 
 IDLE_STATE = TxAttemptState()
 
+_STATES: dict[tuple, TxAttemptState] = {}
+
+
+def _state(nb: int, be: int, cw: int, retries: int, phase: Phase) -> TxAttemptState:
+    """The interned state with these fields.  Validated parameters bound every
+    counter, so the cache stays small.  The key holds the phase's value,
+    since hashing an Enum member runs in Python."""
+    key = (nb, be, cw, retries, phase._value_)
+    state = _STATES.get(key)
+    if state is None:
+        state = _STATES[key] = TxAttemptState(nb, be, cw, retries, phase)
+    return state
+
 
 def _backoff(nb: int, be: int, cw: int, retries: int,
-             rng: np.random.Generator) -> tuple[TxAttemptState, Wait]:
+             rng: BlockDraws) -> tuple[TxAttemptState, Wait]:
     units = rng_uniform_units(rng, be)
-    return TxAttemptState(nb, be, cw, retries, Phase.BACKOFF), \
-        Wait(units * UNIT_BACKOFF)
+    return _state(nb, be, cw, retries, _BACKOFF), _WAITS[units]
 
 
 def _step(state: TxAttemptState, event: MacInput, params: CsmaParams,
-          rng: np.random.Generator, *, slotted: bool,
+          rng: BlockDraws, slotted: bool,
           fits_cap=None) -> tuple[TxAttemptState, MacAction]:
     phase = state.phase
 
-    if phase is Phase.CCA and event is MacInput.CCA_IDLE:
+    if phase is _CCA and event is _CCA_IDLE:
         if slotted and state.cw == 2:
-            return TxAttemptState(state.nb, state.be, 1, state.retries,
-                                  Phase.CCA), _DO_CCA
+            return _state(state.nb, state.be, 1, state.retries, _CCA), _DO_CCA
         if slotted and not fits_cap():
             # Transaction would cross the CAP end: hold the frame and redo
             # both CCAs in the next CAP, without drawing a new backoff.
-            return TxAttemptState(state.nb, state.be, 2, state.retries,
-                                  Phase.CCA), _DEFER
-        return TxAttemptState(state.nb, state.be, 0, state.retries,
-                              Phase.TRANSMITTING), _TRANSMIT
+            return _state(state.nb, state.be, 2, state.retries, _CCA), _DEFER
+        return _state(state.nb, state.be, 0, state.retries, _TRANSMITTING), _TRANSMIT
 
-    if phase is Phase.CCA and event is MacInput.CCA_BUSY:
+    if phase is _CCA and event is _CCA_BUSY:
         nb = state.nb + 1
         if nb > params.max_nb:
-            return TxAttemptState(nb, state.be, state.cw, state.retries,
-                                  Phase.FAILED), \
-                Fail(DropReason.CHANNEL_ACCESS_FAILURE)
+            return _state(nb, state.be, state.cw, state.retries, _FAILED), _FAIL_ACCESS
         return _backoff(nb, min(state.be + 1, params.max_be),
                         2 if slotted else 0, state.retries, rng)
 
-    if phase is Phase.BACKOFF and event is MacInput.BACKOFF_EXPIRED:
-        return TxAttemptState(state.nb, state.be, state.cw, state.retries,
-                              Phase.CCA), _DO_CCA
+    if phase is _BACKOFF and event is _BACKOFF_EXPIRED:
+        return _state(state.nb, state.be, state.cw, state.retries, _CCA), _DO_CCA
 
-    if phase is Phase.TRANSMITTING and event is MacInput.TX_DONE:
+    if phase is _TRANSMITTING and event is _TX_DONE:
         if params.ack_enabled:
-            return TxAttemptState(state.nb, state.be, state.cw, state.retries,
-                                  Phase.AWAITING_ACK), _ARM_ACK
-        return TxAttemptState(state.nb, state.be, state.cw, state.retries,
-                              Phase.SUCCESS), _SUCCESS
+            return _state(state.nb, state.be, state.cw, state.retries,
+                          _AWAITING_ACK), _ARM_ACK
+        return _state(state.nb, state.be, state.cw, state.retries,
+                      _SUCCEEDED), _SUCCESS
 
-    if phase is Phase.AWAITING_ACK and event is MacInput.ACK_RECEIVED:
-        return TxAttemptState(state.nb, state.be, state.cw, state.retries,
-                              Phase.SUCCESS), _SUCCESS
+    if phase is _AWAITING_ACK and event is _ACK_RECEIVED:
+        return _state(state.nb, state.be, state.cw, state.retries,
+                      _SUCCEEDED), _SUCCESS
 
-    if phase is Phase.AWAITING_ACK and event is MacInput.ACK_TIMEOUT:
+    if phase is _AWAITING_ACK and event is _ACK_TIMEOUT:
         retries = state.retries + 1
         if retries > params.max_frame_retries:
-            return TxAttemptState(state.nb, state.be, state.cw, retries,
-                                  Phase.FAILED), Fail(DropReason.RETRY_EXHAUSTED)
+            return _state(state.nb, state.be, state.cw, retries, _FAILED), _FAIL_RETRIES
         return _backoff(0, params.min_be, 2 if slotted else 0, retries, rng)
 
-    if phase is Phase.IDLE and event is MacInput.START_TX:
+    if phase is _IDLE and event is _START_TX:
         return _backoff(0, params.min_be, 2 if slotted else 0, 0, rng)
 
     raise SimulationError(
@@ -198,14 +217,14 @@ def _step(state: TxAttemptState, event: MacInput, params: CsmaParams,
 
 
 def unslotted_step(state: TxAttemptState, event: MacInput, params: CsmaParams,
-                   rng: np.random.Generator) -> tuple[TxAttemptState, MacAction]:
+                   rng: BlockDraws) -> tuple[TxAttemptState, MacAction]:
     """One transition of the unslotted (non-beacon) CSMA-CA machine.
 
     On busy CCA the backoff stage counter NB and the exponent BE grow until
     NB exceeds MaxNB (channel access failure); a missing acknowledgement
     restarts CSMA from scratch until retries exceed MaxFrameRetries.
     """
-    return _step(state, event, params, rng, slotted=False)
+    return _step(state, event, params, rng, False)
 
 
 class MacQueue:

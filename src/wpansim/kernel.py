@@ -88,28 +88,24 @@ class Scheduler:
     def __init__(self):
         self._heap: list[list] = []
         self._seq = itertools.count()
-        self._now = 0
+        self.now = 0           # current simulated time, in symbols
         self._processed = 0
         self._stop_requested = False
         self.fire_log: list[tuple[int, EventKind, object]] | None = None
 
-    @property
-    def now(self) -> int:
-        return self._now
-
     def at(self, time: int, fn, arg=None, *, kind: EventKind = EventKind.GENERIC,
            target=None) -> EventHandle:
         """Schedule ``fn(arg)`` at ``time``; scheduling in the past is an error."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"event {kind.value} scheduled at {time} before current time {self._now}")
+                f"event {kind.value} scheduled at {time} before current time {self.now}")
         entry = [time, next(self._seq), True, fn, arg, kind, target]
         heapq.heappush(self._heap, entry)
         return EventHandle(entry)
 
     def after(self, delay: int, fn, arg=None, *, kind: EventKind = EventKind.GENERIC,
               target=None) -> EventHandle:
-        return self.at(self._now + delay, fn, arg, kind=kind, target=target)
+        return self.at(self.now + delay, fn, arg, kind=kind, target=target)
 
     def cancel(self, handle: EventHandle) -> bool:
         """Cancel a pending event; False if it already fired or was cancelled."""
@@ -143,12 +139,12 @@ class Scheduler:
                 return self._finish(StopReason.STARVED)
             entry = heap[0]
             if until is not None and entry[_TIME] >= until:
-                self._now = until
+                self.now = until
                 return self._finish(StopReason.TIME_LIMIT)
             pop(heap)
             if not entry[_LIVE]:
                 continue
-            self._now = entry[_TIME]
+            self.now = entry[_TIME]
             entry[_LIVE] = False
             if self.fire_log is not None:
                 self.fire_log.append((entry[_TIME], entry[_KIND], entry[_TARGET]))
@@ -158,7 +154,7 @@ class Scheduler:
                 return self._finish(StopReason.STOPPED)
 
     def _finish(self, reason: StopReason) -> SimSummary:
-        return SimSummary(self._now, self._processed, reason)
+        return SimSummary(self.now, self._processed, reason)
 
 
 _PURPOSE_SALT = 0x802154
@@ -180,18 +176,66 @@ class RngManager:
         seq = np.random.SeedSequence([self.master_seed, _PURPOSE_SALT, tag, key])
         return np.random.Generator(np.random.PCG64(seq))
 
+    def draws(self, purpose: str, key: int = 0) -> BlockDraws:
+        """The stream ``(purpose, key)`` read through a :class:`BlockDraws`."""
+        return BlockDraws(self.stream(purpose, key))
 
-def rng_uniform_units(rng: np.random.Generator, be: int) -> int:
-    """Uniform integer in [0, 2**be - 1]: a backoff delay in whole units."""
-    if be < 0:
-        raise ValueError(f"backoff exponent must be non-negative, got {be}")
+
+DRAW_BLOCK = 32   # draws per refill: small, since idle buffers stay allocated
+
+
+class BlockDraws:
+    """A PCG64 stream read in blocks of ``DRAW_BLOCK`` draws, each block
+    filled on first use, yielding exactly the values of per-call draws.
+
+    :meth:`uint32` returns the 32-bit words that PCG64 hands out one by one
+    (the low half of each 64-bit output, then its high half), as used by
+    ``Generator.integers`` for 32-bit ranges.  :meth:`standard_exponential`
+    returns the ziggurat draws of ``Generator.standard_exponential``.  A
+    stream must use one kind only: per-call draws would interleave the two
+    kinds differently.
+    """
+
+    __slots__ = ("_gen", "_u32", "_exp")
+
+    def __init__(self, generator: np.random.Generator):
+        self._gen = generator
+        self._u32: list[int] = []     # pending draws, next one last
+        self._exp: list[float] = []
+
+    def uint32(self) -> int:
+        if not self._u32:
+            raw = self._gen.bit_generator.random_raw(DRAW_BLOCK // 2)
+            halves = np.stack((raw & 0xFFFF_FFFF, raw >> 32), axis=1)
+            self._u32 = halves.ravel()[::-1].tolist()
+        return self._u32.pop()
+
+    def standard_exponential(self) -> float:
+        if not self._exp:
+            self._exp = self._gen.standard_exponential(DRAW_BLOCK)[::-1].tolist()
+        return self._exp.pop()
+
+
+def rng_uniform_units(draws: BlockDraws, be: int) -> int:
+    """Uniform integer in [0, 2**be - 1]: a backoff delay in whole units.
+
+    Equals ``Generator.integers(0, 2**be)`` on the same stream: for a
+    power-of-two range its Lemire method keeps the top ``be`` bits of one
+    32-bit word and never rejects.
+    """
+    if not 0 <= be <= 32:
+        raise ValueError(f"backoff exponent must be in [0, 32], got {be}")
     if be == 0:
         return 0
-    return int(rng.integers(0, 1 << be))
+    return draws.uint32() >> (32 - be)
 
 
-def rng_exponential(rng: np.random.Generator, mean_seconds: float) -> int:
-    """Exponential interarrival in symbols, rounded and clamped to >= 1."""
+def rng_exponential(draws: BlockDraws, mean_seconds: float) -> int:
+    """Exponential interarrival in symbols, rounded and clamped to >= 1.
+
+    Equals ``max(1, round(Generator.exponential(mean_seconds) * SYMBOL_RATE))``
+    on the same stream, which scales one standard exponential by the mean.
+    """
     if mean_seconds <= 0:
         raise ValueError(f"mean interval must be positive, got {mean_seconds}")
-    return max(1, round(rng.exponential(mean_seconds) * SYMBOL_RATE))
+    return max(1, round(draws.standard_exponential() * mean_seconds * SYMBOL_RATE))

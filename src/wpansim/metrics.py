@@ -54,41 +54,38 @@ class OutcomeCounts:
         return sum(self.dropped.values())
 
 
-def count_outcomes(log: list[PacketRecord]) -> OutcomeCounts:
-    delivered = unresolved = 0
+def _walk(log: list[PacketRecord]) -> tuple[OutcomeCounts, int, int]:
+    """One pass over the log: the outcome counts, plus the payload bits and
+    the summed delay in symbols of the delivered packets."""
+    delivered = unresolved = bits = delay_sum = 0
     dropped = {reason: 0 for reason in DropReason if reason is not UNRESOLVED}
     for rec in log:
         if rec.rx_time is not None:
             if rec.drop_reason is not None:
                 raise ValueError(f"packet {rec.packet_id} has two outcomes")
             delivered += 1
+            bits += rec.msdu_len * 8
+            delay_sum += rec.rx_time - rec.gen_time
         elif rec.drop_reason is UNRESOLVED:
             unresolved += 1
         elif rec.drop_reason is not None:
             dropped[rec.drop_reason] += 1
         else:
             raise ValueError(f"packet {rec.packet_id} has no outcome")
-    return OutcomeCounts(len(log), delivered, dropped, unresolved)
+    return OutcomeCounts(len(log), delivered, dropped, unresolved), bits, delay_sum
 
 
-def effective_data_rate(log: list[PacketRecord], t_start: int, t_end: int) -> float:
-    """Delivered MSDU payload bits per second over [t_start, t_end] symbols.
+def count_outcomes(log: list[PacketRecord]) -> OutcomeCounts:
+    return _walk(log)[0]
 
-    Headers never count; a retransmitted packet counts once.
-    """
+
+def _data_rate(bits: int, t_start: int, t_end: int) -> float:
     if t_end <= t_start:
         raise ValueError(f"empty measurement window: [{t_start}, {t_end}]")
-    bits = sum(rec.msdu_len * 8 for rec in log if rec.rx_time is not None)
     return bits * SYMBOL_RATE / (t_end - t_start)
 
 
-def packet_loss_rate(log: list[PacketRecord], *, count_unresolved: bool = False) -> float:
-    """Dropped / generated.
-
-    Unresolved-at-end packets are left out of both numerator and denominator
-    unless ``count_unresolved`` is set, in which case they count as dropped.
-    """
-    counts = count_outcomes(log)
+def _loss_rate(counts: OutcomeCounts, count_unresolved: bool) -> float:
     if counts.generated == 0:
         raise ValueError("loss rate undefined: no packets generated")
     if count_unresolved:
@@ -99,13 +96,35 @@ def packet_loss_rate(log: list[PacketRecord], *, count_unresolved: bool = False)
     return counts.dropped_total / resolved
 
 
+def _mean_delay_s(delay_sum: int, delivered: int) -> float | None:
+    if not delivered:
+        return None
+    return delay_sum / delivered / SYMBOL_RATE
+
+
+def effective_data_rate(log: list[PacketRecord], t_start: int, t_end: int) -> float:
+    """Delivered MSDU payload bits per second over [t_start, t_end] symbols.
+
+    Headers never count; a retransmitted packet counts once.
+    """
+    bits = sum(rec.msdu_len * 8 for rec in log if rec.rx_time is not None)
+    return _data_rate(bits, t_start, t_end)
+
+
+def packet_loss_rate(log: list[PacketRecord], *, count_unresolved: bool = False) -> float:
+    """Dropped / generated.
+
+    Unresolved-at-end packets are left out of both numerator and denominator
+    unless ``count_unresolved`` is set, in which case they count as dropped.
+    """
+    return _loss_rate(count_outcomes(log), count_unresolved)
+
+
 def mean_end_to_end_delay(log: list[PacketRecord]) -> float | None:
     """Mean generation-to-delivery time in seconds over delivered packets only;
     None when nothing was delivered (rows must show a not-a-value marker)."""
     delays = [rec.rx_time - rec.gen_time for rec in log if rec.rx_time is not None]
-    if not delays:
-        return None
-    return sum(delays) / len(delays) / SYMBOL_RATE
+    return _mean_delay_s(sum(delays), len(delays))
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,12 +147,15 @@ class MetricsRow:
 
 
 def build_metrics(log: list[PacketRecord], t_start: int, t_end: int) -> MetricsRow:
-    counts = count_outcomes(log)
+    """Every metric of the log from one pass over it; the values equal those
+    of the single-metric functions."""
+    counts, bits, delay_sum = _walk(log)
+    rate = _data_rate(bits, t_start, t_end)
     try:
-        loss = packet_loss_rate(log)
+        loss = _loss_rate(counts, False)
     except ValueError:
         loss = None
-    delay_s = mean_end_to_end_delay(log)
+    delay_s = _mean_delay_s(delay_sum, counts.delivered)
     return MetricsRow(
         generated=counts.generated,
         delivered=counts.delivered,
@@ -143,7 +165,7 @@ def build_metrics(log: list[PacketRecord], t_start: int, t_end: int) -> MetricsR
         unresolved=counts.unresolved,
         t_start_symbols=t_start,
         t_end_symbols=t_end,
-        effective_data_rate_bps=effective_data_rate(log, t_start, t_end),
+        effective_data_rate_bps=rate,
         packet_loss_rate=loss,
         mean_delay_symbols=None if delay_s is None else delay_s * SYMBOL_RATE,
         mean_delay_s=delay_s,

@@ -19,14 +19,24 @@ from wpansim.kernel import (EventKind, RngManager, Scheduler, SimSummary,
                             SimulationError, StopReason, rng_exponential,
                             seconds_to_symbols)
 from wpansim.metrics import MetricsRow, PacketRecord, build_metrics
-from wpansim.phy import (ACK_MPDU_BYTES, BEACON_MPDU_BYTES, BROADCAST, CCA_DURATION,
-                         COMM_RANGE_M, Frame, FrameKind, MAC_DATA_OVERHEAD_BYTES,
-                         MAX_MSDU_BYTES, Medium, PHY_OVERHEAD_BYTES, TURNAROUND,
-                         UNIT_BACKOFF)
+from wpansim.phy import (ACK_AIRTIME, BEACON_AIRTIME, BROADCAST, CCA_DURATION,
+                         COMM_RANGE_M, Frame, FrameKind, MAX_MSDU_BYTES, Medium,
+                         TURNAROUND, UNIT_BACKOFF, data_frame_airtime)
 from wpansim.superframe import SuperframeConfig, SuperframeSchedule, slotted_step
 from wpansim.trace import MacTrace
 
 COORDINATOR = 0
+
+# Enum class attribute lookups are slow on the hot path; bind the members once.
+_EV_ARRIVAL, _EV_BACKOFF, _EV_CCA_RESULT = (EventKind.ARRIVAL, EventKind.BACKOFF,
+                                            EventKind.CCA_RESULT)
+_EV_TX_START, _EV_TX_END, _EV_ACK_TIMEOUT = (EventKind.TX_START, EventKind.TX_END,
+                                             EventKind.ACK_TIMEOUT)
+_IN_START_TX, _IN_BACKOFF_EXPIRED = MacInput.START_TX, MacInput.BACKOFF_EXPIRED
+_IN_CCA_IDLE, _IN_CCA_BUSY, _IN_TX_DONE = (MacInput.CCA_IDLE, MacInput.CCA_BUSY,
+                                           MacInput.TX_DONE)
+_IN_ACK_RECEIVED, _IN_ACK_TIMEOUT = MacInput.ACK_RECEIVED, MacInput.ACK_TIMEOUT
+_AWAITING_ACK = Phase.AWAITING_ACK
 
 
 class Device:
@@ -70,18 +80,13 @@ class StarNetwork:
                  quota: int | None = None, run_time_s: float | None = None,
                  seed: int = 1, comm_range_m: float = COMM_RANGE_M,
                  circle_radius_m: float = 50.0, placement: str = "equal",
-                 msdu_cap: int = MAX_MSDU_BYTES,
-                 phy_overhead: int = PHY_OVERHEAD_BYTES,
-                 mac_overhead: int = MAC_DATA_OVERHEAD_BYTES,
-                 ack_mpdu: int = ACK_MPDU_BYTES,
-                 beacon_mpdu: int = BEACON_MPDU_BYTES,
                  trace: MacTrace | None = None):
         if mode not in ("nonbeacon", "beacon"):
             raise ValueError(f"unknown mode {mode!r}")
         if n_devices < 1:
             raise ValueError(f"need at least one device, got {n_devices}")
-        if not 1 <= msdu <= msdu_cap:
-            raise ValueError(f"MSDU size must be in [1, {msdu_cap}], got {msdu}")
+        if not 1 <= msdu <= MAX_MSDU_BYTES:
+            raise ValueError(f"MSDU size must be in [1, {MAX_MSDU_BYTES}], got {msdu}")
         if interval_s <= 0:
             raise ValueError(f"generation interval must be positive, got {interval_s}")
         if distribution not in ("exponential", "periodic"):
@@ -116,12 +121,10 @@ class StarNetwork:
             self.sf_config = None
             self.schedule = None
 
-        self.data_airtime = (msdu + mac_overhead + phy_overhead) * 2
-        self.ack_airtime = (ack_mpdu + phy_overhead) * 2
-        self.beacon_airtime = (beacon_mpdu + phy_overhead) * 2
+        self.data_airtime = data_frame_airtime(msdu)
         # Time on air a transmission must reserve before the CAP end.
         self.transaction = self.data_airtime + (
-            TURNAROUND + self.ack_airtime if self.csma.ack_enabled else 0)
+            TURNAROUND + ACK_AIRTIME if self.csma.ack_enabled else 0)
 
         self.sched = Scheduler()
         self.medium = Medium(comm_range_m)
@@ -139,8 +142,8 @@ class StarNetwork:
                                  circle_radius_m * math.cos(angles[i]),
                                  circle_radius_m * math.sin(angles[i]))
             dev = Device(node_id, queue_capacity,
-                         rngs.stream("backoff", node_id),
-                         rngs.stream("traffic", node_id))
+                         rngs.draws("backoff", node_id),
+                         rngs.draws("traffic", node_id))
             dev.fits_cap = self._make_fits_cap(dev)
             self.devices.append(dev)
 
@@ -186,7 +189,7 @@ class StarNetwork:
         else:
             gap = self._period_symbols
         self.sched.after(gap, self._on_arrival, dev,
-                         kind=EventKind.ARRIVAL, target=dev.id)
+                         kind=_EV_ARRIVAL, target=dev.id)
 
     def _on_arrival(self, dev: Device) -> None:
         now = self.sched.now
@@ -210,7 +213,7 @@ class StarNetwork:
 
     def _start_attempt(self, dev: Device) -> None:
         dev.state = IDLE_STATE
-        self._feed(dev, MacInput.START_TX)
+        self._feed(dev, _IN_START_TX)
 
     def _feed(self, dev: Device, event: MacInput) -> None:
         if self.slotted:
@@ -223,18 +226,20 @@ class StarNetwork:
     def _apply(self, dev: Device, action) -> None:
         now = self.sched.now
         if type(action) is Wait:
-            self._trace(now, dev.id, "backoff-start",
-                        pkt=dev.current.packet_id,
-                        note=f"be={dev.state.be} units={action.duration // UNIT_BACKOFF}")
+            if self.trace is not None:
+                self._trace(now, dev.id, "backoff-start",
+                            pkt=dev.current.packet_id,
+                            note=f"be={dev.state.be} "
+                                 f"units={action.duration // UNIT_BACKOFF}")
             if self.slotted:
                 units = action.duration // UNIT_BACKOFF
                 end = self.schedule.countdown_end(now, units)
                 dev.mac_timer = self.sched.at(end, self._on_countdown_done, dev,
-                                              kind=EventKind.BACKOFF, target=dev.id)
+                                              kind=_EV_BACKOFF, target=dev.id)
             else:
                 dev.mac_timer = self.sched.after(action.duration,
                                                  self._on_backoff_expired, dev,
-                                                 kind=EventKind.BACKOFF, target=dev.id)
+                                                 kind=_EV_BACKOFF, target=dev.id)
         elif type(action) is DoCca:
             self._issue_cca(dev)
         elif type(action) is Transmit:
@@ -243,12 +248,12 @@ class StarNetwork:
                 # goes out on the next 20-symbol boundary.
                 self.sched.after(UNIT_BACKOFF - CCA_DURATION,
                                  self._begin_data_tx, dev,
-                                 kind=EventKind.TX_START, target=dev.id)
+                                 kind=_EV_TX_START, target=dev.id)
             else:
                 self._begin_data_tx(dev)
         elif type(action) is ArmAckTimeout:
             dev.mac_timer = self.sched.after(action.duration, self._on_ack_timeout,
-                                             dev, kind=EventKind.ACK_TIMEOUT,
+                                             dev, kind=_EV_ACK_TIMEOUT,
                                              target=dev.id)
         elif type(action) is Success:
             rec = dev.current
@@ -266,12 +271,12 @@ class StarNetwork:
             self._trace(now, dev.id, "defer", pkt=dev.current.packet_id)
             dev.mac_timer = self.sched.at(self.schedule.next_cap_start(now),
                                           self._on_cap_reentry, dev,
-                                          kind=EventKind.BACKOFF, target=dev.id)
+                                          kind=_EV_BACKOFF, target=dev.id)
         else:
             raise SimulationError(f"unhandled MAC action {action!r}")
 
     def _on_backoff_expired(self, dev: Device) -> None:
-        self._feed(dev, MacInput.BACKOFF_EXPIRED)
+        self._feed(dev, _IN_BACKOFF_EXPIRED)
 
     def _on_countdown_done(self, dev: Device) -> None:
         # Slotted: the countdown may complete too close to the CAP end for a
@@ -282,10 +287,10 @@ class StarNetwork:
                 or now + UNIT_BACKOFF + CCA_DURATION >= self.schedule.cap_end_for(now)):
             dev.mac_timer = self.sched.at(self.schedule.next_cap_start(now),
                                           self._on_countdown_done, dev,
-                                          kind=EventKind.BACKOFF, target=dev.id)
+                                          kind=_EV_BACKOFF, target=dev.id)
             return
         dev.cap_end = self.schedule.cap_end_for(now)
-        self._feed(dev, MacInput.BACKOFF_EXPIRED)
+        self._feed(dev, _IN_BACKOFF_EXPIRED)
 
     def _on_cap_reentry(self, dev: Device) -> None:
         # A deferred frame redoes both CCAs at the start of the fresh CAP.
@@ -306,13 +311,14 @@ class StarNetwork:
             start = now
         self._trace(start, dev.id, "cca-start", pkt=dev.current.packet_id)
         dev.mac_timer = self.sched.at(start + CCA_DURATION, self._on_cca_result,
-                                      dev, kind=EventKind.CCA_RESULT, target=dev.id)
+                                      dev, kind=_EV_CCA_RESULT, target=dev.id)
 
     def _on_cca_result(self, dev: Device) -> None:
         busy = self.medium.cca_busy(dev.id, self.sched.now)
-        self._trace(self.sched.now, dev.id, "cca-result",
-                    pkt=dev.current.packet_id, note="busy" if busy else "idle")
-        self._feed(dev, MacInput.CCA_BUSY if busy else MacInput.CCA_IDLE)
+        if self.trace is not None:
+            self._trace(self.sched.now, dev.id, "cca-result",
+                        pkt=dev.current.packet_id, note="busy" if busy else "idle")
+        self._feed(dev, _IN_CCA_BUSY if busy else _IN_CCA_IDLE)
 
     # ------------------------------------------------------- transmissions
 
@@ -325,7 +331,7 @@ class StarNetwork:
         rec.tx_count += 1
         self._trace(now, dev.id, "tx-start", pkt=rec.packet_id)
         self.sched.after(self.data_airtime, self._on_data_tx_end, dev,
-                         kind=EventKind.TX_END, target=dev.id)
+                         kind=_EV_TX_END, target=dev.id)
 
     def _on_data_tx_end(self, dev: Device) -> None:
         now = self.sched.now
@@ -338,17 +344,17 @@ class StarNetwork:
                     note="intact" if intact else "corrupted")
         if intact and self.csma.ack_enabled:
             self.sched.after(TURNAROUND, self._begin_ack_tx, dev,
-                             kind=EventKind.TX_START, target=COORDINATOR)
-        self._feed(dev, MacInput.TX_DONE)
+                             kind=_EV_TX_START, target=COORDINATOR)
+        self._feed(dev, _IN_TX_DONE)
 
     def _begin_ack_tx(self, dev: Device) -> None:
         now = self.sched.now
-        frame = Frame(FrameKind.ACK, COORDINATOR, dev.id, self.ack_airtime,
+        frame = Frame(FrameKind.ACK, COORDINATOR, dev.id, ACK_AIRTIME,
                       0, dev.current.packet_id)
         tx = self.medium.begin_tx(frame, now)
         self._trace(now, COORDINATOR, "ack-start", pkt=frame.packet_id)
-        self.sched.after(self.ack_airtime, self._on_ack_tx_end, (tx, dev),
-                         kind=EventKind.TX_END, target=COORDINATOR)
+        self.sched.after(ACK_AIRTIME, self._on_ack_tx_end, (tx, dev),
+                         kind=_EV_TX_END, target=COORDINATOR)
 
     def _on_ack_tx_end(self, arg) -> None:
         tx, dev = arg
@@ -356,14 +362,14 @@ class StarNetwork:
         self.medium.end_tx(tx, now)
         self._trace(now, COORDINATOR, "ack-end", pkt=tx.frame.packet_id)
         if self.medium.heard_intact(tx, dev.id):
-            if (dev.state.phase is Phase.AWAITING_ACK and dev.current is not None
+            if (dev.state.phase is _AWAITING_ACK and dev.current is not None
                     and dev.current.packet_id == tx.frame.packet_id):
                 self.sched.cancel(dev.mac_timer)
-                self._feed(dev, MacInput.ACK_RECEIVED)
+                self._feed(dev, _IN_ACK_RECEIVED)
 
     def _on_ack_timeout(self, dev: Device) -> None:
         self._trace(self.sched.now, dev.id, "ack-timeout", pkt=dev.current.packet_id)
-        self._feed(dev, MacInput.ACK_TIMEOUT)
+        self._feed(dev, _IN_ACK_TIMEOUT)
 
     # --------------------------------------------------------- resolution
 
@@ -391,10 +397,10 @@ class StarNetwork:
         for node_id in range(len(self.devices) + 1):
             self.medium.set_awake(node_id, True, now)
         self._trace(now, COORDINATOR, "sf-start", note=f"k={k}")
-        beacon = Frame(FrameKind.BEACON, COORDINATOR, BROADCAST, self.beacon_airtime)
+        beacon = Frame(FrameKind.BEACON, COORDINATOR, BROADCAST, BEACON_AIRTIME)
         btx = self.medium.begin_tx(beacon, now)
         self._trace(now, COORDINATOR, "beacon-start")
-        self.sched.after(self.beacon_airtime, self._on_beacon_end, btx,
+        self.sched.after(BEACON_AIRTIME, self._on_beacon_end, btx,
                          kind=EventKind.BEACON, target=COORDINATOR)
         if self.schedule.sd < self.schedule.bi:
             self.sched.at(now + self.schedule.sd, self._on_inactive_start, k,

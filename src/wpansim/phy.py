@@ -27,7 +27,7 @@ PHY_OVERHEAD_BYTES = 6     # synchronisation header + PHY header
 MAC_DATA_OVERHEAD_BYTES = 11   # data-frame MHR + FCS
 ACK_MPDU_BYTES = 5
 BEACON_MPDU_BYTES = 13
-MAX_MSDU_BYTES = 118       # largest payload the harness accepts by default
+MAX_MSDU_BYTES = 118       # largest payload the harness accepts
 
 SYMBOLS_PER_BYTE = 2       # 8 bits / 4 bits-per-symbol
 
@@ -92,7 +92,9 @@ class Medium:
     def __init__(self, comm_range_m: float = COMM_RANGE_M):
         self.comm_range_m = comm_range_m
         self._pos: dict[int, tuple[float, float]] = {}
-        self._awake: dict[int, bool] = {}
+        # Nodes within range of each node, itself included; geometry is static.
+        self._hears: dict[int, set[int]] = {}
+        self._asleep: set[int] = set()
         self._tx_of: dict[int, Transmission | None] = {}
         self._active: list[Transmission] = []
         self._recent: list[Transmission] = []   # ended, kept for the CCA window
@@ -101,15 +103,18 @@ class Medium:
         if node_id in self._pos:
             raise ValueError(f"node {node_id} registered twice")
         self._pos[node_id] = (x, y)
-        self._awake[node_id] = True
+        self._hears[node_id] = set()
+        for other, (ox, oy) in self._pos.items():
+            if math.hypot(x - ox, y - oy) <= self.comm_range_m:
+                self._hears[node_id].add(other)
+                self._hears[other].add(node_id)
         self._tx_of[node_id] = None
 
     def in_range(self, a: int, b: int) -> bool:
-        (ax, ay), (bx, by) = self._pos[a], self._pos[b]
-        return math.hypot(ax - bx, ay - by) <= self.comm_range_m
+        return b in self._hears[a]
 
     def is_awake(self, node_id: int) -> bool:
-        return self._awake[node_id]
+        return node_id not in self._asleep
 
     def set_awake(self, node_id: int, awake: bool, now: int) -> None:
         """Sleep/wake a radio; sleeping mid-frame makes the receiver miss it.
@@ -118,20 +123,22 @@ class Medium:
         transmission ending exactly now has finished), so only strictly
         later-ending frames are affected.
         """
-        self._awake[node_id] = awake
-        if not awake:
-            own = self._tx_of[node_id]
-            if own is not None and own.end > now:
-                raise SimulationError(f"node {node_id} put to sleep while transmitting")
-            for tx in self._active:
-                if tx.end > now and tx.frame.src != node_id:
-                    tx.deaf.add(node_id)
+        if awake:
+            self._asleep.discard(node_id)
+            return
+        own = self._tx_of[node_id]
+        if own is not None and own.end > now:
+            raise SimulationError(f"node {node_id} put to sleep while transmitting")
+        self._asleep.add(node_id)
+        for tx in self._active:
+            if tx.end > now and tx.frame.src != node_id:
+                tx.deaf.add(node_id)
 
     def begin_tx(self, frame: Frame, now: int) -> Transmission:
         src = frame.src
         if self._tx_of[src] is not None:
             raise SimulationError(f"node {src} began a frame while already transmitting")
-        if not self._awake[src]:
+        if src in self._asleep:
             raise SimulationError(f"node {src} began a frame while asleep")
         tx = Transmission(frame, now, now + frame.airtime)
         for other in self._active:
@@ -140,11 +147,9 @@ class Medium:
                 tx.overlappers.append(other)
                 other.overlappers.append(tx)
                 other.deaf.add(src)
-        for node_id, node_tx in self._tx_of.items():
-            if node_id == src:
-                continue
-            if (node_tx is not None and node_tx.end > now) or not self._awake[node_id]:
-                tx.deaf.add(node_id)
+                tx.deaf.add(other.frame.src)   # busy sending its own frame
+        if self._asleep:
+            tx.deaf.update(self._asleep)
         self._active.append(tx)
         self._tx_of[src] = tx
         return tx
@@ -159,11 +164,13 @@ class Medium:
 
     def heard_intact(self, tx: Transmission, node_id: int) -> bool:
         """Whether ``node_id`` received the whole frame uncorrupted."""
-        if node_id == tx.frame.src or node_id in tx.deaf:
+        src = tx.frame.src
+        if node_id == src or node_id in tx.deaf:
             return False
-        if not self.in_range(tx.frame.src, node_id):
+        hears = self._hears[node_id]
+        if src not in hears:
             return False
-        return all(not self.in_range(o.frame.src, node_id) for o in tx.overlappers)
+        return all(o.frame.src not in hears for o in tx.overlappers)
 
     def receivers(self, tx: Transmission) -> list[int]:
         """All nodes that received the frame intact (for broadcasts)."""
@@ -175,15 +182,17 @@ class Medium:
         Busy when any foreign transmission audible at the node overlaps the
         window; both window and transmissions are half-open intervals.
         """
-        if not self._awake[node_id]:
+        if node_id in self._asleep:
             raise SimulationError(f"sleeping node {node_id} performed a CCA")
-        w_start = now - CCA_DURATION
+        hears = self._hears[node_id]
         for tx in self._active:
-            if tx.frame.src != node_id and tx.start < now and self.in_range(tx.frame.src, node_id):
+            src = tx.frame.src
+            if src != node_id and tx.start < now and src in hears:
                 return True
+        w_start = now - CCA_DURATION
         for tx in self._recent:
-            if (tx.frame.src != node_id and tx.start < now and tx.end > w_start
-                    and self.in_range(tx.frame.src, node_id)):
+            src = tx.frame.src
+            if src != node_id and tx.start < now and tx.end > w_start and src in hears:
                 return True
         return False
 

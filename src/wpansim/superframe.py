@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from wpansim.csma import CsmaParams, MacAction, MacInput, TxAttemptState, _step
+from wpansim.kernel import BlockDraws
 from wpansim.phy import BASE_SUPERFRAME, BEACON_AIRTIME, MIN_CAP_LENGTH, UNIT_BACKOFF
 
 MAX_ORDER = 14
@@ -142,7 +141,7 @@ class SuperframeSchedule:
 
 
 def slotted_step(state: TxAttemptState, event: MacInput, params: CsmaParams,
-                 rng: np.random.Generator,
+                 rng: BlockDraws,
                  fits_cap: Callable[[], bool] | None = None,
                  ) -> tuple[TxAttemptState, MacAction]:
     """One transition of the slotted (beacon-mode) CSMA-CA machine.
@@ -158,4 +157,4 @@ def slotted_step(state: TxAttemptState, event: MacInput, params: CsmaParams,
     The caller owns all boundary alignment and the pausing of backoff
     countdowns outside the CAP; this function only sequences the protocol.
     """
-    return _step(state, event, params, rng, slotted=True, fits_cap=fits_cap)
+    return _step(state, event, params, rng, True, fits_cap)

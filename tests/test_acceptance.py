@@ -171,12 +171,13 @@ def test_criterion_05_rate_and_loss_versus_msdu():
     for devices in (8, 32):
         sweep = _reduced_sweep("s6-msdu", (msdu_axis,), quota=250,
                                n_devices=devices)
-        means = _point_means(sweep, "effective_data_rate_bps")
+        table = _checked_table(sweep)
+        means = _point_means(sweep, "effective_data_rate_bps", table)
         rates = [means[(m,)] for m in msdu_axis[1]]
         _assert_monotone(rates, "increasing",
                          f"data rate vs MSDU at {devices} devices")
-    sweep = _reduced_sweep("s6-msdu", (msdu_axis,), quota=250, n_devices=32)
-    means = _point_means(sweep, "packet_loss_rate")
+    # The loop ends on the 32-device sweep; its table also gives the loss.
+    means = _point_means(sweep, "packet_loss_rate", table)
     losses = [means[(m,)] for m in msdu_axis[1]]
     _assert_monotone(losses, "increasing", "loss vs MSDU at 32 devices")
 
@@ -203,8 +204,9 @@ def test_criterion_06_long_intervals_relax_the_network():
 def test_criterion_07_min_backoff_exponent_tradeoff():
     sweep = _reduced_sweep("s6-minbe", (("min_be", (1, 2, 3, 4, 5)),),
                            quota=250, n_devices=32)
-    delays = _point_means(sweep, "mean_delay_s")
-    losses = _point_means(sweep, "packet_loss_rate")
+    table = _checked_table(sweep)
+    delays = _point_means(sweep, "mean_delay_s", table)
+    losses = _point_means(sweep, "packet_loss_rate", table)
     order = [(m,) for m in (1, 2, 3, 4, 5)]
     _assert_monotone([delays[k] for k in order], "increasing",
                      "delay vs MinBE at 32 devices")
@@ -291,8 +293,9 @@ def test_criterion_10_beacon_order_stretches_the_cycle():
     bo_axis = ("bo", (2, 3, 4, 5, 6, 7))
     sweep = _reduced_sweep("s7-bo", (bo_axis,), run_time_s=40.0,
                            interval_s=0.05)
-    delays = _point_means(sweep, "mean_delay_s")
-    rates = _point_means(sweep, "effective_data_rate_bps")
+    table = _checked_table(sweep)
+    delays = _point_means(sweep, "mean_delay_s", table)
+    rates = _point_means(sweep, "effective_data_rate_bps", table)
     _assert_monotone([delays[(bo,)] for bo in bo_axis[1]], "increasing",
                      "delay vs BO at SO=1")
     _assert_monotone([rates[(bo,)] for bo in bo_axis[1]], "decreasing",
@@ -310,7 +313,7 @@ def test_criterion_11_machine_invariants_hold_on_random_walks(data):
         max_nb=data.draw(st.integers(0, 5), label="max_nb"),
         max_frame_retries=data.draw(st.integers(0, 7), label="retries"),
         ack_enabled=data.draw(st.booleans(), label="ack"))
-    rng = RngManager(data.draw(st.integers(0, 2 ** 32), label="seed")).stream("walk")
+    rng = RngManager(data.draw(st.integers(0, 2 ** 32), label="seed")).draws("walk")
     defers_left = data.draw(st.integers(0, 3), label="defers")
 
     def fits():

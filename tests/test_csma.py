@@ -4,13 +4,13 @@ import pytest
 
 from wpansim.csma import (ArmAckTimeout, CsmaParams, DoCca, DropReason, Fail,
                           IDLE_STATE, MacInput, MacQueue, Phase, Success,
-                          Transmit, Wait, unslotted_step)
+                          Transmit, TxAttemptState, Wait, unslotted_step)
 from wpansim.kernel import RngManager, SimulationError
 from wpansim.phy import ACK_WAIT, UNIT_BACKOFF
 
 
 def _rng(seed=1):
-    return RngManager(seed).stream("backoff")
+    return RngManager(seed).draws("backoff")
 
 
 def _drive(events, params=None, rng=None, state=IDLE_STATE):
@@ -163,6 +163,17 @@ def test_backoff_draws_follow_the_seeded_stream():
     _, a = _drive(events, rng=_rng(99))
     _, b = _drive(events, rng=_rng(99))
     assert a == b
+
+
+def test_transitions_reuse_interned_states_and_actions():
+    params = CsmaParams(min_be=0)
+    a, wait_a = unslotted_step(IDLE_STATE, MacInput.START_TX, params, _rng(1))
+    b, wait_b = unslotted_step(IDLE_STATE, MacInput.START_TX, params, _rng(2))
+    assert a is b and wait_a is wait_b
+    assert a == TxAttemptState(0, 0, 0, 0, Phase.BACKOFF)
+    c, cca = unslotted_step(a, MacInput.BACKOFF_EXPIRED, params, _rng())
+    assert unslotted_step(a, MacInput.BACKOFF_EXPIRED, params, _rng()) == (c, cca)
+    assert unslotted_step(a, MacInput.BACKOFF_EXPIRED, params, _rng())[0] is c
 
 
 # ------------------------------------------------------------------ queue

@@ -1,0 +1,84 @@
+"""Golden digests: SHA-256 of the metrics CSV, packet log and MAC trace of
+three reduced-volume runs, pinned in ``tests/golden/digests.json``.
+
+A refactor or speed-up must leave every digest unchanged.  A change that
+alters behaviour on purpose re-pins them, says so in CHANGES.md, and shows
+that the sweep means moved within their stddev.  To print the current
+digests as JSON:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import dataclasses
+import hashlib
+import json
+from io import StringIO
+from pathlib import Path
+
+import pytest
+
+from wpansim.experiment import replication_seed, run_scenario_full, write_metrics_csv
+from wpansim.metrics import write_packet_log
+from wpansim.scenario import load_builtin
+from wpansim.trace import MacTrace
+
+DIGESTS = Path(__file__).parent / "golden" / "digests.json"
+
+
+def _nonbeacon():
+    return dataclasses.replace(load_builtin("nonbeacon-defaults"), quota=200), None
+
+
+def _beacon():
+    return dataclasses.replace(load_builtin("beacon-defaults"), run_time_s=25.0), None
+
+
+def _interval_point():
+    # The most congested point of s6-interval, replication 0, at a reduced
+    # per-device packet volume.
+    sweep = load_builtin("s6-interval")
+    point = {"interval_s": 0.01, "n_devices": 32}
+    spec = dataclasses.replace(sweep.point_spec(point), quota=40)
+    return spec, replication_seed(sweep.seed_base, point, 0)
+
+
+RUNS = {
+    "nonbeacon-defaults-quota200": _nonbeacon,
+    "beacon-defaults-25s": _beacon,
+    "s6-interval-0.01s-32dev-quota40": _interval_point,
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_digests(name: str, out_dir: Path) -> dict[str, str]:
+    """Digests of the three output files of one golden run."""
+    spec, seed = RUNS[name]()
+    trace = MacTrace()
+    result = run_scenario_full(spec, seed, trace=trace)
+    buf = StringIO()
+    write_metrics_csv([result.metrics], buf)
+    write_packet_log(out_dir / "packets.csv", result.log)
+    trace.write(out_dir / "trace.tsv")
+    return {"metrics": _sha256(buf.getvalue().encode()),
+            "packet_log": _sha256((out_dir / "packets.csv").read_bytes()),
+            "trace": _sha256((out_dir / "trace.tsv").read_bytes())}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_outputs_match_the_pinned_digests(name, tmp_path):
+    pinned = json.loads(DIGESTS.read_text())[name]
+    current = run_digests(name, tmp_path)
+    changed = {k: v for k, v in current.items() if v != pinned[k]}
+    assert not changed, (f"{name}: outputs changed; new digests "
+                         f"{json.dumps(changed, indent=2)}")
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        print(json.dumps({name: run_digests(name, Path(tmp)) for name in sorted(RUNS)},
+                         indent=2))

@@ -1,10 +1,12 @@
 """Event queue ordering, stop conditions, and seeded randomness."""
 
+import random
+
 import pytest
 
-from wpansim.kernel import (SYMBOL_RATE, EventKind, RngManager, Scheduler,
-                            SimulationError, StopReason, rng_exponential,
-                            rng_uniform_units, seconds_to_symbols,
+from wpansim.kernel import (DRAW_BLOCK, SYMBOL_RATE, BlockDraws, EventKind,
+                            RngManager, Scheduler, SimulationError, StopReason,
+                            rng_exponential, rng_uniform_units, seconds_to_symbols,
                             symbols_to_seconds)
 
 
@@ -168,7 +170,7 @@ def test_stream_is_insensitive_to_other_streams():
 
 
 def test_uniform_units_range_and_degenerate_exponent():
-    rng = RngManager(1).stream("backoff")
+    rng = RngManager(1).draws("backoff")
     draws = [rng_uniform_units(rng, 3) for _ in range(2000)]
     assert min(draws) == 0 and max(draws) == 7
     draws5 = [rng_uniform_units(rng, 5) for _ in range(5000)]
@@ -176,10 +178,12 @@ def test_uniform_units_range_and_degenerate_exponent():
     assert all(rng_uniform_units(rng, 0) == 0 for _ in range(10))
     with pytest.raises(ValueError):
         rng_uniform_units(rng, -1)
+    with pytest.raises(ValueError):
+        rng_uniform_units(rng, 33)
 
 
 def test_exponential_interarrival_mean_and_floor():
-    rng = RngManager(2).stream("traffic")
+    rng = RngManager(2).draws("traffic")
     n = 200_000
     draws = [rng_exponential(rng, 0.025) for _ in range(n)]
     mean = sum(draws) / n
@@ -187,3 +191,50 @@ def test_exponential_interarrival_mean_and_floor():
     assert min(draws) >= 1
     with pytest.raises(ValueError):
         rng_exponential(rng, 0.0)
+
+
+# The block draws must reproduce numpy's per-call draws exactly: every
+# golden output depends on it.  These per-call expressions are the oracle; a
+# numpy release that changes PCG64's 32-bit buffering, the bounded-integer
+# method or the ziggurat makes these tests fail.
+
+
+def _oracle_units(gen, be):
+    return 0 if be == 0 else int(gen.integers(0, 1 << be))
+
+
+def _oracle_gap(gen, mean_s):
+    return max(1, round(gen.exponential(mean_s) * SYMBOL_RATE))
+
+
+@pytest.mark.parametrize("seed,key", [(1, 1), (421, 8), (2**63 + 5, 0)])
+def test_block_backoff_draws_match_per_call_draws(seed, key):
+    exponents = random.Random(seed).choices(range(9), k=7 * DRAW_BLOCK + 3)
+    oracle = RngManager(seed).stream("backoff", key)
+    draws = RngManager(seed).draws("backoff", key)
+    assert ([rng_uniform_units(draws, be) for be in exponents]
+            == [_oracle_units(oracle, be) for be in exponents])
+    # Further block boundaries, at the exponents the simulator draws most.
+    for be in (1, 2, 3, 8) * DRAW_BLOCK:
+        assert rng_uniform_units(draws, be) == _oracle_units(oracle, be)
+
+
+@pytest.mark.parametrize("seed,key", [(2, 1), (422, 3), (2**63 + 5, 0)])
+def test_block_exponential_draws_match_per_call_draws(seed, key):
+    means = random.Random(seed).choices([1e-4, 0.01, 0.025, 0.05, 1.0, 10.0],
+                                        k=5 * DRAW_BLOCK + 7)
+    oracle = RngManager(seed).stream("traffic", key)
+    draws = RngManager(seed).draws("traffic", key)
+    gaps = [rng_exponential(draws, m) for m in means]
+    assert gaps == [_oracle_gap(oracle, m) for m in means]
+    assert all(type(g) is int for g in gaps)
+
+
+def test_block_draws_fill_lazily():
+    gen = RngManager(3).stream("backoff")
+    draws = BlockDraws(gen)
+    before = gen.bit_generator.state
+    assert rng_uniform_units(draws, 0) == 0        # a zero exponent draws nothing
+    assert gen.bit_generator.state == before
+    rng_uniform_units(draws, 3)
+    assert gen.bit_generator.state != before

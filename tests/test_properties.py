@@ -1,5 +1,6 @@
 """Property-based checks for the randomized and arithmetic-heavy corners."""
 
+import math
 from collections import deque
 
 from hypothesis import example, given, settings
@@ -7,7 +8,10 @@ from hypothesis import strategies as st
 
 from wpansim.csma import DropReason, MacQueue
 from wpansim.kernel import RngManager, rng_exponential, rng_uniform_units
-from wpansim.metrics import PacketRecord, count_outcomes
+from wpansim.metrics import (PacketRecord, build_metrics, count_outcomes,
+                             effective_data_rate, mean_end_to_end_delay,
+                             packet_loss_rate)
+from wpansim.phy import Medium
 from wpansim.superframe import SuperframeConfig, SuperframeSchedule
 
 UNIT = 20
@@ -15,7 +19,7 @@ UNIT = 20
 
 @given(st.integers(min_value=0, max_value=8), st.integers(min_value=0, max_value=2**32))
 def test_uniform_backoff_draw_stays_in_its_window(be, seed):
-    rng = RngManager(seed).stream("draws")
+    rng = RngManager(seed).draws("draws")
     for _ in range(20):
         units = rng_uniform_units(rng, be)
         assert 0 <= units <= 2 ** be - 1
@@ -23,7 +27,7 @@ def test_uniform_backoff_draw_stays_in_its_window(be, seed):
 
 @given(st.floats(min_value=1e-4, max_value=100.0), st.integers(min_value=0, max_value=2**32))
 def test_exponential_gaps_are_positive_whole_symbols(mean_s, seed):
-    rng = RngManager(seed).stream("gaps")
+    rng = RngManager(seed).draws("gaps")
     gap = rng_exponential(rng, mean_s)
     assert isinstance(gap, int) and gap >= 1
 
@@ -112,3 +116,39 @@ def test_outcome_counts_partition_any_log(outcomes):
             == counts.generated)
     assert counts.delivered == outcomes.count("delivered")
     assert counts.unresolved == outcomes.count(DropReason.UNRESOLVED_AT_END)
+
+
+@given(st.lists(st.tuples(_OUTCOMES, st.integers(min_value=1, max_value=118),
+                          st.integers(min_value=0, max_value=10**6)),
+                max_size=200),
+       st.integers(min_value=1, max_value=10**9))
+def test_one_pass_metrics_equal_the_single_metric_functions(packets, window):
+    log = []
+    for i, (outcome, msdu, delay) in enumerate(packets):
+        if outcome == "delivered":
+            log.append(PacketRecord(i, 0, i * 7, msdu, rx_time=i * 7 + delay))
+        else:
+            log.append(PacketRecord(i, 0, i * 7, msdu, drop_reason=outcome))
+    row = build_metrics(log, 0, window)
+    assert row.effective_data_rate_bps == effective_data_rate(log, 0, window)
+    try:
+        loss = packet_loss_rate(log)
+    except ValueError:
+        loss = None
+    assert row.packet_loss_rate == loss
+    assert row.mean_delay_s == mean_end_to_end_delay(log)
+    assert row.delivered == count_outcomes(log).delivered
+
+
+_COORD = st.floats(min_value=-400.0, max_value=400.0, allow_nan=False)
+
+
+@given(st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=12),
+       st.floats(min_value=0.0, max_value=500.0, allow_nan=False))
+def test_precomputed_audibility_equals_the_distance_test(points, comm_range):
+    med = Medium(comm_range)
+    for node_id, (x, y) in enumerate(points):
+        med.add_node(node_id, x, y)
+    for a, (ax, ay) in enumerate(points):
+        for b, (bx, by) in enumerate(points):
+            assert med.in_range(a, b) == (math.hypot(ax - bx, ay - by) <= comm_range)

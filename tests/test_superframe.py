@@ -134,7 +134,7 @@ def test_slot_index_annotation():
 
 def _walk(events, fits=None, params=None, rng=None):
     params = params or CsmaParams()
-    rng = rng or RngManager(5).stream("backoff")
+    rng = rng or RngManager(5).draws("backoff")
     state = IDLE_STATE
     actions = []
     for event in events:
@@ -156,7 +156,7 @@ def test_two_idle_ccas_precede_a_slotted_transmit():
 
 def test_busy_cca_resets_the_contention_window():
     params = CsmaParams()
-    rng = RngManager(6).stream("backoff")
+    rng = RngManager(6).draws("backoff")
     state, _ = _walk([MacInput.START_TX, MacInput.BACKOFF_EXPIRED,
                       MacInput.CCA_IDLE], params=params, rng=rng)
     assert state.cw == 1
