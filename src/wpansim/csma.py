@@ -63,9 +63,6 @@ class Phase(Enum):
     FAILED = "failed"
 
 
-TERMINAL_PHASES = frozenset({Phase.SUCCESS, Phase.FAILED})
-
-
 class MacInput(Enum):
     START_TX = "start_tx"
     BACKOFF_EXPIRED = "backoff_expired"

@@ -58,24 +58,8 @@ class SimSummary:
 
 
 # Heap entry layout; (time, seq) is unique so later fields are never compared.
-_TIME, _SEQ, _LIVE, _FN, _ARG, _KIND, _TARGET = range(7)
-
-
-class EventHandle:
-    """Ticket for a scheduled event, usable to cancel it."""
-
-    __slots__ = ("_entry",)
-
-    def __init__(self, entry: list):
-        self._entry = entry
-
-    @property
-    def live(self) -> bool:
-        return self._entry[_LIVE]
-
-    @property
-    def fire_time(self) -> int:
-        return self._entry[_TIME]
+# The entry itself is the event's handle: cancelling or firing it clears _FN.
+_TIME, _SEQ, _FN, _ARG, _KIND = range(5)
 
 
 class Scheduler:
@@ -87,33 +71,31 @@ class Scheduler:
 
     def __init__(self):
         self._heap: list[list] = []
-        self._seq = itertools.count()
+        self._next_seq = itertools.count().__next__
         self.now = 0           # current simulated time, in symbols
         self._processed = 0
         self._stop_requested = False
-        self.fire_log: list[tuple[int, EventKind, object]] | None = None
 
     def at(self, time: int, fn, arg=None, *, kind: EventKind = EventKind.GENERIC,
-           target=None) -> EventHandle:
-        """Schedule ``fn(arg)`` at ``time``; scheduling in the past is an error."""
+           target=None) -> list:
+        """Schedule ``fn(arg)`` at ``time``; scheduling in the past is an error.
+
+        Returns the heap entry as an opaque handle for :meth:`cancel`.
+        ``target`` names the node the event concerns, for callers that wrap
+        this method; the scheduler does not keep it.
+        """
         if time < self.now:
             raise SimulationError(
                 f"event {kind.value} scheduled at {time} before current time {self.now}")
-        entry = [time, next(self._seq), True, fn, arg, kind, target]
+        entry = [time, self._next_seq(), fn, arg, kind]
         heapq.heappush(self._heap, entry)
-        return EventHandle(entry)
+        return entry
 
-    def after(self, delay: int, fn, arg=None, *, kind: EventKind = EventKind.GENERIC,
-              target=None) -> EventHandle:
-        return self.at(self.now + delay, fn, arg, kind=kind, target=target)
-
-    def cancel(self, handle: EventHandle) -> bool:
+    def cancel(self, handle: list) -> bool:
         """Cancel a pending event; False if it already fired or was cancelled."""
-        entry = handle._entry
-        if not entry[_LIVE]:
+        if handle[_FN] is None:
             return False
-        entry[_LIVE] = False
-        entry[_FN] = entry[_ARG] = None
+        handle[_FN] = handle[_ARG] = None
         return True
 
     def request_stop(self) -> None:
@@ -142,13 +124,12 @@ class Scheduler:
                 self.now = until
                 return self._finish(StopReason.TIME_LIMIT)
             pop(heap)
-            if not entry[_LIVE]:
+            fn = entry[_FN]
+            if fn is None:
                 continue
             self.now = entry[_TIME]
-            entry[_LIVE] = False
-            if self.fire_log is not None:
-                self.fire_log.append((entry[_TIME], entry[_KIND], entry[_TARGET]))
-            entry[_FN](entry[_ARG])
+            entry[_FN] = None
+            fn(entry[_ARG])
             self._processed += 1
             if stop is not None and stop():
                 return self._finish(StopReason.STOPPED)

@@ -188,8 +188,8 @@ class StarNetwork:
             gap = rng_exponential(dev.traffic_rng, self.interval_s)
         else:
             gap = self._period_symbols
-        self.sched.after(gap, self._on_arrival, dev,
-                         kind=_EV_ARRIVAL, target=dev.id)
+        self.sched.at(self.sched.now + gap, self._on_arrival, dev,
+                      kind=_EV_ARRIVAL, target=dev.id)
 
     def _on_arrival(self, dev: Device) -> None:
         now = self.sched.now
@@ -200,12 +200,14 @@ class StarNetwork:
         self._generated += 1
         if self.quota is None or dev.generated < self.quota:
             self._schedule_arrival(dev)
-        self._trace(now, dev.id, "arrival", pkt=rec.packet_id)
+        if self.trace is not None:
+            self._trace(now, dev.id, "arrival", pkt=rec.packet_id)
         if dev.current is None:
             dev.current = rec
             self._start_attempt(dev)
         elif dev.queue.offer(rec):
-            self._trace(now, dev.id, "enqueue", pkt=rec.packet_id)
+            if self.trace is not None:
+                self._trace(now, dev.id, "enqueue", pkt=rec.packet_id)
         else:
             self._resolve_drop(rec, DropReason.QUEUE_OVERFLOW)
 
@@ -237,29 +239,30 @@ class StarNetwork:
                 dev.mac_timer = self.sched.at(end, self._on_countdown_done, dev,
                                               kind=_EV_BACKOFF, target=dev.id)
             else:
-                dev.mac_timer = self.sched.after(action.duration,
-                                                 self._on_backoff_expired, dev,
-                                                 kind=_EV_BACKOFF, target=dev.id)
+                dev.mac_timer = self.sched.at(now + action.duration,
+                                              self._on_backoff_expired, dev,
+                                              kind=_EV_BACKOFF, target=dev.id)
         elif type(action) is DoCca:
             self._issue_cca(dev)
         elif type(action) is Transmit:
             if self.slotted:
                 # CCA result instants sit 8 symbols into a period; the frame
                 # goes out on the next 20-symbol boundary.
-                self.sched.after(UNIT_BACKOFF - CCA_DURATION,
-                                 self._begin_data_tx, dev,
-                                 kind=_EV_TX_START, target=dev.id)
+                self.sched.at(now + (UNIT_BACKOFF - CCA_DURATION),
+                              self._begin_data_tx, dev,
+                              kind=_EV_TX_START, target=dev.id)
             else:
                 self._begin_data_tx(dev)
         elif type(action) is ArmAckTimeout:
-            dev.mac_timer = self.sched.after(action.duration, self._on_ack_timeout,
-                                             dev, kind=_EV_ACK_TIMEOUT,
-                                             target=dev.id)
+            dev.mac_timer = self.sched.at(now + action.duration, self._on_ack_timeout,
+                                          dev, kind=_EV_ACK_TIMEOUT,
+                                          target=dev.id)
         elif type(action) is Success:
             rec = dev.current
             if self.csma.ack_enabled or dev.last_intact:
                 rec.rx_time = now
-                self._trace(now, dev.id, "delivered", pkt=rec.packet_id)
+                if self.trace is not None:
+                    self._trace(now, dev.id, "delivered", pkt=rec.packet_id)
                 self._count_resolution()
             else:
                 self._resolve_drop(rec, DropReason.RETRY_EXHAUSTED)
@@ -268,7 +271,8 @@ class StarNetwork:
             self._resolve_drop(dev.current, action.reason)
             self._next_frame(dev)
         elif type(action) is DeferToNextCap:
-            self._trace(now, dev.id, "defer", pkt=dev.current.packet_id)
+            if self.trace is not None:
+                self._trace(now, dev.id, "defer", pkt=dev.current.packet_id)
             dev.mac_timer = self.sched.at(self.schedule.next_cap_start(now),
                                           self._on_cap_reentry, dev,
                                           kind=_EV_BACKOFF, target=dev.id)
@@ -283,13 +287,14 @@ class StarNetwork:
         # CCA pair (which needs to resolve strictly before nodes sleep); if so
         # it carries over to the next CAP, like the pause rule.
         now = self.sched.now
-        if (not self.schedule.in_cap(now)
-                or now + UNIT_BACKOFF + CCA_DURATION >= self.schedule.cap_end_for(now)):
-            dev.mac_timer = self.sched.at(self.schedule.next_cap_start(now),
+        schedule = self.schedule
+        cap_start, cap_end = schedule.cap_bounds(schedule.index_at(now))
+        if now < cap_start or now + UNIT_BACKOFF + CCA_DURATION >= cap_end:
+            dev.mac_timer = self.sched.at(schedule.next_cap_start(now),
                                           self._on_countdown_done, dev,
                                           kind=_EV_BACKOFF, target=dev.id)
             return
-        dev.cap_end = self.schedule.cap_end_for(now)
+        dev.cap_end = cap_end
         self._feed(dev, _IN_BACKOFF_EXPIRED)
 
     def _on_cap_reentry(self, dev: Device) -> None:
@@ -309,7 +314,8 @@ class StarNetwork:
             start = now + (UNIT_BACKOFF - CCA_DURATION)  # next boundary
         else:
             start = now
-        self._trace(start, dev.id, "cca-start", pkt=dev.current.packet_id)
+        if self.trace is not None:
+            self._trace(start, dev.id, "cca-start", pkt=dev.current.packet_id)
         dev.mac_timer = self.sched.at(start + CCA_DURATION, self._on_cca_result,
                                       dev, kind=_EV_CCA_RESULT, target=dev.id)
 
@@ -329,9 +335,10 @@ class StarNetwork:
                       self.msdu, rec.packet_id)
         dev.tx = self.medium.begin_tx(frame, now)
         rec.tx_count += 1
-        self._trace(now, dev.id, "tx-start", pkt=rec.packet_id)
-        self.sched.after(self.data_airtime, self._on_data_tx_end, dev,
-                         kind=_EV_TX_END, target=dev.id)
+        if self.trace is not None:
+            self._trace(now, dev.id, "tx-start", pkt=rec.packet_id)
+        self.sched.at(now + self.data_airtime, self._on_data_tx_end, dev,
+                      kind=_EV_TX_END, target=dev.id)
 
     def _on_data_tx_end(self, dev: Device) -> None:
         now = self.sched.now
@@ -340,11 +347,12 @@ class StarNetwork:
         self.medium.end_tx(tx, now)
         intact = self.medium.heard_intact(tx, COORDINATOR)
         dev.last_intact = intact
-        self._trace(now, dev.id, "tx-end", pkt=dev.current.packet_id,
-                    note="intact" if intact else "corrupted")
+        if self.trace is not None:
+            self._trace(now, dev.id, "tx-end", pkt=dev.current.packet_id,
+                        note="intact" if intact else "corrupted")
         if intact and self.csma.ack_enabled:
-            self.sched.after(TURNAROUND, self._begin_ack_tx, dev,
-                             kind=_EV_TX_START, target=COORDINATOR)
+            self.sched.at(now + TURNAROUND, self._begin_ack_tx, dev,
+                          kind=_EV_TX_START, target=COORDINATOR)
         self._feed(dev, _IN_TX_DONE)
 
     def _begin_ack_tx(self, dev: Device) -> None:
@@ -352,15 +360,17 @@ class StarNetwork:
         frame = Frame(FrameKind.ACK, COORDINATOR, dev.id, ACK_AIRTIME,
                       0, dev.current.packet_id)
         tx = self.medium.begin_tx(frame, now)
-        self._trace(now, COORDINATOR, "ack-start", pkt=frame.packet_id)
-        self.sched.after(ACK_AIRTIME, self._on_ack_tx_end, (tx, dev),
-                         kind=_EV_TX_END, target=COORDINATOR)
+        if self.trace is not None:
+            self._trace(now, COORDINATOR, "ack-start", pkt=frame.packet_id)
+        self.sched.at(now + ACK_AIRTIME, self._on_ack_tx_end, (tx, dev),
+                      kind=_EV_TX_END, target=COORDINATOR)
 
     def _on_ack_tx_end(self, arg) -> None:
         tx, dev = arg
         now = self.sched.now
         self.medium.end_tx(tx, now)
-        self._trace(now, COORDINATOR, "ack-end", pkt=tx.frame.packet_id)
+        if self.trace is not None:
+            self._trace(now, COORDINATOR, "ack-end", pkt=tx.frame.packet_id)
         if self.medium.heard_intact(tx, dev.id):
             if (dev.state.phase is _AWAITING_ACK and dev.current is not None
                     and dev.current.packet_id == tx.frame.packet_id):
@@ -368,15 +378,18 @@ class StarNetwork:
                 self._feed(dev, _IN_ACK_RECEIVED)
 
     def _on_ack_timeout(self, dev: Device) -> None:
-        self._trace(self.sched.now, dev.id, "ack-timeout", pkt=dev.current.packet_id)
+        if self.trace is not None:
+            self._trace(self.sched.now, dev.id, "ack-timeout",
+                        pkt=dev.current.packet_id)
         self._feed(dev, _IN_ACK_TIMEOUT)
 
     # --------------------------------------------------------- resolution
 
     def _resolve_drop(self, rec: PacketRecord, reason: DropReason) -> None:
         rec.drop_reason = reason
-        self._trace(self.sched.now, rec.node, "drop", pkt=rec.packet_id,
-                    note=reason.value)
+        if self.trace is not None:
+            self._trace(self.sched.now, rec.node, "drop", pkt=rec.packet_id,
+                        note=reason.value)
         self._count_resolution()
 
     def _count_resolution(self) -> None:
@@ -396,12 +409,13 @@ class StarNetwork:
         now = self.sched.now
         for node_id in range(len(self.devices) + 1):
             self.medium.set_awake(node_id, True, now)
-        self._trace(now, COORDINATOR, "sf-start", note=f"k={k}")
         beacon = Frame(FrameKind.BEACON, COORDINATOR, BROADCAST, BEACON_AIRTIME)
         btx = self.medium.begin_tx(beacon, now)
-        self._trace(now, COORDINATOR, "beacon-start")
-        self.sched.after(BEACON_AIRTIME, self._on_beacon_end, btx,
-                         kind=EventKind.BEACON, target=COORDINATOR)
+        if self.trace is not None:
+            self._trace(now, COORDINATOR, "sf-start", note=f"k={k}")
+            self._trace(now, COORDINATOR, "beacon-start")
+        self.sched.at(now + BEACON_AIRTIME, self._on_beacon_end, btx,
+                      kind=EventKind.BEACON, target=COORDINATOR)
         if self.schedule.sd < self.schedule.bi:
             self.sched.at(now + self.schedule.sd, self._on_inactive_start, k,
                           kind=EventKind.CAP_END, target=COORDINATOR)
@@ -410,31 +424,31 @@ class StarNetwork:
 
     def _on_beacon_end(self, btx) -> None:
         self.medium.end_tx(btx, self.sched.now)
-        self._trace(self.sched.now, COORDINATOR, "beacon-end")
+        if self.trace is not None:
+            self._trace(self.sched.now, COORDINATOR, "beacon-end")
 
     def _on_inactive_start(self, k: int) -> None:
         now = self.sched.now
         for node_id in range(len(self.devices) + 1):
             self.medium.set_awake(node_id, False, now)
-        self._trace(now, COORDINATOR, "sleep", note=f"k={k}")
+        if self.trace is not None:
+            self._trace(now, COORDINATOR, "sleep", note=f"k={k}")
 
     # -------------------------------------------------------------- trace
 
     def _trace(self, time: int, node: int, event: str, *, pkt: int = -1,
                note: str = "") -> None:
-        if self.trace is None:
-            return
+        """Add one trace line; call sites skip the call when no trace is attached."""
         if self.slotted:
-            offset = time % self.schedule.bi
-            if offset < self.schedule.cap_offset:
-                period = "beacon"
-            elif offset < self.schedule.sd:
-                period = "cap"
+            schedule = self.schedule
+            sf, offset = divmod(time, schedule.bi)
+            if offset < schedule.sd:
+                # The active portion is exactly 16 slots, so no clamp is needed.
+                slot = offset // schedule.slot_len
+                period = "beacon" if offset < schedule.cap_offset else "cap"
             else:
-                period = "inactive"
-            slot = self.schedule.slot_index(time) if offset < self.schedule.sd else -1
-            self.trace.add(time, node, event, pkt=pkt,
-                           sf=self.schedule.index_at(time), slot=slot,
+                slot, period = -1, "inactive"
+            self.trace.add(time, node, event, pkt=pkt, sf=sf, slot=slot,
                            period=period, note=note)
         else:
             self.trace.add(time, node, event, pkt=pkt, note=note)

@@ -72,23 +72,17 @@ class SuperframeSchedule:
         self.config = config
         self.bi = config.beacon_interval
         self.sd = config.superframe_duration
+        self.slot_len = self.sd // 16
         # First boundary clear of the beacon: 38 symbols rounded up to the grid.
         self.cap_offset = -(-BEACON_AIRTIME // UNIT_BACKOFF) * UNIT_BACKOFF
         if self.sd - self.cap_offset < MIN_CAP_LENGTH:
             raise ValueError(f"SO={config.so} leaves a CAP shorter than "
                              f"{MIN_CAP_LENGTH} symbols")
 
-    @property
-    def slot_len(self) -> int:
-        return self.sd // 16
-
     def slot_index(self, t: int) -> int:
         """Slot number 0..15 within the active portion, for trace annotation."""
         offset = t % self.bi
         return min(offset // self.slot_len, 15)
-
-    def superframe_start(self, k: int) -> int:
-        return k * self.bi
 
     def index_at(self, t: int) -> int:
         return t // self.bi

@@ -4,6 +4,9 @@ Events carry the node, a short tag, and (in beacon mode) the superframe
 index, slot index, and period the instant falls in.  The text form is one
 tab-separated line per event with a fixed column order, stable across
 versions; missing numeric fields are written as ``-``.
+
+A :class:`MacTrace` keeps its events as those text lines: each is formatted
+once when added and parsed back into a :class:`TraceEvent` only on request.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 COLUMNS = ["time", "node", "event", "pkt", "sf", "slot", "period", "note"]
+_HEADER = "\t".join(COLUMNS) + "\n"
 
 
 @dataclass(slots=True)
@@ -25,36 +29,50 @@ class TraceEvent:
     note: str = ""
 
 
+def _parse(line: str) -> TraceEvent:
+    """The event of one trace line; ValueError if the line is malformed."""
+    time, node, event, pkt, sf, slot, period, note = line.rstrip("\n").split("\t")
+    return TraceEvent(int(time), int(node), event,
+                      -1 if pkt == "-" else int(pkt),
+                      -1 if sf == "-" else int(sf),
+                      -1 if slot == "-" else int(slot),
+                      "" if period == "-" else period,
+                      "" if note == "-" else note)
+
+
 class MacTrace:
     """Append-only event collection; ordering follows simulation callbacks,
     which may announce an imminent instant slightly ahead (sort by time when
     strict order matters)."""
 
     def __init__(self):
-        self.events: list[TraceEvent] = []
+        self._lines: list[str] = []
 
     def add(self, time: int, node: int, event: str, *, pkt: int = -1, sf: int = -1,
             slot: int = -1, period: str = "", note: str = "") -> None:
-        self.events.append(TraceEvent(time, node, event, pkt, sf, slot, period, note))
+        self._lines.append(f"{time}\t{node}\t{event}\t"
+                           f"{pkt if pkt >= 0 else '-'}\t"
+                           f"{sf if sf >= 0 else '-'}\t"
+                           f"{slot if slot >= 0 else '-'}\t"
+                           f"{period or '-'}\t{note or '-'}\n")
+
+    @property
+    def events(self) -> list[TraceEvent]:
+        return list(map(_parse, self._lines))
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._lines)
 
     def __iter__(self):
-        return iter(self.events)
+        return map(_parse, self._lines)
 
     def of_kind(self, event: str) -> list[TraceEvent]:
-        return [ev for ev in self.events if ev.event == event]
+        return [ev for ev in self if ev.event == event]
 
     def write(self, path) -> None:
         with open(path, "w") as fh:
-            fh.write("\t".join(COLUMNS) + "\n")
-            for ev in self.events:
-                fh.write(f"{ev.time}\t{ev.node}\t{ev.event}\t"
-                         f"{ev.pkt if ev.pkt >= 0 else '-'}\t"
-                         f"{ev.sf if ev.sf >= 0 else '-'}\t"
-                         f"{ev.slot if ev.slot >= 0 else '-'}\t"
-                         f"{ev.period or '-'}\t{ev.note or '-'}\n")
+            fh.write(_HEADER)
+            fh.writelines(self._lines)
 
 
 def read_trace(path) -> MacTrace:
@@ -64,11 +82,7 @@ def read_trace(path) -> MacTrace:
         if header != COLUMNS:
             raise ValueError(f"unrecognized trace header: {header}")
         for line in fh:
-            time, node, event, pkt, sf, slot, period, note = line.rstrip("\n").split("\t")
-            trace.add(int(time), int(node), event,
-                      pkt=-1 if pkt == "-" else int(pkt),
-                      sf=-1 if sf == "-" else int(sf),
-                      slot=-1 if slot == "-" else int(slot),
-                      period="" if period == "-" else period,
-                      note="" if note == "-" else note)
+            ev = _parse(line)
+            trace.add(ev.time, ev.node, ev.event, pkt=ev.pkt, sf=ev.sf,
+                      slot=ev.slot, period=ev.period, note=ev.note)
     return trace

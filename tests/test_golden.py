@@ -1,5 +1,5 @@
 """Golden digests: SHA-256 of the metrics CSV, packet log and MAC trace of
-three reduced-volume runs, pinned in ``tests/golden/digests.json``.
+ten reduced-volume runs, pinned in ``tests/golden/digests.json``.
 
 A refactor or speed-up must leave every digest unchanged.  A change that
 alters behaviour on purpose re-pins them, says so in CHANGES.md, and shows
@@ -33,19 +33,37 @@ def _beacon():
     return dataclasses.replace(load_builtin("beacon-defaults"), run_time_s=25.0), None
 
 
-def _interval_point():
-    # The most congested point of s6-interval, replication 0, at a reduced
-    # per-device packet volume.
-    sweep = load_builtin("s6-interval")
-    point = {"interval_s": 0.01, "n_devices": 32}
-    spec = dataclasses.replace(sweep.point_spec(point), quota=40)
-    return spec, replication_seed(sweep.seed_base, point, 0)
+def _sweep_point(sweep_name, point, **cut):
+    """Replication 0 of one sweep point, with ``cut`` reducing its volume."""
+    def make():
+        sweep = load_builtin(sweep_name)
+        spec = dataclasses.replace(sweep.point_spec(point), **cut)
+        return spec, replication_seed(sweep.seed_base, point, 0)
+    return make
 
 
+# One reduced point per packaged sweep.  The non-beacon points are congested
+# (16 or 32 devices); the beacon points are ones where many slotted
+# countdowns complete too close to the CAP end and carry over to the next CAP.
 RUNS = {
     "nonbeacon-defaults-quota200": _nonbeacon,
     "beacon-defaults-25s": _beacon,
-    "s6-interval-0.01s-32dev-quota40": _interval_point,
+    "s6-interval-0.01s-32dev-quota40": _sweep_point(
+        "s6-interval", {"interval_s": 0.01, "n_devices": 32}, quota=40),
+    "s6-maxnb-0-16dev-quota40": _sweep_point(
+        "s6-maxnb", {"max_nb": 0, "n_devices": 16}, quota=40),
+    "s6-minbe-1-16dev-quota40": _sweep_point(
+        "s6-minbe", {"min_be": 1, "n_devices": 16}, quota=40),
+    "s6-msdu-100-16dev-quota40": _sweep_point(
+        "s6-msdu", {"msdu": 100, "n_devices": 16}, quota=40),
+    "s6-retries-0-16dev-quota40": _sweep_point(
+        "s6-retries", {"max_frame_retries": 0, "n_devices": 16}, quota=40),
+    "s7-bo-2-0.01s-5s": _sweep_point(
+        "s7-bo", {"bo": 2, "interval_s": 0.01}, run_time_s=5.0),
+    "s7-maxnb-5-bo1so0-5s": _sweep_point(
+        "s7-maxnb", {"max_nb": 5, "bo_so": [1, 0]}, run_time_s=5.0),
+    "s7-so-1-0.01s-20s": _sweep_point(
+        "s7-so", {"so": 1, "interval_s": 0.01}, run_time_s=20.0),
 }
 
 

@@ -66,7 +66,6 @@ def test_cancel_semantics():
     sched = Scheduler()
     fired = []
     handle = sched.at(10, fired.append, "x")
-    assert handle.live
     assert sched.cancel(handle) is True
     assert sched.cancel(handle) is False      # already cancelled
     keeper = sched.at(20, fired.append, "y")
@@ -120,13 +119,18 @@ def test_stop_predicate_checked_after_each_event():
     assert summary.stop_reason is StopReason.STOPPED
 
 
-def test_fire_log_records_time_kind_target():
+def test_equal_time_events_keep_insertion_order_and_past_errors_name_the_kind():
     sched = Scheduler()
-    sched.fire_log = []
-    sched.at(5, lambda _: None, kind=EventKind.BEACON, target=0)
-    sched.at(9, lambda _: None, kind=EventKind.ARRIVAL, target=3)
+    fired = []
+    # Kinds and targets do not affect the order of equal-time events.
+    sched.at(9, fired.append, "arrival", kind=EventKind.ARRIVAL, target=3)
+    sched.at(5, fired.append, "beacon", kind=EventKind.BEACON, target=0)
+    sched.at(9, fired.append, "cap-end", kind=EventKind.CAP_END, target=0)
+    sched.at(9, fired.append, "backoff", kind=EventKind.BACKOFF, target=1)
     sched.run()
-    assert sched.fire_log == [(5, EventKind.BEACON, 0), (9, EventKind.ARRIVAL, 3)]
+    assert fired == ["beacon", "arrival", "cap-end", "backoff"]
+    with pytest.raises(SimulationError, match="event tx-end scheduled at 8"):
+        sched.at(8, fired.append, kind=EventKind.TX_END, target=2)
 
 
 def test_beacon_grid_schedule():
