@@ -9,7 +9,7 @@ from wpansim.metrics import MetricsRow, PacketRecord
 from wpansim.network import RunResult, StarNetwork
 from wpansim.scenario import (BUILTINS, ScenarioError, ScenarioSpec, SweepSpec,
                               load_builtin, load_scenario)
-from wpansim.superframe import SuperframeConfig, SuperframeSchedule
+from wpansim.superframe import SuperframeSchedule
 
 __version__ = "0.1.0"
 
@@ -27,7 +27,6 @@ __all__ = [
     "Scheduler",
     "SimulationError",
     "StarNetwork",
-    "SuperframeConfig",
     "SuperframeSchedule",
     "SweepSpec",
     "emit_plot_data",

@@ -23,6 +23,16 @@ from wpansim.phy import ACK_WAIT, UNIT_BACKOFF
 MAX_BE = 8   # largest permitted macMaxBE
 
 
+def check_range(name: str, value, lo, hi=None) -> None:
+    """Raise ``ValueError`` unless ``lo <= value <= hi`` (``hi=None``: no upper
+    bound).  The message starts with ``name``, which lets a scenario file
+    report the error at that key's line."""
+    if value < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {value}")
+    if hi is not None and value > hi:
+        raise ValueError(f"{name} must be <= {hi}, got {value}")
+
+
 @dataclass(frozen=True, slots=True)
 class CsmaParams:
     """Tunable MAC attributes, range-checked against their permitted values."""
@@ -34,16 +44,10 @@ class CsmaParams:
     ack_enabled: bool = True
 
     def __post_init__(self):
-        if not 3 <= self.max_be <= MAX_BE:
-            raise ValueError(f"max_be must be in [3, {MAX_BE}], got {self.max_be}")
-        if not 0 <= self.min_be <= self.max_be:
-            raise ValueError(
-                f"min_be must be in [0, max_be={self.max_be}], got {self.min_be}")
-        if not 0 <= self.max_nb <= 5:
-            raise ValueError(f"max_nb must be in [0, 5], got {self.max_nb}")
-        if not 0 <= self.max_frame_retries <= 7:
-            raise ValueError(
-                f"max_frame_retries must be in [0, 7], got {self.max_frame_retries}")
+        check_range("max_be", self.max_be, 3, MAX_BE)
+        check_range("min_be", self.min_be, 0, self.max_be)
+        check_range("max_nb", self.max_nb, 0, 5)
+        check_range("max_frame_retries", self.max_frame_retries, 0, 7)
 
 
 class DropReason(Enum):

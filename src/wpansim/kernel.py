@@ -102,13 +102,12 @@ class Scheduler:
         """Stop the run after the currently executing event completes."""
         self._stop_requested = True
 
-    def run(self, *, until: int | None = None, stop=None) -> SimSummary:
+    def run(self, *, until: int | None = None) -> SimSummary:
         """Process events in (fire_time, insertion) order until a stop condition.
 
         ``until`` stops the run with the clock set to exactly that time; events
-        scheduled at or after it stay pending.  ``stop`` is an optional zero-arg
-        predicate checked after every event.  Running dry with an unmet
-        ``until``/``stop`` condition reports starvation.
+        scheduled at or after it stay pending.  Running dry before an ``until``
+        reports starvation.
         """
         heap = self._heap
         pop = heapq.heappop
@@ -116,7 +115,7 @@ class Scheduler:
             if self._stop_requested:
                 return self._finish(StopReason.STOPPED)
             if not heap:
-                if until is None and stop is None:
+                if until is None:
                     return self._finish(StopReason.COMPLETED)
                 return self._finish(StopReason.STARVED)
             entry = heap[0]
@@ -131,8 +130,6 @@ class Scheduler:
             entry[_FN] = None
             fn(entry[_ARG])
             self._processed += 1
-            if stop is not None and stop():
-                return self._finish(StopReason.STOPPED)
 
     def _finish(self, reason: StopReason) -> SimSummary:
         return SimSummary(self.now, self._processed, reason)

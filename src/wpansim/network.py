@@ -9,6 +9,7 @@ themselves live in the pure state machines of ``csma`` and ``superframe``.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -20,9 +21,10 @@ from wpansim.kernel import (EventKind, RngManager, Scheduler, SimSummary,
                             seconds_to_symbols)
 from wpansim.metrics import MetricsRow, PacketRecord, build_metrics
 from wpansim.phy import (ACK_AIRTIME, BEACON_AIRTIME, BROADCAST, CCA_DURATION,
-                         COMM_RANGE_M, Frame, FrameKind, MAX_MSDU_BYTES, Medium,
-                         TURNAROUND, UNIT_BACKOFF, data_frame_airtime)
-from wpansim.superframe import SuperframeConfig, SuperframeSchedule, slotted_step
+                         Frame, FrameKind, Medium, TURNAROUND, UNIT_BACKOFF,
+                         data_frame_airtime)
+from wpansim.scenario import ScenarioSpec
+from wpansim.superframe import SuperframeSchedule, slotted_step
 from wpansim.trace import MacTrace
 
 COORDINATOR = 0
@@ -78,48 +80,25 @@ class StarNetwork:
                  bo: int | None = None, so: int | None = None,
                  queue_capacity: int | None = 1,
                  quota: int | None = None, run_time_s: float | None = None,
-                 seed: int = 1, comm_range_m: float = COMM_RANGE_M,
-                 circle_radius_m: float = 50.0, placement: str = "equal",
-                 trace: MacTrace | None = None):
-        if mode not in ("nonbeacon", "beacon"):
-            raise ValueError(f"unknown mode {mode!r}")
-        if n_devices < 1:
-            raise ValueError(f"need at least one device, got {n_devices}")
-        if not 1 <= msdu <= MAX_MSDU_BYTES:
-            raise ValueError(f"MSDU size must be in [1, {MAX_MSDU_BYTES}], got {msdu}")
-        if interval_s <= 0:
-            raise ValueError(f"generation interval must be positive, got {interval_s}")
-        if distribution not in ("exponential", "periodic"):
-            raise ValueError(f"unknown traffic distribution {distribution!r}")
-        if placement not in ("equal", "random"):
-            raise ValueError(f"unknown placement {placement!r}")
-        if quota is None and run_time_s is None:
-            raise ValueError("a stop condition is required: quota or run_time_s")
-        if quota is not None and quota < 1:
-            raise ValueError(f"quota must be positive, got {quota}")
-        if run_time_s is not None and run_time_s <= 0:
-            raise ValueError(f"run time must be positive, got {run_time_s}")
+                 seed: int = 1, circle_radius_m: float = 50.0,
+                 placement: str = "equal", trace: MacTrace | None = None):
+        self.csma = csma_params or CsmaParams()
+        # Validates the keywords by the same rules as a scenario file.
+        ScenarioSpec(mode=mode, n_devices=n_devices, msdu=msdu,
+                     interval_s=interval_s, distribution=distribution,
+                     bo=bo, so=so, queue_capacity=queue_capacity, quota=quota,
+                     run_time_s=run_time_s, seed=seed, placement=placement,
+                     **dataclasses.asdict(self.csma))
 
         self.mode = mode
         self.slotted = mode == "beacon"
-        self.csma = csma_params or CsmaParams()
         self.msdu = msdu
         self.interval_s = interval_s
         self.distribution = distribution
         self.quota = quota
         self.run_time_s = run_time_s
         self.trace = trace
-
-        if self.slotted:
-            if bo is None or so is None:
-                raise ValueError("beacon mode requires BO and SO")
-            self.sf_config = SuperframeConfig(bo=bo, so=so)
-            self.schedule = SuperframeSchedule(self.sf_config)
-        else:
-            if bo is not None or so is not None:
-                raise ValueError("BO/SO are meaningful only in beacon mode")
-            self.sf_config = None
-            self.schedule = None
+        self.schedule = SuperframeSchedule(bo, so) if self.slotted else None
 
         self.data_airtime = data_frame_airtime(msdu)
         # Time on air a transmission must reserve before the CAP end.
@@ -127,7 +106,7 @@ class StarNetwork:
             TURNAROUND + ACK_AIRTIME if self.csma.ack_enabled else 0)
 
         self.sched = Scheduler()
-        self.medium = Medium(comm_range_m)
+        self.medium = Medium()
         self.medium.add_node(COORDINATOR, 0.0, 0.0)
 
         rngs = RngManager(seed)

@@ -113,9 +113,6 @@ class Medium:
     def in_range(self, a: int, b: int) -> bool:
         return b in self._hears[a]
 
-    def is_awake(self, node_id: int) -> bool:
-        return node_id not in self._asleep
-
     def set_awake(self, node_id: int, awake: bool, now: int) -> None:
         """Sleep/wake a radio; sleeping mid-frame makes the receiver miss it.
 
@@ -171,10 +168,6 @@ class Medium:
         if src not in hears:
             return False
         return all(o.frame.src not in hears for o in tx.overlappers)
-
-    def receivers(self, tx: Transmission) -> list[int]:
-        """All nodes that received the frame intact (for broadcasts)."""
-        return [n for n in self._pos if self.heard_intact(tx, n)]
 
     def cca_busy(self, node_id: int, now: int) -> bool:
         """Channel state over the CCA window [now - 8, now).

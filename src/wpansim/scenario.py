@@ -14,15 +14,17 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
+import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 import yaml
 
-from wpansim.csma import CsmaParams
+from wpansim.csma import CsmaParams, check_range
 from wpansim.phy import MAX_MSDU_BYTES
-from wpansim.superframe import MAX_ORDER
+from wpansim.superframe import SuperframeSchedule
 
 __all__ = [
     "ScenarioError", "ScenarioSpec", "SweepSpec",
@@ -65,41 +67,39 @@ class ScenarioSpec:
 
     def __post_init__(self):
         if self.mode not in ("nonbeacon", "beacon"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.n_devices < 1:
-            raise ValueError(f"n_devices must be positive, got {self.n_devices}")
-        if not 1 <= self.msdu <= MAX_MSDU_BYTES:
+            raise ValueError(f"mode must be nonbeacon or beacon, got {self.mode!r}")
+        check_range("n_devices", self.n_devices, 1)
+        check_range("msdu", self.msdu, 1, MAX_MSDU_BYTES)
+        if not 0 < self.interval_s < math.inf:
             raise ValueError(
-                f"msdu must be in [1, {MAX_MSDU_BYTES}], got {self.msdu}")
-        if self.interval_s <= 0:
-            raise ValueError(f"interval_s must be positive, got {self.interval_s}")
+                f"interval_s must be finite and > 0, got {self.interval_s}")
         if self.distribution not in ("exponential", "periodic"):
-            raise ValueError(f"unknown distribution {self.distribution!r}")
+            raise ValueError("distribution must be exponential or periodic, "
+                             f"got {self.distribution!r}")
         if self.placement not in ("equal", "random"):
-            raise ValueError(f"unknown placement {self.placement!r}")
-        # Range-checks min_be/max_be/max_nb/max_frame_retries as a side effect.
-        CsmaParams(min_be=self.min_be, max_be=self.max_be, max_nb=self.max_nb,
-                   max_frame_retries=self.max_frame_retries,
-                   ack_enabled=self.ack_enabled)
+            raise ValueError(
+                f"placement must be equal or random, got {self.placement!r}")
+        self.csma_params()  # range-checks min_be, max_be, max_nb, max_frame_retries
         if self.mode == "beacon":
             if self.bo is None or self.so is None:
-                raise ValueError("beacon mode requires both bo and so")
-            if not 0 <= self.so <= self.bo <= MAX_ORDER:
-                raise ValueError(
-                    f"need 0 <= so <= bo <= {MAX_ORDER}, got bo={self.bo} so={self.so}")
-        elif self.bo is not None or self.so is not None:
-            raise ValueError("bo/so are only meaningful in beacon mode")
-        if (self.quota is None) == (self.run_time_s is None):
-            raise ValueError("exactly one of quota and run_time_s must be set")
-        if self.quota is not None and self.quota < 1:
-            raise ValueError(f"quota must be positive, got {self.quota}")
-        if self.run_time_s is not None and self.run_time_s <= 0:
-            raise ValueError(f"run_time_s must be positive, got {self.run_time_s}")
-        if self.queue_capacity is not None and self.queue_capacity < 0:
+                raise ValueError("mode beacon requires both bo and so")
+            SuperframeSchedule(self.bo, self.so)  # range-checks bo and so
+        else:
+            for name in ("bo", "so"):
+                if getattr(self, name) is not None:
+                    raise ValueError(f"{name} is only meaningful in beacon mode")
+        if self.quota is None and self.run_time_s is None:
+            raise ValueError("a stop condition is required: quota or run_time_s")
+        if self.quota is not None:
+            if self.run_time_s is not None:
+                raise ValueError("run_time_s and quota are mutually exclusive")
+            check_range("quota", self.quota, 1)
+        elif not 0 < self.run_time_s < math.inf:
             raise ValueError(
-                f"queue_capacity must be >= 0 or null, got {self.queue_capacity}")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
+                f"run_time_s must be finite and > 0, got {self.run_time_s}")
+        if self.queue_capacity is not None:
+            check_range("queue_capacity", self.queue_capacity, 0)
+        check_range("seed", self.seed, 0, 2 ** 64 - 1)
 
     def csma_params(self) -> CsmaParams:
         return CsmaParams(min_be=self.min_be, max_be=self.max_be,
@@ -133,21 +133,25 @@ class SweepSpec:
 
     def __post_init__(self):
         if not self.axes:
-            raise ValueError("a sweep needs at least one axis")
+            raise ValueError("axes: a sweep needs at least one axis")
         seen = set()
         for name, values in self.axes:
             if name not in _AXIS_NAMES:
-                raise ValueError(f"unknown sweep axis {name!r}")
+                raise ValueError(f"axes: unknown sweep axis {name!r}")
             if name in seen:
-                raise ValueError(f"sweep axis {name!r} appears twice")
+                raise ValueError(f"axes: sweep axis {name!r} appears twice")
             seen.add(name)
             if not values:
-                raise ValueError(f"sweep axis {name!r} has no values")
-        if self.replications < 1:
-            raise ValueError(
-                f"replications must be positive, got {self.replications}")
-        if not 0 <= self.seed_base < 2 ** 64:
-            raise ValueError(f"seed_base must fit in 64 bits, got {self.seed_base}")
+                raise ValueError(f"axes: sweep axis {name!r} has no values")
+        check_range("replications", self.replications, 1)
+        check_range("seed_base", self.seed_base, 0, 2 ** 64 - 1)
+        # Every point of the cartesian product must itself be a valid scenario.
+        for point in self.points():
+            try:
+                self.point_spec(point)
+            except ValueError as exc:
+                raise ValueError(
+                    f"axes: invalid sweep point {point}: {exc}") from exc
 
     def points(self) -> list[dict]:
         """All axis-value combinations, first axis slowest."""
@@ -169,8 +173,9 @@ class SweepSpec:
 # ---------------------------------------------------------------------------
 # YAML loading with file/line diagnostics.
 
-_SCENARIO_KEYS = frozenset(f.name for f in dataclasses.fields(ScenarioSpec))
-_SWEEP_KEYS = frozenset({"base", "axes", "replications", "seed_base"})
+# Field name -> type annotation; annotations are strings under PEP 563.
+_SCENARIO_KEYS = {f.name: f.type for f in dataclasses.fields(ScenarioSpec)}
+_SWEEP_KEYS = {f.name: f.type for f in dataclasses.fields(SweepSpec)}
 
 
 def _collect_lines(node, prefix: tuple, lines: dict, label: str) -> None:
@@ -194,8 +199,8 @@ def _collect_lines(node, prefix: tuple, lines: dict, label: str) -> None:
 
 
 class _Reader:
-    """Typed accessors over one mapping of a parsed file, for error messages
-    that point at the offending line."""
+    """Type checks over one mapping of a parsed file, for error messages that
+    point at the offending line.  Ranges are the specs' to check."""
 
     def __init__(self, label: str, lines: dict, raw: dict, prefix: tuple = ()):
         self.label = label
@@ -218,92 +223,50 @@ class _Reader:
             if key not in allowed:
                 self.fail(key, f"unknown key {key!r}")
 
-    def str_in(self, key: str, choices, default: str) -> str:
-        value = self.raw.get(key, default)
-        if value not in choices:
-            self.fail(key, f"{key} must be one of {sorted(choices)}, got {value!r}")
+    def typed(self, key: str, annotation: str):
+        """``raw[key]``, checked against a spec field's type annotation."""
+        value = self.raw[key]
+        error = _type_error(key, value, annotation)
+        if error:
+            self.fail(key, error)
+        if value is not None and annotation.startswith("float"):
+            return float(value)
         return value
 
-    def integer(self, key: str, default, lo=None, hi=None,
-                allow_none: bool = False):
-        value = self.raw.get(key, default)
-        if value is None and allow_none:
-            return None
-        if isinstance(value, bool) or not isinstance(value, int):
-            self.fail(key, f"{key} must be an integer, got {value!r}")
-        if lo is not None and value < lo:
-            self.fail(key, f"{key} must be >= {lo}, got {value}")
-        if hi is not None and value > hi:
-            self.fail(key, f"{key} must be <= {hi}, got {value}")
-        return value
+    def construct(self, cls, **fields):
+        """``cls(**fields)``; a ``ValueError`` is reported at the line of the
+        key its message starts with, or else at this mapping's line."""
+        try:
+            return cls(**fields)
+        except ValueError as exc:
+            message = str(exc)
+            self.fail(re.match(r"\w*", message)[0], message)
 
-    def number(self, key: str, default, positive: bool = True):
-        value = self.raw.get(key, default)
-        if value is None:
-            return None
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self.fail(key, f"{key} must be a number, got {value!r}")
-        if positive and value <= 0:
-            self.fail(key, f"{key} must be positive, got {value}")
-        return float(value)
 
-    def boolean(self, key: str, default: bool) -> bool:
-        value = self.raw.get(key, default)
-        if not isinstance(value, bool):
-            self.fail(key, f"{key} must be true or false, got {value!r}")
-        return value
+_YAML_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+               "bool": (bool, "true or false")}
+
+
+def _type_error(name: str, value, annotation: str) -> str | None:
+    """Why ``value`` cannot fill a spec field typed ``annotation``, if it cannot.
+
+    Strings pass: every string field of a spec is a choice that the spec
+    checks itself.
+    """
+    kind, _, optional = annotation.partition(" | ")
+    if (value is None and optional) or kind not in _YAML_TYPES:
+        return None
+    types, expected = _YAML_TYPES[kind]
+    # bool is a subclass of int: true/false is neither integer nor number.
+    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, types):
+        return f"{name} must be {expected}, got {value!r}"
+    return None
 
 
 def _build_scenario(reader: _Reader) -> ScenarioSpec:
-    raw = reader.raw
     reader.reject_unknown(_SCENARIO_KEYS)
-    mode = reader.str_in("mode", ("nonbeacon", "beacon"), "nonbeacon")
-
-    max_be = reader.integer("max_be", 5, lo=3, hi=8)
-    min_be = reader.integer("min_be", 3, lo=0, hi=max_be)
-    bo = reader.integer("bo", None, lo=0, hi=MAX_ORDER, allow_none=True)
-    so = reader.integer("so", None, lo=0, hi=MAX_ORDER, allow_none=True)
-    if mode == "beacon":
-        if bo is None or so is None:
-            reader.fail("mode", "beacon mode requires both bo and so")
-        if so > bo:
-            reader.fail("so", f"so must not exceed bo, got bo={bo} so={so}")
-    else:
-        if bo is not None:
-            reader.fail("bo", "bo is only meaningful in beacon mode")
-        if so is not None:
-            reader.fail("so", "so is only meaningful in beacon mode")
-
-    quota = reader.integer("quota", None, lo=1, allow_none=True)
-    run_time_s = reader.number("run_time_s", None)
-    if quota is None and run_time_s is None:
-        reader.fail(None, "a stop condition is required: quota or run_time_s")
-    if quota is not None and run_time_s is not None:
-        reader.fail("run_time_s", "quota and run_time_s are mutually exclusive")
-
-    try:
-        return ScenarioSpec(
-            mode=mode,
-            n_devices=reader.integer("n_devices", 8, lo=1),
-            msdu=reader.integer("msdu", 60, lo=1, hi=MAX_MSDU_BYTES),
-            interval_s=reader.number("interval_s", 0.025),
-            distribution=reader.str_in(
-                "distribution", ("exponential", "periodic"), "exponential"),
-            min_be=min_be, max_be=max_be,
-            max_nb=reader.integer("max_nb", 4, lo=0, hi=5),
-            max_frame_retries=reader.integer("max_frame_retries", 3, lo=0, hi=7),
-            bo=bo, so=so,
-            queue_capacity=reader.integer("queue_capacity", 1, lo=0,
-                                          allow_none="queue_capacity" in raw),
-            quota=quota, run_time_s=run_time_s,
-            seed=reader.integer("seed", 1, lo=0, hi=2 ** 64 - 1),
-            placement=reader.str_in("placement", ("equal", "random"), "equal"),
-            ack_enabled=reader.boolean("ack_enabled", True),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError(f"{reader.label}:{reader.line()}: {exc}") from exc
+    return reader.construct(ScenarioSpec, **{
+        key: reader.typed(key, _SCENARIO_KEYS[key]) for key in reader.raw})
 
 
 def _build_sweep(reader: _Reader) -> SweepSpec:
@@ -315,7 +278,7 @@ def _build_sweep(reader: _Reader) -> SweepSpec:
                                    reader.prefix + ("base",)))
 
     axes_raw = raw.get("axes")
-    if not isinstance(axes_raw, list) or not axes_raw:
+    if not isinstance(axes_raw, list):
         reader.fail("axes", "a sweep needs a non-empty 'axes' list")
     axes = []
     for i, entry in enumerate(axes_raw):
@@ -325,8 +288,6 @@ def _build_sweep(reader: _Reader) -> SweepSpec:
             raise ScenarioError(
                 f"{reader.label}:{line}: each axis must be [name, [values...]]")
         name, values = entry
-        if name not in _AXIS_NAMES:
-            raise ScenarioError(f"{reader.label}:{line}: unknown sweep axis {name!r}")
         if name == "bo_so":
             for v in values:
                 if (not isinstance(v, list) or len(v) != 2
@@ -334,29 +295,16 @@ def _build_sweep(reader: _Reader) -> SweepSpec:
                     raise ScenarioError(
                         f"{reader.label}:{line}: bo_so values must be [bo, so] pairs")
             values = [tuple(v) for v in values]
+        elif name in _SCENARIO_KEYS:
+            for value in values:
+                error = _type_error(name, value, _SCENARIO_KEYS[name])
+                if error:
+                    raise ScenarioError(f"{reader.label}:{line}: {error}")
         axes.append((name, tuple(values)))
 
-    try:
-        sweep = SweepSpec(
-            base=base,
-            axes=tuple(axes),
-            replications=reader.integer("replications", 5, lo=1),
-            seed_base=reader.integer("seed_base", 0, lo=0, hi=2 ** 64 - 1),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError(f"{reader.label}:{reader.line()}: {exc}") from exc
-
-    # Every point of the cartesian product must itself be a valid scenario.
-    for point in sweep.points():
-        try:
-            sweep.point_spec(point)
-        except ValueError as exc:
-            raise ScenarioError(
-                f"{reader.label}:{reader.line('axes')}: "
-                f"invalid sweep point {point}: {exc}") from exc
-    return sweep
+    counts = {key: reader.typed(key, _SWEEP_KEYS[key])
+              for key in ("replications", "seed_base") if key in raw}
+    return reader.construct(SweepSpec, base=base, axes=tuple(axes), **counts)
 
 
 def loads_scenario(text: str, label: str = "<string>") -> ScenarioSpec | SweepSpec:

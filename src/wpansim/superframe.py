@@ -10,10 +10,10 @@ global 20-symbol grid because beacon intervals are multiples of 960.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
-from wpansim.csma import CsmaParams, MacAction, MacInput, TxAttemptState, _step
+from wpansim.csma import (CsmaParams, MacAction, MacInput, TxAttemptState, _step,
+                          check_range)
 from wpansim.kernel import BlockDraws
 from wpansim.phy import BASE_SUPERFRAME, BEACON_AIRTIME, MIN_CAP_LENGTH, UNIT_BACKOFF
 
@@ -22,61 +22,37 @@ MAX_ORDER = 14
 
 def beacon_interval(bo: int) -> int:
     """BI in symbols for beacon order ``bo``."""
-    if not 0 <= bo <= MAX_ORDER:
-        raise ValueError(f"beacon order must be in [0, {MAX_ORDER}], got {bo}")
+    check_range("bo", bo, 0, MAX_ORDER)
     return BASE_SUPERFRAME * (1 << bo)
 
 
 def superframe_duration(so: int) -> int:
     """SD in symbols for superframe order ``so``."""
-    if not 0 <= so <= MAX_ORDER:
-        raise ValueError(f"superframe order must be in [0, {MAX_ORDER}], got {so}")
+    check_range("so", so, 0, MAX_ORDER)
     return BASE_SUPERFRAME * (1 << so)
 
 
 def duty_cycle(so: int, bo: int) -> float:
     """Fraction of time the network is active: SD / BI."""
-    if not 0 <= so <= bo <= MAX_ORDER:
-        raise ValueError(f"orders must satisfy 0 <= SO <= BO <= {MAX_ORDER}, "
-                         f"got SO={so}, BO={bo}")
-    return 2.0 ** (so - bo)
-
-
-@dataclass(frozen=True, slots=True)
-class SuperframeConfig:
-    bo: int
-    so: int
-
-    def __post_init__(self):
-        if not 0 <= self.so <= self.bo <= MAX_ORDER:
-            raise ValueError(f"orders must satisfy 0 <= SO <= BO <= {MAX_ORDER}, "
-                             f"got SO={self.so}, BO={self.bo}")
-
-    @property
-    def beacon_interval(self) -> int:
-        return beacon_interval(self.bo)
-
-    @property
-    def superframe_duration(self) -> int:
-        return superframe_duration(self.so)
-
-    @property
-    def duty_cycle(self) -> float:
-        return duty_cycle(self.so, self.bo)
+    schedule = SuperframeSchedule(bo, so)
+    return schedule.sd / schedule.bi
 
 
 class SuperframeSchedule:
-    """Absolute-time queries against the periodic superframe structure."""
+    """Absolute-time queries against the periodic superframe structure of
+    beacon order ``bo`` and superframe order ``so``, which must satisfy
+    ``0 <= so <= bo <= MAX_ORDER``."""
 
-    def __init__(self, config: SuperframeConfig):
-        self.config = config
-        self.bi = config.beacon_interval
-        self.sd = config.superframe_duration
+    def __init__(self, bo: int, so: int):
+        self.bi = beacon_interval(bo)
+        self.sd = superframe_duration(so)
+        if so > bo:
+            raise ValueError(f"so must not exceed bo, got bo={bo} so={so}")
         self.slot_len = self.sd // 16
         # First boundary clear of the beacon: 38 symbols rounded up to the grid.
         self.cap_offset = -(-BEACON_AIRTIME // UNIT_BACKOFF) * UNIT_BACKOFF
         if self.sd - self.cap_offset < MIN_CAP_LENGTH:
-            raise ValueError(f"SO={config.so} leaves a CAP shorter than "
+            raise ValueError(f"so={so} leaves a CAP shorter than "
                              f"{MIN_CAP_LENGTH} symbols")
 
     def slot_index(self, t: int) -> int:

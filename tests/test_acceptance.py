@@ -27,7 +27,7 @@ from wpansim.kernel import RngManager, SimulationError, seconds_to_symbols
 from wpansim.phy import (ACK_AIRTIME, CCA_DURATION, TURNAROUND, UNIT_BACKOFF,
                          data_frame_airtime)
 from wpansim.scenario import ScenarioSpec, SweepSpec, load_builtin
-from wpansim.superframe import (SuperframeConfig, SuperframeSchedule,
+from wpansim.superframe import (SuperframeSchedule,
                                 beacon_interval, duty_cycle, slotted_step,
                                 superframe_duration)
 from wpansim.trace import MacTrace
@@ -279,7 +279,7 @@ def test_criterion_09_overload_saturates_every_superframe_order():
     n_caps = math.ceil(seconds_to_symbols(base.run_time_s)
                        / beacon_interval(base.bo))
     for so in so_axis[1]:
-        schedule = SuperframeSchedule(SuperframeConfig(bo=base.bo, so=so))
+        schedule = SuperframeSchedule(base.bo, so)
         first = schedule.cap_offset + 2 * UNIT_BACKOFF
         per_cap = (schedule.sd - first - transaction) // gap + 1
         for row in table.samples():

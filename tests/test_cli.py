@@ -137,6 +137,14 @@ def test_bad_yaml_diagnostic_names_the_file(tmp_path, capsys):
     assert "bad.yaml:3" in err and "max_nb" in err
 
 
+def test_infinite_interval_is_a_diagnostic_not_a_traceback(tmp_path, capsys):
+    bad = tmp_path / "inf.yaml"
+    bad.write_text("mode: nonbeacon\nquota: 5\ninterval_s: .inf\n")
+    assert main(["run", "--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert "wpansim: error:" in err and "inf.yaml:3" in err
+
+
 def test_missing_file_is_a_diagnostic_not_a_traceback(capsys):
     assert main(["run", "--config", "/nonexistent/x.yaml"]) == 1
     assert "wpansim: error:" in capsys.readouterr().err

@@ -109,16 +109,6 @@ def test_request_stop_halts_after_current_event():
     assert summary.stop_reason is StopReason.STOPPED
 
 
-def test_stop_predicate_checked_after_each_event():
-    sched = Scheduler()
-    fired = []
-    for t in (1, 2, 3, 4):
-        sched.at(t, fired.append, t)
-    summary = sched.run(stop=lambda: len(fired) >= 2)
-    assert fired == [1, 2]
-    assert summary.stop_reason is StopReason.STOPPED
-
-
 def test_equal_time_events_keep_insertion_order_and_past_errors_name_the_kind():
     sched = Scheduler()
     fired = []

@@ -141,13 +141,17 @@ def test_constructor_rejects_bad_shapes():
         StarNetwork(distribution="uniform", quota=1)
 
 
-def test_quota_and_deadline_together_stop_at_whichever_hits_first():
-    # The network accepts both; the time limit here cuts the run short.
+def test_deadline_stops_the_run_at_exactly_run_time_s():
     result = StarNetwork(n_devices=1, msdu=60, interval_s=1.0,
-                         distribution="periodic", quota=1000,
-                         run_time_s=2.5, seed=2).run()
+                         distribution="periodic", run_time_s=2.5,
+                         seed=2).run()
     assert result.summary.end_time == seconds_to_symbols(2.5)
     assert result.metrics.delivered == 2     # arrivals at 1 s and 2 s
+    # Exactly one stop condition, as in a scenario file.
+    with pytest.raises(ValueError, match="mutually exclusive"):
+        StarNetwork(quota=1000, run_time_s=2.5)
+    with pytest.raises(ValueError, match="stop condition is required"):
+        StarNetwork()
 
 
 def test_beacon_mode_requires_both_orders():

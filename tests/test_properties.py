@@ -12,7 +12,7 @@ from wpansim.metrics import (PacketRecord, build_metrics, count_outcomes,
                              effective_data_rate, mean_end_to_end_delay,
                              packet_loss_rate)
 from wpansim.phy import Medium
-from wpansim.superframe import SuperframeConfig, SuperframeSchedule
+from wpansim.superframe import SuperframeSchedule
 
 UNIT = 20
 
@@ -60,7 +60,7 @@ def test_queue_tracks_a_reference_deque(ops, capacity):
 def schedule_and_time(draw):
     bo = draw(st.integers(min_value=0, max_value=7))
     so = draw(st.integers(min_value=0, max_value=bo))
-    sched = SuperframeSchedule(SuperframeConfig(bo=bo, so=so))
+    sched = SuperframeSchedule(bo, so)
     t = draw(st.integers(min_value=0, max_value=5 * sched.bi))
     units = draw(st.integers(min_value=0, max_value=200))
     return sched, t, units
@@ -89,8 +89,8 @@ def test_countdown_is_monotone_in_units(args):
 @settings(max_examples=200)
 @given(schedule_and_time())
 # Zero-length countdowns whose first boundary is the CAP end.
-@example((SuperframeSchedule(SuperframeConfig(bo=0, so=0)), 941, 0))
-@example((SuperframeSchedule(SuperframeConfig(bo=2, so=1)), 1905, 0))
+@example((SuperframeSchedule(0, 0), 941, 0))
+@example((SuperframeSchedule(2, 1), 1905, 0))
 def test_countdown_is_exact_when_the_cap_has_room(args):
     sched, t, units = args
     cap_start, cap_end = sched.cap_bounds(sched.index_at(t))

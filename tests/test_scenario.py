@@ -61,6 +61,37 @@ def test_scenario_diagnostics_carry_file_and_line(text, needle):
     assert needle in str(err.value)
 
 
+SWEEP_HEAD = "base: {mode: nonbeacon, quota: 5}\naxes:\n  - [msdu, [10]]\n"
+
+
+@pytest.mark.parametrize("text,line,key", [
+    ("mode: nonbeacon\nquota: 5\nn_devices: 0\n", 3, "n_devices"),
+    ("mode: nonbeacon\nquota: 5\nmsdu: 119\n", 3, "msdu"),
+    ("mode: nonbeacon\nquota: 5\ninterval_s: 0\n", 3, "interval_s"),
+    ("mode: nonbeacon\nquota: 5\nmax_be: 4\nmin_be: 5\n", 4, "min_be"),
+    ("mode: nonbeacon\nquota: 5\nmax_be: 9\n", 3, "max_be"),
+    ("mode: nonbeacon\nquota: 5\nmax_nb: 6\n", 3, "max_nb"),
+    ("mode: nonbeacon\nquota: 5\nmax_frame_retries: 8\n", 3,
+     "max_frame_retries"),
+    ("mode: beacon\nrun_time_s: 1\nso: 2\nbo: 15\n", 4, "bo"),
+    ("mode: nonbeacon\nquota: 5\nqueue_capacity: -1\n", 3, "queue_capacity"),
+    ("mode: nonbeacon\nseed: 4\nquota: 0\n", 3, "quota"),
+    ("mode: nonbeacon\nquota: 5\nseed: -1\n", 3, "seed"),
+    (SWEEP_HEAD + "replications: 0\n", 4, "replications"),
+    (SWEEP_HEAD + "seed_base: -1\n", 4, "seed_base"),
+    ("mode: nonbeacon\nquota: 5\ninterval_s: .inf\n", 3, "interval_s"),
+    ("mode: nonbeacon\nquota: 5\ninterval_s: .nan\n", 3, "interval_s"),
+    ("mode: nonbeacon\nseed: 4\nrun_time_s: .inf\n", 3, "run_time_s"),
+    ("mode: nonbeacon\nseed: 4\nrun_time_s: .nan\n", 3, "run_time_s"),
+])
+def test_each_range_checked_key_is_reported_at_its_line(text, line, key):
+    with pytest.raises(ScenarioError) as err:
+        loads_scenario(text, label="f.yaml")
+    message = str(err.value)
+    assert message.startswith(f"f.yaml:{line}: ")
+    assert key in message
+
+
 @pytest.mark.parametrize("text,needle", [
     ("base: {mode: nonbeacon, quota: 5}\naxes:\n  - [msdu, [10, 20]]\n"
      "  - [msdu, [30]]\n", "appears twice"),
@@ -76,6 +107,12 @@ def test_scenario_diagnostics_carry_file_and_line(text, needle):
      "  - [bo_so, [[7, 8]]]\n", "invalid sweep point"),
     ("base: {mode: nonbeacon, quota: 5, run_time_s: 2}\naxes:\n"
      "  - [msdu, [10]]\n", "mutually exclusive"),
+    ("base: {mode: nonbeacon, quota: 5}\naxes:\n  - [n_devices, [2]]\n"
+     "  - [msdu, [20, big]]\n", "f.yaml:4: msdu must be an integer, got 'big'"),
+    ("base: {mode: nonbeacon, quota: 5}\naxes:\n  - [msdu, [true]]\n",
+     "f.yaml:3: msdu must be an integer, got True"),
+    ("base: {mode: nonbeacon, quota: 5}\naxes:\n  - [interval_s, [.1, x]]\n",
+     "f.yaml:3: interval_s must be a number, got 'x'"),
 ])
 def test_sweep_diagnostics(text, needle):
     with pytest.raises(ScenarioError) as err:

@@ -5,7 +5,7 @@ import pytest
 from wpansim.csma import (CsmaParams, DeferToNextCap, DoCca, IDLE_STATE,
                           MacInput, Phase, Transmit, Wait)
 from wpansim.kernel import RngManager
-from wpansim.superframe import (SuperframeConfig, SuperframeSchedule,
+from wpansim.superframe import (SuperframeSchedule,
                                 beacon_interval, duty_cycle, slotted_step,
                                 superframe_duration)
 
@@ -28,21 +28,21 @@ def test_order_ranges_are_enforced():
         superframe_duration(-1)
     with pytest.raises(ValueError):
         duty_cycle(8, 7)           # SO above BO
-    with pytest.raises(ValueError):
-        SuperframeConfig(bo=7, so=8)
-    with pytest.raises(ValueError):
-        SuperframeConfig(bo=15, so=2)
+    with pytest.raises(ValueError, match="so must not exceed bo"):
+        SuperframeSchedule(7, 8)
+    with pytest.raises(ValueError, match="bo must be <= 14"):
+        SuperframeSchedule(15, 2)
 
 
 def test_config_exposes_derived_quantities():
-    cfg = SuperframeConfig(bo=7, so=6)
-    assert cfg.beacon_interval == 122880
-    assert cfg.superframe_duration == 61440
-    assert cfg.duty_cycle == 0.5
+    schedule = SuperframeSchedule(7, 6)
+    assert schedule.bi == beacon_interval(7) == 122880
+    assert schedule.sd == superframe_duration(6) == 61440
+    assert schedule.sd / schedule.bi == duty_cycle(6, 7) == 0.5
 
 
 def _sched(bo, so):
-    return SuperframeSchedule(SuperframeConfig(bo=bo, so=so))
+    return SuperframeSchedule(bo, so)
 
 
 def test_cap_opens_on_the_first_boundary_after_the_beacon():

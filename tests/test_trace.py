@@ -6,7 +6,7 @@ import pytest
 
 from wpansim.experiment import run_scenario_full
 from wpansim.scenario import load_builtin
-from wpansim.superframe import SuperframeConfig, SuperframeSchedule
+from wpansim.superframe import SuperframeSchedule
 from wpansim.trace import COLUMNS, MacTrace, read_trace
 
 
@@ -41,7 +41,7 @@ def test_of_kind_filters_the_events(traced_beacon_run):
 
 def test_slotted_annotation_matches_the_schedule_queries(traced_beacon_run):
     spec, trace = traced_beacon_run
-    sched = SuperframeSchedule(SuperframeConfig(bo=spec.bo, so=spec.so))
+    sched = SuperframeSchedule(spec.bo, spec.so)
     periods = set()
     for ev in trace:
         offset = ev.time % sched.bi
