@@ -56,7 +56,7 @@ def _cmd_run(args) -> int:
     if args.packet_log:
         write_packet_log(args.packet_log, result.log)
     if args.trace:
-        result.trace.write(args.trace)
+        trace.write(args.trace)
     return 0
 
 

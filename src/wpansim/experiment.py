@@ -17,7 +17,6 @@ import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from io import StringIO
-from pathlib import Path
 
 from wpansim.kernel import SYMBOL_RATE
 from wpansim.metrics import MetricsRow
@@ -120,19 +119,26 @@ class ResultsTable:
         return [r for r in self.rows if r["kind"] == "sample"]
 
 
+def _mean_stddev(values: list) -> tuple:
+    """The aggregate rule: mean of one or more values, stddev of two or more."""
+    return (statistics.fmean(values) if values else None,
+            statistics.stdev(values) if len(values) >= 2 else None)
+
+
 def _run_job(job):
-    index, rep, spec, seed = job
+    spec, seed = job
     try:
-        return index, rep, seed, run_scenario(spec, seed), None
+        return run_scenario(spec, seed), None
     except Exception as exc:  # a failed run is a result, not a crash
-        return index, rep, seed, None, f"{type(exc).__name__}: {exc}"
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 def run_sweep(sweep: SweepSpec, jobs: int = 1) -> ResultsTable:
     """Run every (point, replication) pair of a sweep.
 
     Failed runs keep their row (status ``failed`` with the error message) and
-    are excluded from the aggregate rows.  Output bytes depend only on the
+    are excluded from the aggregate rows.  Both ``map`` and the pool's
+    ``map`` yield outcomes in job order, so output bytes depend only on the
     sweep and its seeds, never on scheduling.
     """
     if jobs < 1:
@@ -141,63 +147,49 @@ def run_sweep(sweep: SweepSpec, jobs: int = 1) -> ResultsTable:
     axis_names = [name for name, _ in sweep.axes]
     columns = (["point", "replication", "kind"] + axis_names + ["seed"]
                + METRIC_COLUMNS + ["status", "error"])
-
-    jobs_list = []
-    for index, point in enumerate(points):
-        spec = sweep.point_spec(point)
-        for rep in range(sweep.replications):
-            seed = replication_seed(sweep.seed_base, point, rep)
-            jobs_list.append((index, rep, spec, seed))
+    seeds = [[replication_seed(sweep.seed_base, point, rep)
+              for rep in range(sweep.replications)] for point in points]
+    specs = [sweep.point_spec(point) for point in points]
+    jobs_list = [(spec, seed) for spec, point_seeds in zip(specs, seeds)
+                 for seed in point_seeds]
 
     if jobs == 1:
         outcomes = map(_run_job, jobs_list)
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_job, jobs_list, chunksize=1))
-
-    by_point: dict[int, list] = {i: [] for i in range(len(points))}
-    for outcome in outcomes:
-        by_point[outcome[0]].append(outcome)
+            outcomes = iter(list(pool.map(_run_job, jobs_list, chunksize=1)))
 
     rows = []
-    for index, point in enumerate(points):
+    for index, (point, point_seeds) in enumerate(zip(points, seeds)):
         axis_cells = {name: _fmt_axis_value(point[name]) for name in axis_names}
-        metric_rows = []
-        for _, rep, seed, metrics, error in sorted(by_point[index],
-                                                   key=lambda o: o[1]):
+        ok = []
+        for rep, seed in enumerate(point_seeds):
+            metrics, error = next(outcomes)
             row = {"point": index, "replication": rep, "kind": "sample",
-                   **axis_cells, "seed": seed,
-                   **_metric_values(metrics),
-                   "status": "ok" if error is None else "failed",
-                   "error": error}
+                   **axis_cells, "seed": seed, **_metric_values(metrics),
+                   "status": "ok" if error is None else "failed", "error": error}
             rows.append(row)
             if error is None:
-                metric_rows.append(row)
-        for kind in ("mean", "stddev"):
-            agg = {"point": index, "replication": None, "kind": kind,
-                   **axis_cells, "seed": None, "status": None, "error": None}
-            for col in METRIC_COLUMNS:
-                values = [r[col] for r in metric_rows if r[col] is not None]
-                if kind == "mean":
-                    agg[col] = statistics.fmean(values) if values else None
-                else:
-                    agg[col] = (statistics.stdev(values)
-                                if len(values) >= 2 else None)
-            rows.append(agg)
+                ok.append(row)
+        mean = {"point": index, "replication": None, "kind": "mean",
+                **axis_cells, "seed": None, "status": None, "error": None}
+        stddev = dict(mean, kind="stddev")
+        for col in METRIC_COLUMNS:
+            mean[col], stddev[col] = _mean_stddev(
+                [r[col] for r in ok if r[col] is not None])
+        rows += [mean, stddev]
     return ResultsTable(columns=columns, rows=rows)
 
 
 def _parse_cell(text: str):
     if text == "NA":
         return None
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
+    return text
 
 
 def read_results(path) -> ResultsTable:
@@ -224,57 +216,39 @@ def emit_plot_data(results: ResultsTable, x_axis: str, metric: str,
         if name not in results.columns:
             raise ValueError(f"unknown column {name!r}; available: "
                              f"{', '.join(results.columns)}")
+    if "kind" not in results.columns:
+        raise ValueError("not a sweep results file: it has no 'kind' column")
 
-    samples = [r for r in results.samples() if r.get("status") == "ok"]
-    header = "x\tmean\tstddev\tn"
-    out = StringIO()
-    if series_key is None:
-        groups = [(None, samples)]
-    else:
-        order = []
-        buckets: dict = {}
-        for row in samples:
-            key = row[series_key]
-            if key not in buckets:
-                buckets[key] = []
-                order.append(key)
-            buckets[key].append(row)
-        groups = [(key, buckets[key]) for key in order]
+    # series -> x -> metric values, each level in first-seen order.
+    groups: dict = {}
+    for row in results.samples():
+        if row.get("status") != "ok":
+            continue
+        series = None if series_key is None else row[series_key]
+        values = groups.setdefault(series, {}).setdefault(row[x_axis], [])
+        value = row[metric]
+        if value is None:
+            continue
+        if not isinstance(value, (int, float)):
+            raise ValueError(f"column {metric!r} is not numeric: "
+                             f"found {value!r}")
+        values.append(value)
 
-    first = True
-    if not groups:
-        out.write(header + "\n")
-    for key, rows in groups:
-        if not first:
-            out.write("\n")
-        first = False
-        if key is not None:
-            out.write(f"# series: {series_key}={_fmt_cell(key)}\n")
-        out.write(header + "\n")
-        xs: dict = {}
-        x_order = []
-        for row in rows:
-            x = row[x_axis]
-            if x not in xs:
-                xs[x] = []
-                x_order.append(x)
-            if row[metric] is not None:
-                xs[x].append(row[metric])
-        if all(isinstance(x, (int, float)) for x in x_order):
-            x_order.sort()
-        for x in x_order:
-            values = xs[x]
-            mean = statistics.fmean(values) if values else None
-            stddev = statistics.stdev(values) if len(values) >= 2 else None
-            out.write(f"{_fmt_cell(x)}\t{_fmt_cell(mean)}\t"
-                      f"{_fmt_cell(stddev)}\t{len(values)}\n")
-    return out.getvalue()
+    header = "x\tmean\tstddev\tn\n"
+    blocks = []
+    for series, xs in groups.items():
+        block = header if series_key is None else (
+            f"# series: {series_key}={_fmt_cell(series)}\n" + header)
+        numeric = all(isinstance(x, (int, float)) for x in xs)
+        order = sorted(xs) if numeric else list(xs)
+        for x in order:
+            mean, stddev = _mean_stddev(xs[x])
+            block += (f"{_fmt_cell(x)}\t{_fmt_cell(mean)}\t"
+                      f"{_fmt_cell(stddev)}\t{len(xs[x])}\n")
+        blocks.append(block)
+    return "\n".join(blocks) or header
 
 
 def write_metrics_csv(rows: list[MetricsRow], f) -> None:
     """Write standalone metrics rows (the single-run CSV shape)."""
-    writer = csv.writer(f, lineterminator="\n")
-    writer.writerow(METRIC_COLUMNS)
-    for row in rows:
-        values = _metric_values(row)
-        writer.writerow([_fmt_cell(values[col]) for col in METRIC_COLUMNS])
+    ResultsTable(METRIC_COLUMNS, [_metric_values(r) for r in rows]).write_csv(f)

@@ -3,8 +3,8 @@
 Every generated MSDU leaves exactly one :class:`PacketRecord` with exactly one
 outcome: delivered at a known time, or dropped with a reason.  Packets still
 queued or mid-transaction when a run stops are closed with the reason
-``unresolved_at_end``; by default those are excluded from the loss-rate
-numerator and denominator (a flag counts them as losses instead).
+``unresolved_at_end``; those are excluded from the loss-rate numerator and
+denominator.
 
 All metrics are pure functions of the log, so an exported log re-yields the
 exact same numbers offline.
@@ -85,11 +85,9 @@ def _data_rate(bits: int, t_start: int, t_end: int) -> float:
     return bits * SYMBOL_RATE / (t_end - t_start)
 
 
-def _loss_rate(counts: OutcomeCounts, count_unresolved: bool) -> float:
+def _loss_rate(counts: OutcomeCounts) -> float:
     if counts.generated == 0:
         raise ValueError("loss rate undefined: no packets generated")
-    if count_unresolved:
-        return (counts.dropped_total + counts.unresolved) / counts.generated
     resolved = counts.generated - counts.unresolved
     if resolved == 0:
         raise ValueError("loss rate undefined: no packets resolved")
@@ -111,13 +109,9 @@ def effective_data_rate(log: list[PacketRecord], t_start: int, t_end: int) -> fl
     return _data_rate(bits, t_start, t_end)
 
 
-def packet_loss_rate(log: list[PacketRecord], *, count_unresolved: bool = False) -> float:
-    """Dropped / generated.
-
-    Unresolved-at-end packets are left out of both numerator and denominator
-    unless ``count_unresolved`` is set, in which case they count as dropped.
-    """
-    return _loss_rate(count_outcomes(log), count_unresolved)
+def packet_loss_rate(log: list[PacketRecord]) -> float:
+    """Dropped / generated; unresolved-at-end packets are left out of both."""
+    return _loss_rate(count_outcomes(log))
 
 
 def mean_end_to_end_delay(log: list[PacketRecord]) -> float | None:
@@ -152,7 +146,7 @@ def build_metrics(log: list[PacketRecord], t_start: int, t_end: int) -> MetricsR
     counts, bits, delay_sum = _walk(log)
     rate = _data_rate(bits, t_start, t_end)
     try:
-        loss = _loss_rate(counts, False)
+        loss = _loss_rate(counts)
     except ValueError:
         loss = None
     delay_s = _mean_delay_s(delay_sum, counts.delivered)

@@ -20,8 +20,8 @@ from wpansim.kernel import (EventKind, RngManager, Scheduler, SimSummary,
                             SimulationError, StopReason, rng_exponential,
                             seconds_to_symbols)
 from wpansim.metrics import MetricsRow, PacketRecord, build_metrics
-from wpansim.phy import (ACK_AIRTIME, BEACON_AIRTIME, BROADCAST, CCA_DURATION,
-                         Frame, FrameKind, Medium, TURNAROUND, UNIT_BACKOFF,
+from wpansim.phy import (ACK_AIRTIME, BEACON_AIRTIME, CCA_DURATION, Frame,
+                         FrameKind, Medium, TURNAROUND, UNIT_BACKOFF,
                          data_frame_airtime)
 from wpansim.scenario import ScenarioSpec
 from wpansim.superframe import SuperframeSchedule, slotted_step
@@ -69,7 +69,6 @@ class RunResult:
     metrics: MetricsRow
     summary: SimSummary
     log: list[PacketRecord]
-    trace: MacTrace | None
 
 
 class StarNetwork:
@@ -90,7 +89,6 @@ class StarNetwork:
                      run_time_s=run_time_s, seed=seed, placement=placement,
                      **dataclasses.asdict(self.csma))
 
-        self.mode = mode
         self.slotted = mode == "beacon"
         self.msdu = msdu
         self.interval_s = interval_s
@@ -127,9 +125,7 @@ class StarNetwork:
             self.devices.append(dev)
 
         self.log: list[PacketRecord] = []
-        self._next_pid = 0
         self._resolved = 0
-        self._generated = 0
         self._total_quota = None if quota is None else quota * n_devices
         self._period_symbols = max(1, seconds_to_symbols(interval_s))
 
@@ -143,15 +139,16 @@ class StarNetwork:
             self._schedule_arrival(dev)
         until = None if self.run_time_s is None else seconds_to_symbols(self.run_time_s)
         summary = self.sched.run(until=until)
-        if summary.stop_reason is StopReason.STARVED:
+        if self.quota is not None and summary.stop_reason is not StopReason.STOPPED:
             raise SimulationError(
-                f"event queue ran dry at t={summary.end_time} with the packet "
-                f"quota unmet ({self._resolved}/{self._total_quota} resolved)")
+                f"run ended ({summary.stop_reason.value}) at t={summary.end_time} "
+                f"with the packet quota unmet ({self._resolved}/"
+                f"{self._total_quota} resolved)")
         for rec in self.log:
             if rec.rx_time is None and rec.drop_reason is None:
                 rec.drop_reason = DropReason.UNRESOLVED_AT_END
         metrics = self._build_row(summary)
-        return RunResult(metrics, summary, self.log, self.trace)
+        return RunResult(metrics, summary, self.log)
 
     def _build_row(self, summary: SimSummary) -> MetricsRow:
         if not self.log or summary.end_time <= self.log[0].gen_time:
@@ -172,11 +169,9 @@ class StarNetwork:
 
     def _on_arrival(self, dev: Device) -> None:
         now = self.sched.now
-        rec = PacketRecord(self._next_pid, dev.id, now, self.msdu)
-        self._next_pid += 1
+        rec = PacketRecord(len(self.log), dev.id, now, self.msdu)
         self.log.append(rec)
         dev.generated += 1
-        self._generated += 1
         if self.quota is None or dev.generated < self.quota:
             self._schedule_arrival(dev)
         if self.trace is not None:
@@ -310,8 +305,7 @@ class StarNetwork:
     def _begin_data_tx(self, dev: Device) -> None:
         now = self.sched.now
         rec = dev.current
-        frame = Frame(FrameKind.DATA, dev.id, COORDINATOR, self.data_airtime,
-                      self.msdu, rec.packet_id)
+        frame = Frame(FrameKind.DATA, dev.id, self.data_airtime, rec.packet_id)
         dev.tx = self.medium.begin_tx(frame, now)
         rec.tx_count += 1
         if self.trace is not None:
@@ -336,8 +330,7 @@ class StarNetwork:
 
     def _begin_ack_tx(self, dev: Device) -> None:
         now = self.sched.now
-        frame = Frame(FrameKind.ACK, COORDINATOR, dev.id, ACK_AIRTIME,
-                      0, dev.current.packet_id)
+        frame = Frame(FrameKind.ACK, COORDINATOR, ACK_AIRTIME, dev.current.packet_id)
         tx = self.medium.begin_tx(frame, now)
         if self.trace is not None:
             self._trace(now, COORDINATOR, "ack-start", pkt=frame.packet_id)
@@ -373,8 +366,7 @@ class StarNetwork:
 
     def _count_resolution(self) -> None:
         self._resolved += 1
-        if (self._total_quota is not None and self._generated == self._total_quota
-                and self._resolved == self._total_quota):
+        if self._resolved == self._total_quota:
             self.sched.request_stop()
 
     def _next_frame(self, dev: Device) -> None:
@@ -388,7 +380,7 @@ class StarNetwork:
         now = self.sched.now
         for node_id in range(len(self.devices) + 1):
             self.medium.set_awake(node_id, True, now)
-        beacon = Frame(FrameKind.BEACON, COORDINATOR, BROADCAST, BEACON_AIRTIME)
+        beacon = Frame(FrameKind.BEACON, COORDINATOR, BEACON_AIRTIME)
         btx = self.medium.begin_tx(beacon, now)
         if self.trace is not None:
             self._trace(now, COORDINATOR, "sf-start", note=f"k={k}")

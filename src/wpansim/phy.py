@@ -33,8 +33,6 @@ SYMBOLS_PER_BYTE = 2       # 8 bits / 4 bits-per-symbol
 
 COMM_RANGE_M = 176.0       # binary-disc radius at 1 mW tx / -85 dBm sensitivity
 
-BROADCAST = -1
-
 
 def frame_airtime(mpdu_len: int) -> int:
     """Airtime in symbols of a frame whose MAC-level PDU is ``mpdu_len`` bytes."""
@@ -64,9 +62,7 @@ class FrameKind(IntEnum):
 class Frame:
     kind: FrameKind
     src: int
-    dst: int
     airtime: int
-    msdu_bytes: int = 0
     packet_id: int = -1
 
 

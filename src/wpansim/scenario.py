@@ -309,17 +309,24 @@ def _build_sweep(reader: _Reader) -> SweepSpec:
 
 def loads_scenario(text: str, label: str = "<string>") -> ScenarioSpec | SweepSpec:
     """Parse scenario or sweep YAML from a string; ``label`` names it in errors."""
-    try:
-        node = yaml.compose(text, Loader=yaml.SafeLoader)
-    except yaml.YAMLError as exc:
-        raise ScenarioError(f"{label}: {exc}") from exc
-    if node is None:
-        raise ScenarioError(f"{label}: file is empty")
-    if not isinstance(node, yaml.MappingNode):
-        raise ScenarioError(f"{label}:1: top level must be a mapping")
+    loader = yaml.SafeLoader(text)
     lines: dict = {}
-    _collect_lines(node, (), lines, label)
-    raw = yaml.safe_load(text)
+    try:
+        node = loader.get_single_node()
+        if node is None:
+            raise ScenarioError(f"{label}: file is empty")
+        if not isinstance(node, yaml.MappingNode):
+            raise ScenarioError(f"{label}:1: top level must be a mapping")
+        _collect_lines(node, (), lines, label)
+        raw = loader.construct_document(node)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        if mark is None:
+            raise ScenarioError(f"{label}: {exc}") from exc
+        what = ", ".join(filter(None, (exc.context, exc.problem)))
+        raise ScenarioError(f"{label}:{mark.line + 1}: {what}") from exc
+    finally:
+        loader.dispose()
     reader = _Reader(label, lines, raw)
     if "axes" in raw or "base" in raw:
         return _build_sweep(reader)

@@ -13,6 +13,8 @@ the invariants and trends checked here do not depend on run length.
 
 import dataclasses
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from io import StringIO
 
 import pytest
@@ -86,7 +88,7 @@ def _reduced_sweep(name, axes, *, reps=REPS, **base_overrides):
 
 def _checked_table(sweep):
     """Run the sweep, requiring every sample to have completed."""
-    table = run_sweep(sweep)
+    table = run_sweep(sweep, jobs=2)
     assert all(r["status"] == "ok" for r in table.samples())
     return table
 
@@ -143,7 +145,7 @@ def test_criterion_03_conservation_across_the_builtin_suite():
                     dataclasses.replace(cfg.base, run_time_s=5.0))
             sweep = SweepSpec(base=base, axes=cfg.axes, replications=1,
                               seed_base=cfg.seed_base)
-        table = run_sweep(sweep)
+        table = run_sweep(sweep, jobs=2)
         for row in table.samples():
             assert row["status"] == "ok", (name, row["error"])
             assert row["generated"] == (
@@ -155,15 +157,24 @@ def test_criterion_03_conservation_across_the_builtin_suite():
     assert checked == 2 + 25 + 30 + 30 + 25 + 30 + 42 + 18 + 18
 
 
+def _back_to_back_metrics_csvs(name):
+    outputs = []
+    for _ in range(2):
+        result = run_scenario_full(load_builtin(name))
+        buf = StringIO()
+        write_metrics_csv([result.metrics], buf)
+        outputs.append(buf.getvalue())
+    return outputs
+
+
 def test_criterion_04_reruns_are_byte_identical():
-    for name in ("nonbeacon-defaults", "beacon-defaults"):
-        outputs = []
-        for _ in range(2):
-            result = run_scenario_full(load_builtin(name))
-            buf = StringIO()
-            write_metrics_csv([result.metrics], buf)
-            outputs.append(buf.getvalue())
-        assert outputs[0] == outputs[1], name
+    # Each scenario's two runs go back to back in one worker process.
+    names = ("nonbeacon-defaults", "beacon-defaults")
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
+        outputs = list(pool.map(_back_to_back_metrics_csvs, names))
+    for name, (first, second) in zip(names, outputs):
+        assert first == second, name
 
 
 def test_criterion_05_rate_and_loss_versus_msdu():

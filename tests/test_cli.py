@@ -1,5 +1,10 @@
 """Command-line behaviour: outputs, flag validation, and diagnostics."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from wpansim.cli import main
@@ -7,6 +12,8 @@ from wpansim.experiment import METRIC_COLUMNS
 from wpansim.metrics import read_packet_log
 from wpansim.scenario import BUILTINS
 from wpansim.trace import read_trace
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 TINY = """\
 mode: nonbeacon
@@ -113,6 +120,28 @@ def test_plot_data_pipeline(tiny_sweep, tmp_path, capsys):
     assert main(["plot-data", "--results", str(results), "--x", "msdu",
                  "--metric", "nonesuch"]) == 1
     assert "unknown column" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source,metric,needle", [
+    ("sweep", "status", "column 'status' is not numeric"),
+    ("run", "delivered", "not a sweep results file"),
+])
+def test_plot_data_on_the_wrong_input_is_a_diagnostic_not_a_traceback(
+        tiny, tiny_sweep, tmp_path, source, metric, needle):
+    results = tmp_path / "results.csv"
+    config = tiny_sweep if source == "sweep" else tiny
+    assert main([source, "--config", str(config), "--out", str(results)]) == 0
+    # A separate interpreter, so that an escaping exception shows as a
+    # traceback on stderr rather than as a failure of this test.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "wpansim", "plot-data", "--results", str(results),
+         "--x", "generated", "--metric", metric],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 1
+    assert "wpansim: error:" in done.stderr and needle in done.stderr
+    assert "Traceback" not in done.stdout + done.stderr
 
 
 def test_scenarios_lists_every_builtin(capsys):

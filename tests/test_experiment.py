@@ -63,6 +63,14 @@ def test_sweep_output_is_independent_of_worker_count():
     assert run_sweep(sweep, jobs=1).to_csv() == run_sweep(sweep, jobs=2).to_csv()
 
 
+def test_sweep_rows_stay_in_job_order_when_the_first_job_finishes_last():
+    # The first point offers ten times the packets of each other point, so on
+    # two workers the other three finish while it is still running.
+    sweep = _tiny_sweep(axes=(("quota", (1500, 150, 151, 152)),),
+                        replications=1)
+    assert run_sweep(sweep, jobs=1).to_csv() == run_sweep(sweep, jobs=2).to_csv()
+
+
 def test_sweep_aggregates_average_the_samples():
     table = run_sweep(_tiny_sweep())
     point0 = [r for r in table.rows if r["point"] == 0]

@@ -45,10 +45,8 @@ def test_loss_rate_is_drops_over_resolved():
               _dropped(7, 0, DropReason.CHANNEL_ACCESS_FAILURE),
               _dropped(8, 0, DropReason.UNRESOLVED_AT_END),
               _dropped(9, 0, DropReason.UNRESOLVED_AT_END)])
-    # 2 drops / 8 resolved; the two tail packets sit out by default.
+    # 2 drops / 8 resolved; the two tail packets sit out.
     assert packet_loss_rate(log) == pytest.approx(0.25)
-    # Counting the tail as losses: 4 / 10.
-    assert packet_loss_rate(log, count_unresolved=True) == pytest.approx(0.4)
 
 
 def test_loss_rate_undefined_without_data():
@@ -57,7 +55,6 @@ def test_loss_rate_undefined_without_data():
     only_tail = [_dropped(0, 0, DropReason.UNRESOLVED_AT_END)]
     with pytest.raises(ValueError):
         packet_loss_rate(only_tail)
-    assert packet_loss_rate(only_tail, count_unresolved=True) == 1.0
 
 
 def test_mean_delay_averages_delivered_packets_only():

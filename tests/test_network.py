@@ -4,7 +4,7 @@ stop conditions, determinism, and beacon-mode structure."""
 import pytest
 
 from wpansim.csma import CsmaParams, DropReason
-from wpansim.kernel import seconds_to_symbols
+from wpansim.kernel import SimulationError, seconds_to_symbols
 from wpansim.network import StarNetwork
 from wpansim.trace import MacTrace
 
@@ -83,6 +83,15 @@ def test_quota_run_resolves_every_packet():
     assert m.unresolved == 0
     assert m.delivered + (m.dropped_queue_overflow + m.dropped_channel_access
                           + m.dropped_retry_exhausted) == 100
+
+
+def test_quota_run_whose_events_run_dry_is_an_error(monkeypatch):
+    # A handler that loses its event strands the packet it served; the run
+    # must not close the stranded packets as unresolved_at_end and pass.
+    monkeypatch.setattr(StarNetwork, "_on_ack_timeout", lambda self, dev: None)
+    net = StarNetwork(n_devices=8, msdu=60, interval_s=0.01, quota=50, seed=3)
+    with pytest.raises(SimulationError, match="quota unmet"):
+        net.run()
 
 
 def test_zero_capacity_queue_drops_every_arrival_while_busy():

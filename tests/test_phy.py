@@ -34,8 +34,8 @@ def _medium_with(*nodes):
     return med
 
 
-def _data(src, dst=0, airtime=154, pkt=1):
-    return Frame(FrameKind.DATA, src, dst, airtime, 60, pkt)
+def _data(src, airtime=154, pkt=1):
+    return Frame(FrameKind.DATA, src, airtime, pkt)
 
 
 def test_in_range_is_a_closed_disc():
@@ -84,7 +84,7 @@ def test_out_of_range_transmitters_do_not_collide():
     # Two sources both audible at nobody in common: each side hears its own.
     med = _medium_with((0, 0, 0), (1, 100, 0), (2, -100, 0), (3, -200, 0))
     tx1 = med.begin_tx(_data(1, pkt=1), 0)
-    tx2 = med.begin_tx(Frame(FrameKind.DATA, 3, 2, 154, 60, 2), 0)
+    tx2 = med.begin_tx(Frame(FrameKind.DATA, 3, 154, 2), 0)
     med.end_tx(tx1, 154)
     med.end_tx(tx2, 154)
     assert med.heard_intact(tx1, 0)          # node 3 is 376 m away from 0
@@ -118,7 +118,7 @@ def test_sleeping_exactly_at_frame_end_still_hears_it():
 
 def test_receiver_transmitting_during_frame_is_deaf():
     med = _medium_with((0, 0, 0), (1, 50, 0), (2, -50, 0))
-    own = med.begin_tx(_data(0, dst=2, pkt=9), 0)
+    own = med.begin_tx(_data(0, pkt=9), 0)
     tx = med.begin_tx(_data(1, pkt=1), 50)
     med.end_tx(own, 154)
     med.end_tx(tx, 204)
@@ -156,7 +156,7 @@ def test_cca_busy_during_and_just_after_a_frame():
 def test_cca_idle_on_quiet_or_distant_channel():
     med = _medium_with((0, 0, 0), (1, 50, 0), (2, 300, 0))
     assert not med.cca_busy(0, 50)
-    tx = med.begin_tx(_data(2, dst=2), 10)     # 250 m from node 0
+    tx = med.begin_tx(_data(2), 10)     # 250 m from node 0
     assert not med.cca_busy(0, 50)
     assert med.cca_busy(1, 50) == med.in_range(1, 2)
     med.end_tx(tx, 164)

@@ -54,6 +54,8 @@ def test_spec_validation_mirrors_the_loader():
     ("mode: nonbeacon\nquota: 5\nmax_nb: 9\n", "max_nb must be <= 5"),
     ("mode: nonbeacon\nquota: 5\nmsdu: 0\n", "msdu"),
     ("mode: warp\nquota: 5\n", "mode"),
+    ("mode: nonbeacon\nquota: 5\nn_devices: !custom 3\n",
+     "f.yaml:3: could not determine a constructor for the tag '!custom'"),
 ])
 def test_scenario_diagnostics_carry_file_and_line(text, needle):
     with pytest.raises(ScenarioError) as err:
