@@ -127,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--replications", type=int, metavar="N",
                          help="override the sweep's replication count")
     p_sweep.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="parallel worker processes (default: 1)")
+                         help="parallel worker processes, at most one per run "
+                              "(default: 1)")
     p_sweep.add_argument("--out", metavar="PATH",
                          help="results CSV destination (default: stdout)")
     p_sweep.set_defaults(func=_cmd_sweep)

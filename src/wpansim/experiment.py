@@ -153,10 +153,12 @@ def run_sweep(sweep: SweepSpec, jobs: int = 1) -> ResultsTable:
     jobs_list = [(spec, seed) for spec, point_seeds in zip(specs, seeds)
                  for seed in point_seeds]
 
-    if jobs == 1:
+    # A pool starts all its workers at once, so never ask for idle ones.
+    workers = min(jobs, len(jobs_list))
+    if workers <= 1:
         outcomes = map(_run_job, jobs_list)
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = iter(list(pool.map(_run_job, jobs_list, chunksize=1)))
 
     rows = []

@@ -98,6 +98,10 @@ class Scheduler:
         handle[_FN] = handle[_ARG] = None
         return True
 
+    def pending(self) -> bool:
+        """True while some scheduled event has neither fired nor been cancelled."""
+        return any(entry[_FN] is not None for entry in self._heap)
+
     def request_stop(self) -> None:
         """Stop the run after the currently executing event completes."""
         self._stop_requested = True

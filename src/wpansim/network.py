@@ -45,8 +45,7 @@ class Device:
     """Per-device MAC driver state; protocol logic lives in the step functions."""
 
     __slots__ = ("id", "queue", "rng", "traffic_rng", "state", "current",
-                 "mac_timer", "tx", "generated", "last_intact", "cap_end",
-                 "fits_cap")
+                 "ack_timer", "tx", "generated", "last_intact")
 
     def __init__(self, node_id: int, queue_capacity: int | None,
                  rng, traffic_rng):
@@ -56,12 +55,10 @@ class Device:
         self.traffic_rng = traffic_rng
         self.state: TxAttemptState = IDLE_STATE
         self.current: PacketRecord | None = None
-        self.mac_timer = None
+        self.ack_timer = None
         self.tx = None
         self.generated = 0
         self.last_intact = False
-        self.cap_end = 0
-        self.fits_cap = None
 
 
 @dataclass(slots=True)
@@ -118,11 +115,9 @@ class StarNetwork:
             self.medium.add_node(node_id,
                                  circle_radius_m * math.cos(angles[i]),
                                  circle_radius_m * math.sin(angles[i]))
-            dev = Device(node_id, queue_capacity,
-                         rngs.draws("backoff", node_id),
-                         rngs.draws("traffic", node_id))
-            dev.fits_cap = self._make_fits_cap(dev)
-            self.devices.append(dev)
+            self.devices.append(Device(node_id, queue_capacity,
+                                       rngs.draws("backoff", node_id),
+                                       rngs.draws("traffic", node_id)))
 
         self.log: list[PacketRecord] = []
         self._resolved = 0
@@ -151,9 +146,8 @@ class StarNetwork:
         return RunResult(metrics, summary, self.log)
 
     def _build_row(self, summary: SimSummary) -> MetricsRow:
-        if not self.log or summary.end_time <= self.log[0].gen_time:
-            t_end = summary.end_time
-            return MetricsRow(0, 0, 0, 0, 0, len(self.log), 0, t_end,
+        if not self.log:
+            return MetricsRow(0, 0, 0, 0, 0, 0, 0, summary.end_time,
                               0.0, None, None, None)
         return build_metrics(self.log, self.log[0].gen_time, summary.end_time)
 
@@ -164,8 +158,7 @@ class StarNetwork:
             gap = rng_exponential(dev.traffic_rng, self.interval_s)
         else:
             gap = self._period_symbols
-        self.sched.at(self.sched.now + gap, self._on_arrival, dev,
-                      kind=_EV_ARRIVAL, target=dev.id)
+        self.sched.at(self.sched.now + gap, self._on_arrival, dev, kind=_EV_ARRIVAL)
 
     def _on_arrival(self, dev: Device) -> None:
         now = self.sched.now
@@ -194,7 +187,7 @@ class StarNetwork:
     def _feed(self, dev: Device, event: MacInput) -> None:
         if self.slotted:
             dev.state, action = slotted_step(dev.state, event, self.csma,
-                                             dev.rng, dev.fits_cap)
+                                             dev.rng, self._fits_cap)
         else:
             dev.state, action = unslotted_step(dev.state, event, self.csma, dev.rng)
         self._apply(dev, action)
@@ -202,35 +195,29 @@ class StarNetwork:
     def _apply(self, dev: Device, action) -> None:
         now = self.sched.now
         if type(action) is Wait:
+            units = action.duration // UNIT_BACKOFF
             if self.trace is not None:
-                self._trace(now, dev.id, "backoff-start",
-                            pkt=dev.current.packet_id,
-                            note=f"be={dev.state.be} "
-                                 f"units={action.duration // UNIT_BACKOFF}")
+                self._trace(now, dev.id, "backoff-start", pkt=dev.current.packet_id,
+                            note=f"be={dev.state.be} units={units}")
             if self.slotted:
-                units = action.duration // UNIT_BACKOFF
                 end = self.schedule.countdown_end(now, units)
-                dev.mac_timer = self.sched.at(end, self._on_countdown_done, dev,
-                                              kind=_EV_BACKOFF, target=dev.id)
+                self.sched.at(end, self._on_countdown_done, dev, kind=_EV_BACKOFF)
             else:
-                dev.mac_timer = self.sched.at(now + action.duration,
-                                              self._on_backoff_expired, dev,
-                                              kind=_EV_BACKOFF, target=dev.id)
+                self.sched.at(now + action.duration, self._on_backoff_expired,
+                              dev, kind=_EV_BACKOFF)
         elif type(action) is DoCca:
             self._issue_cca(dev)
         elif type(action) is Transmit:
             if self.slotted:
                 # CCA result instants sit 8 symbols into a period; the frame
                 # goes out on the next 20-symbol boundary.
-                self.sched.at(now + (UNIT_BACKOFF - CCA_DURATION),
-                              self._begin_data_tx, dev,
-                              kind=_EV_TX_START, target=dev.id)
+                self.sched.at(now + (UNIT_BACKOFF - CCA_DURATION), self._begin_data_tx,
+                              dev, kind=_EV_TX_START)
             else:
                 self._begin_data_tx(dev)
         elif type(action) is ArmAckTimeout:
-            dev.mac_timer = self.sched.at(now + action.duration, self._on_ack_timeout,
-                                          dev, kind=_EV_ACK_TIMEOUT,
-                                          target=dev.id)
+            dev.ack_timer = self.sched.at(now + action.duration, self._on_ack_timeout,
+                                          dev, kind=_EV_ACK_TIMEOUT)
         elif type(action) is Success:
             rec = dev.current
             if self.csma.ack_enabled or dev.last_intact:
@@ -247,9 +234,9 @@ class StarNetwork:
         elif type(action) is DeferToNextCap:
             if self.trace is not None:
                 self._trace(now, dev.id, "defer", pkt=dev.current.packet_id)
-            dev.mac_timer = self.sched.at(self.schedule.next_cap_start(now),
-                                          self._on_cap_reentry, dev,
-                                          kind=_EV_BACKOFF, target=dev.id)
+            # Both CCAs are redone at the start of the next CAP.
+            self.sched.at(self.schedule.next_cap_start(now), self._issue_cca,
+                          dev, kind=_EV_BACKOFF)
         else:
             raise SimulationError(f"unhandled MAC action {action!r}")
 
@@ -264,23 +251,18 @@ class StarNetwork:
         schedule = self.schedule
         cap_start, cap_end = schedule.cap_bounds(schedule.index_at(now))
         if now < cap_start or now + UNIT_BACKOFF + CCA_DURATION >= cap_end:
-            dev.mac_timer = self.sched.at(schedule.next_cap_start(now),
-                                          self._on_countdown_done, dev,
-                                          kind=_EV_BACKOFF, target=dev.id)
+            self.sched.at(schedule.next_cap_start(now), self._on_countdown_done,
+                          dev, kind=_EV_BACKOFF)
             return
-        dev.cap_end = cap_end
         self._feed(dev, _IN_BACKOFF_EXPIRED)
 
-    def _on_cap_reentry(self, dev: Device) -> None:
-        # A deferred frame redoes both CCAs at the start of the fresh CAP.
-        dev.cap_end = self.schedule.cap_end_for(self.sched.now)
-        self._issue_cca(dev)
-
-    def _make_fits_cap(self, dev: Device):
-        def fits() -> bool:
-            tx_start = self.sched.now + (UNIT_BACKOFF - CCA_DURATION)
-            return tx_start + self.transaction <= dev.cap_end
-        return fits
+    def _fits_cap(self) -> bool:
+        # Asked at the second idle CCA, which ends inside the CAP its pair
+        # started in: the transaction must end by that CAP's end.
+        now = self.sched.now
+        schedule = self.schedule
+        _, cap_end = schedule.cap_bounds(schedule.index_at(now))
+        return now + (UNIT_BACKOFF - CCA_DURATION) + self.transaction <= cap_end
 
     def _issue_cca(self, dev: Device) -> None:
         now = self.sched.now
@@ -290,8 +272,8 @@ class StarNetwork:
             start = now
         if self.trace is not None:
             self._trace(start, dev.id, "cca-start", pkt=dev.current.packet_id)
-        dev.mac_timer = self.sched.at(start + CCA_DURATION, self._on_cca_result,
-                                      dev, kind=_EV_CCA_RESULT, target=dev.id)
+        self.sched.at(start + CCA_DURATION, self._on_cca_result, dev,
+                      kind=_EV_CCA_RESULT)
 
     def _on_cca_result(self, dev: Device) -> None:
         busy = self.medium.cca_busy(dev.id, self.sched.now)
@@ -311,7 +293,7 @@ class StarNetwork:
         if self.trace is not None:
             self._trace(now, dev.id, "tx-start", pkt=rec.packet_id)
         self.sched.at(now + self.data_airtime, self._on_data_tx_end, dev,
-                      kind=_EV_TX_END, target=dev.id)
+                      kind=_EV_TX_END)
 
     def _on_data_tx_end(self, dev: Device) -> None:
         now = self.sched.now
@@ -324,8 +306,7 @@ class StarNetwork:
             self._trace(now, dev.id, "tx-end", pkt=dev.current.packet_id,
                         note="intact" if intact else "corrupted")
         if intact and self.csma.ack_enabled:
-            self.sched.at(now + TURNAROUND, self._begin_ack_tx, dev,
-                          kind=_EV_TX_START, target=COORDINATOR)
+            self.sched.at(now + TURNAROUND, self._begin_ack_tx, dev, kind=_EV_TX_START)
         self._feed(dev, _IN_TX_DONE)
 
     def _begin_ack_tx(self, dev: Device) -> None:
@@ -335,7 +316,7 @@ class StarNetwork:
         if self.trace is not None:
             self._trace(now, COORDINATOR, "ack-start", pkt=frame.packet_id)
         self.sched.at(now + ACK_AIRTIME, self._on_ack_tx_end, (tx, dev),
-                      kind=_EV_TX_END, target=COORDINATOR)
+                      kind=_EV_TX_END)
 
     def _on_ack_tx_end(self, arg) -> None:
         tx, dev = arg
@@ -346,7 +327,7 @@ class StarNetwork:
         if self.medium.heard_intact(tx, dev.id):
             if (dev.state.phase is _AWAITING_ACK and dev.current is not None
                     and dev.current.packet_id == tx.frame.packet_id):
-                self.sched.cancel(dev.mac_timer)
+                self.sched.cancel(dev.ack_timer)
                 self._feed(dev, _IN_ACK_RECEIVED)
 
     def _on_ack_timeout(self, dev: Device) -> None:
@@ -377,6 +358,10 @@ class StarNetwork:
     # ---------------------------------------------------------- superframe
 
     def _on_superframe_start(self, k: int) -> None:
+        # A quota run whose device events ran dry opens no more superframes,
+        # so the heap drains and run() reports the unmet quota.
+        if self.quota is not None and not self.sched.pending():
+            return
         now = self.sched.now
         for node_id in range(len(self.devices) + 1):
             self.medium.set_awake(node_id, True, now)
@@ -386,12 +371,12 @@ class StarNetwork:
             self._trace(now, COORDINATOR, "sf-start", note=f"k={k}")
             self._trace(now, COORDINATOR, "beacon-start")
         self.sched.at(now + BEACON_AIRTIME, self._on_beacon_end, btx,
-                      kind=EventKind.BEACON, target=COORDINATOR)
+                      kind=EventKind.BEACON)
         if self.schedule.sd < self.schedule.bi:
             self.sched.at(now + self.schedule.sd, self._on_inactive_start, k,
-                          kind=EventKind.CAP_END, target=COORDINATOR)
+                          kind=EventKind.CAP_END)
         self.sched.at(now + self.schedule.bi, self._on_superframe_start, k + 1,
-                      kind=EventKind.SUPERFRAME_START, target=COORDINATOR)
+                      kind=EventKind.SUPERFRAME_START)
 
     def _on_beacon_end(self, btx) -> None:
         self.medium.end_tx(btx, self.sched.now)

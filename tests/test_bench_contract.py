@@ -1,0 +1,45 @@
+"""The benchmark's per-layer tracing wraps names the simulator still calls.
+
+``bench/tracing.py`` patches module functions and class methods by name; a
+rename or a call path that bypasses one would silently zero a layer's
+counts.  This runs one unslotted and one traced slotted network under its
+wrappers and checks that every layer saw calls and that undo restores the
+originals.
+"""
+
+import sys
+from pathlib import Path
+
+from wpansim import network
+from wpansim.kernel import Scheduler
+from wpansim.network import StarNetwork
+from wpansim.trace import MacTrace
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def test_bench_tracing_wraps_live_calls_and_undoes(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)   # leave bench/ as is
+    import tracing
+
+    originals = (Scheduler.at, network.unslotted_step, network.slotted_step,
+                 network.build_metrics, MacTrace.add)
+    rec = tracing.SpanRecorder()
+    undo = tracing.install(rec)
+    try:
+        StarNetwork(n_devices=4, msdu=60, interval_s=0.02, quota=5, seed=1).run()
+        StarNetwork(mode="beacon", bo=3, so=2, n_devices=4, msdu=60,
+                    interval_s=0.05, run_time_s=1.0, seed=2,
+                    trace=MacTrace()).run()
+    finally:
+        undo()
+    assert (Scheduler.at, network.unslotted_step, network.slotted_step,
+            network.build_metrics, MacTrace.add) == originals
+    calls = {name: n for name, (n, _) in rec.self_times().items()}
+    for name in ("kernel.schedule", "csma.unslotted_step",
+                 "superframe.slotted_step", "superframe.countdown_end",
+                 "phy.begin_tx", "phy.end_tx", "phy.cca_busy",
+                 "phy.heard_intact", "trace.add", "network.init",
+                 "metrics.build_metrics"):
+        assert calls.get(name, 0) > 0, name

@@ -71,6 +71,33 @@ def test_sweep_rows_stay_in_job_order_when_the_first_job_finishes_last():
     assert run_sweep(sweep, jobs=1).to_csv() == run_sweep(sweep, jobs=2).to_csv()
 
 
+def test_sweep_starts_no_more_workers_than_runs(monkeypatch):
+    sizes = []
+
+    class InProcessPool:
+        """Records the requested size; starts no process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessPool)
+    sweep = _tiny_sweep()                     # 2 points x 3 replications
+    expected = run_sweep(sweep).to_csv()
+    assert run_sweep(sweep, jobs=64).to_csv() == expected
+    assert run_sweep(sweep, jobs=4).to_csv() == expected
+    run_sweep(_tiny_sweep(axes=(("msdu", (20,)),), replications=1), jobs=8)
+    assert sizes == [6, 4]                    # the one-run sweep ran in-process
+
+
 def test_sweep_aggregates_average_the_samples():
     table = run_sweep(_tiny_sweep())
     point0 = [r for r in table.rows if r["point"] == 0]

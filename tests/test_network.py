@@ -6,6 +6,9 @@ import pytest
 from wpansim.csma import CsmaParams, DropReason
 from wpansim.kernel import SimulationError, seconds_to_symbols
 from wpansim.network import StarNetwork
+from wpansim.phy import (ACK_AIRTIME, CCA_DURATION, TURNAROUND, UNIT_BACKOFF,
+                         data_frame_airtime)
+from wpansim.superframe import SuperframeSchedule
 from wpansim.trace import MacTrace
 
 # A lone device with acknowledgements completes one transaction in
@@ -92,6 +95,39 @@ def test_quota_run_whose_events_run_dry_is_an_error(monkeypatch):
     net = StarNetwork(n_devices=8, msdu=60, interval_s=0.01, quota=50, seed=3)
     with pytest.raises(SimulationError, match="quota unmet"):
         net.run()
+
+
+def test_beacon_quota_run_whose_events_run_dry_is_an_error(monkeypatch):
+    # Superframes keep rescheduling themselves; once no device event is left
+    # they must stop too, or the run never ends.
+    monkeypatch.setattr(StarNetwork, "_on_ack_timeout", lambda self, dev: None)
+    net = StarNetwork(mode="beacon", bo=4, so=3, n_devices=8, msdu=60,
+                      interval_s=0.01, quota=50, seed=3)
+    with pytest.raises(SimulationError, match="quota unmet"):
+        net.run()
+
+
+def test_slotted_transactions_end_by_the_cap_end_and_may_end_on_it():
+    # At 66 B, data + turnaround + ACK is 200 symbols, on the 20-symbol grid,
+    # so a transaction can end exactly on a CAP end.
+    transaction = data_frame_airtime(66) + TURNAROUND + ACK_AIRTIME
+    assert transaction == 200
+    trace = MacTrace()
+    StarNetwork(mode="beacon", bo=2, so=1, n_devices=8, msdu=66, interval_s=0.01,
+                run_time_s=10.0, seed=5, trace=trace).run()
+    schedule = SuperframeSchedule(2, 1)
+    flush = 0
+    for ev in trace.of_kind("tx-start"):
+        cap_end = schedule.cap_end_for(ev.time)
+        assert ev.time + transaction <= cap_end
+        flush += ev.time + transaction == cap_end
+    assert flush > 0
+    defers = trace.of_kind("defer")
+    assert defers
+    for ev in defers:
+        # The deferred frame would have gone out on the next boundary.
+        tx_start = ev.time + UNIT_BACKOFF - CCA_DURATION
+        assert tx_start + transaction > schedule.cap_end_for(ev.time)
 
 
 def test_zero_capacity_queue_drops_every_arrival_while_busy():
