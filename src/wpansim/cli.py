@@ -40,23 +40,44 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text)
 
 
+def _check_run_outputs(args) -> None:
+    """Reject output paths that would write a file named '-' or write two
+    outputs to one file, before anything runs."""
+    files = {"--out": None if args.out == "-" else args.out,
+             "--packet-log": args.packet_log, "--trace": args.trace}
+    seen = {}
+    for flag, path in files.items():
+        if path is None:
+            continue
+        if path == "-":
+            raise ValueError(f"{flag} cannot be '-': only --out writes to stdout")
+        key = Path(path).resolve()
+        if key in seen:
+            raise ValueError(f"{seen[key]} and {flag} name the same file {path}")
+        seen[key] = flag
+
+
 def _cmd_run(args) -> int:
+    _check_run_outputs(args)
     spec = _load_spec(args)
     if isinstance(spec, SweepSpec):
         raise ScenarioError(
             "this is a sweep definition; use the 'sweep' subcommand")
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
-    trace = MacTrace() if args.trace else None
-    result = run_scenario_full(spec, trace=trace)
+    if args.trace:
+        # The trace streams into its file as the run goes; a run that fails
+        # leaves the lines written so far.
+        with open(args.trace, "w") as fh:
+            result = run_scenario_full(spec, trace=MacTrace(fh))
+    else:
+        result = run_scenario_full(spec)
 
     buf = StringIO()
     write_metrics_csv([result.metrics], buf)
     _write_text(args.out, buf.getvalue())
     if args.packet_log:
         write_packet_log(args.packet_log, result.log)
-    if args.trace:
-        trace.write(args.trace)
     return 0
 
 
@@ -117,7 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--packet-log", metavar="PATH",
                        help="also write the per-packet outcome log")
     p_run.add_argument("--trace", metavar="PATH",
-                       help="also write the MAC event trace")
+                       help="also write the MAC event trace, streamed as the "
+                            "run goes")
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep")

@@ -92,8 +92,10 @@ class StarNetwork:
         self.distribution = distribution
         self.quota = quota
         self.run_time_s = run_time_s
-        self.trace = trace
         self.schedule = SuperframeSchedule(bo, so) if self.slotted else None
+        self.trace = trace
+        if trace is not None:
+            trace.use_schedule(self.schedule)
 
         self.data_airtime = data_frame_airtime(msdu)
         # Time on air a transmission must reserve before the CAP end.
@@ -168,13 +170,13 @@ class StarNetwork:
         if self.quota is None or dev.generated < self.quota:
             self._schedule_arrival(dev)
         if self.trace is not None:
-            self._trace(now, dev.id, "arrival", pkt=rec.packet_id)
+            self.trace.add(now, dev.id, "arrival", rec.packet_id)
         if dev.current is None:
             dev.current = rec
             self._start_attempt(dev)
         elif dev.queue.offer(rec):
             if self.trace is not None:
-                self._trace(now, dev.id, "enqueue", pkt=rec.packet_id)
+                self.trace.add(now, dev.id, "enqueue", rec.packet_id)
         else:
             self._resolve_drop(rec, DropReason.QUEUE_OVERFLOW)
 
@@ -197,8 +199,8 @@ class StarNetwork:
         if type(action) is Wait:
             units = action.duration // UNIT_BACKOFF
             if self.trace is not None:
-                self._trace(now, dev.id, "backoff-start", pkt=dev.current.packet_id,
-                            note=f"be={dev.state.be} units={units}")
+                self.trace.add(now, dev.id, "backoff-start", dev.current.packet_id,
+                               f"be={dev.state.be} units={units}")
             if self.slotted:
                 end = self.schedule.countdown_end(now, units)
                 self.sched.at(end, self._on_countdown_done, dev, kind=_EV_BACKOFF)
@@ -223,7 +225,7 @@ class StarNetwork:
             if self.csma.ack_enabled or dev.last_intact:
                 rec.rx_time = now
                 if self.trace is not None:
-                    self._trace(now, dev.id, "delivered", pkt=rec.packet_id)
+                    self.trace.add(now, dev.id, "delivered", rec.packet_id)
                 self._count_resolution()
             else:
                 self._resolve_drop(rec, DropReason.RETRY_EXHAUSTED)
@@ -233,7 +235,7 @@ class StarNetwork:
             self._next_frame(dev)
         elif type(action) is DeferToNextCap:
             if self.trace is not None:
-                self._trace(now, dev.id, "defer", pkt=dev.current.packet_id)
+                self.trace.add(now, dev.id, "defer", dev.current.packet_id)
             # Both CCAs are redone at the start of the next CAP.
             self.sched.at(self.schedule.next_cap_start(now), self._issue_cca,
                           dev, kind=_EV_BACKOFF)
@@ -271,15 +273,15 @@ class StarNetwork:
         else:
             start = now
         if self.trace is not None:
-            self._trace(start, dev.id, "cca-start", pkt=dev.current.packet_id)
+            self.trace.add(start, dev.id, "cca-start", dev.current.packet_id)
         self.sched.at(start + CCA_DURATION, self._on_cca_result, dev,
                       kind=_EV_CCA_RESULT)
 
     def _on_cca_result(self, dev: Device) -> None:
         busy = self.medium.cca_busy(dev.id, self.sched.now)
         if self.trace is not None:
-            self._trace(self.sched.now, dev.id, "cca-result",
-                        pkt=dev.current.packet_id, note="busy" if busy else "idle")
+            self.trace.add(self.sched.now, dev.id, "cca-result",
+                           dev.current.packet_id, "busy" if busy else "idle")
         self._feed(dev, _IN_CCA_BUSY if busy else _IN_CCA_IDLE)
 
     # ------------------------------------------------------- transmissions
@@ -291,7 +293,7 @@ class StarNetwork:
         dev.tx = self.medium.begin_tx(frame, now)
         rec.tx_count += 1
         if self.trace is not None:
-            self._trace(now, dev.id, "tx-start", pkt=rec.packet_id)
+            self.trace.add(now, dev.id, "tx-start", rec.packet_id)
         self.sched.at(now + self.data_airtime, self._on_data_tx_end, dev,
                       kind=_EV_TX_END)
 
@@ -303,8 +305,8 @@ class StarNetwork:
         intact = self.medium.heard_intact(tx, COORDINATOR)
         dev.last_intact = intact
         if self.trace is not None:
-            self._trace(now, dev.id, "tx-end", pkt=dev.current.packet_id,
-                        note="intact" if intact else "corrupted")
+            self.trace.add(now, dev.id, "tx-end", dev.current.packet_id,
+                           "intact" if intact else "corrupted")
         if intact and self.csma.ack_enabled:
             self.sched.at(now + TURNAROUND, self._begin_ack_tx, dev, kind=_EV_TX_START)
         self._feed(dev, _IN_TX_DONE)
@@ -314,7 +316,7 @@ class StarNetwork:
         frame = Frame(FrameKind.ACK, COORDINATOR, ACK_AIRTIME, dev.current.packet_id)
         tx = self.medium.begin_tx(frame, now)
         if self.trace is not None:
-            self._trace(now, COORDINATOR, "ack-start", pkt=frame.packet_id)
+            self.trace.add(now, COORDINATOR, "ack-start", frame.packet_id)
         self.sched.at(now + ACK_AIRTIME, self._on_ack_tx_end, (tx, dev),
                       kind=_EV_TX_END)
 
@@ -323,7 +325,7 @@ class StarNetwork:
         now = self.sched.now
         self.medium.end_tx(tx, now)
         if self.trace is not None:
-            self._trace(now, COORDINATOR, "ack-end", pkt=tx.frame.packet_id)
+            self.trace.add(now, COORDINATOR, "ack-end", tx.frame.packet_id)
         if self.medium.heard_intact(tx, dev.id):
             if (dev.state.phase is _AWAITING_ACK and dev.current is not None
                     and dev.current.packet_id == tx.frame.packet_id):
@@ -332,8 +334,8 @@ class StarNetwork:
 
     def _on_ack_timeout(self, dev: Device) -> None:
         if self.trace is not None:
-            self._trace(self.sched.now, dev.id, "ack-timeout",
-                        pkt=dev.current.packet_id)
+            self.trace.add(self.sched.now, dev.id, "ack-timeout",
+                           dev.current.packet_id)
         self._feed(dev, _IN_ACK_TIMEOUT)
 
     # --------------------------------------------------------- resolution
@@ -341,8 +343,8 @@ class StarNetwork:
     def _resolve_drop(self, rec: PacketRecord, reason: DropReason) -> None:
         rec.drop_reason = reason
         if self.trace is not None:
-            self._trace(self.sched.now, rec.node, "drop", pkt=rec.packet_id,
-                        note=reason.value)
+            self.trace.add(self.sched.now, rec.node, "drop", rec.packet_id,
+                           reason.value)
         self._count_resolution()
 
     def _count_resolution(self) -> None:
@@ -368,8 +370,8 @@ class StarNetwork:
         beacon = Frame(FrameKind.BEACON, COORDINATOR, BEACON_AIRTIME)
         btx = self.medium.begin_tx(beacon, now)
         if self.trace is not None:
-            self._trace(now, COORDINATOR, "sf-start", note=f"k={k}")
-            self._trace(now, COORDINATOR, "beacon-start")
+            self.trace.add(now, COORDINATOR, "sf-start", -1, f"k={k}")
+            self.trace.add(now, COORDINATOR, "beacon-start")
         self.sched.at(now + BEACON_AIRTIME, self._on_beacon_end, btx,
                       kind=EventKind.BEACON)
         if self.schedule.sd < self.schedule.bi:
@@ -381,30 +383,11 @@ class StarNetwork:
     def _on_beacon_end(self, btx) -> None:
         self.medium.end_tx(btx, self.sched.now)
         if self.trace is not None:
-            self._trace(self.sched.now, COORDINATOR, "beacon-end")
+            self.trace.add(self.sched.now, COORDINATOR, "beacon-end")
 
     def _on_inactive_start(self, k: int) -> None:
         now = self.sched.now
         for node_id in range(len(self.devices) + 1):
             self.medium.set_awake(node_id, False, now)
         if self.trace is not None:
-            self._trace(now, COORDINATOR, "sleep", note=f"k={k}")
-
-    # -------------------------------------------------------------- trace
-
-    def _trace(self, time: int, node: int, event: str, *, pkt: int = -1,
-               note: str = "") -> None:
-        """Add one trace line; call sites skip the call when no trace is attached."""
-        if self.slotted:
-            schedule = self.schedule
-            sf, offset = divmod(time, schedule.bi)
-            if offset < schedule.sd:
-                # The active portion is exactly 16 slots, so no clamp is needed.
-                slot = offset // schedule.slot_len
-                period = "beacon" if offset < schedule.cap_offset else "cap"
-            else:
-                slot, period = -1, "inactive"
-            self.trace.add(time, node, event, pkt=pkt, sf=sf, slot=slot,
-                           period=period, note=note)
-        else:
-            self.trace.add(time, node, event, pkt=pkt, note=note)
+            self.trace.add(now, COORDINATOR, "sleep", -1, f"k={k}")

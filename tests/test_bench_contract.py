@@ -2,12 +2,13 @@
 
 ``bench/tracing.py`` patches module functions and class methods by name; a
 rename or a call path that bypasses one would silently zero a layer's
-counts.  This runs one unslotted and one traced slotted network under its
-wrappers and checks that every layer saw calls and that undo restores the
-originals.
+counts.  This runs one unslotted network and one slotted network traced
+in memory and once more streamed under its wrappers, and checks that every
+layer saw calls and that undo restores the originals.
 """
 
 import sys
+from io import StringIO
 from pathlib import Path
 
 from wpansim import network
@@ -27,11 +28,13 @@ def test_bench_tracing_wraps_live_calls_and_undoes(monkeypatch):
                  network.build_metrics, MacTrace.add)
     rec = tracing.SpanRecorder()
     undo = tracing.install(rec)
+    kept, sink = MacTrace(), StringIO()
     try:
         StarNetwork(n_devices=4, msdu=60, interval_s=0.02, quota=5, seed=1).run()
-        StarNetwork(mode="beacon", bo=3, so=2, n_devices=4, msdu=60,
-                    interval_s=0.05, run_time_s=1.0, seed=2,
-                    trace=MacTrace()).run()
+        for trace in (kept, MacTrace(sink)):
+            StarNetwork(mode="beacon", bo=3, so=2, n_devices=4, msdu=60,
+                        interval_s=0.05, run_time_s=1.0, seed=2,
+                        trace=trace).run()
     finally:
         undo()
     assert (Scheduler.at, network.unslotted_step, network.slotted_step,
@@ -43,3 +46,7 @@ def test_bench_tracing_wraps_live_calls_and_undoes(monkeypatch):
                  "phy.heard_intact", "trace.add", "network.init",
                  "metrics.build_metrics"):
         assert calls.get(name, 0) > 0, name
+    # A streamed trace's lines pass through the counted call too.
+    streamed = sink.getvalue().count("\n") - 1
+    assert streamed == len(kept) > 0
+    assert calls["trace.add"] == len(kept) + streamed

@@ -9,7 +9,9 @@ import pytest
 
 from wpansim.cli import main
 from wpansim.experiment import METRIC_COLUMNS
+from wpansim.kernel import SimulationError
 from wpansim.metrics import read_packet_log
+from wpansim.network import StarNetwork
 from wpansim.scenario import BUILTINS
 from wpansim.trace import read_trace
 
@@ -81,6 +83,47 @@ def test_run_emits_packet_log_and_trace(tiny, tmp_path):
                  "--packet-log", str(plog), "--trace", str(trace)]) == 0
     assert len(read_packet_log(plog)) == 10
     assert read_trace(trace).of_kind("arrival")
+
+
+@pytest.mark.parametrize("outputs,needle", [
+    (["--packet-log", "-"], "--packet-log cannot be '-'"),
+    (["--trace", "-"], "--trace cannot be '-'"),
+    (["--packet-log", "-", "--trace", "-"], "--packet-log cannot be '-'"),
+    (["--packet-log", "out.tsv", "--trace", "./out.tsv"],
+     "--packet-log and --trace name the same file"),
+    (["--out", "m.csv", "--packet-log", "m.csv"],
+     "--out and --packet-log name the same file"),
+])
+def test_run_rejects_clashing_outputs_before_running(tiny, tmp_path, monkeypatch,
+                                                     capsys, outputs, needle):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", str(tiny)] + outputs) == 1
+    captured = capsys.readouterr()
+    assert f"wpansim: error: {needle}" in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny.yaml"]
+
+
+def test_a_failed_run_exits_1_and_keeps_its_partial_trace(tiny, tmp_path,
+                                                         monkeypatch, capsys):
+    ended = []
+    tx_end = StarNetwork._on_data_tx_end
+
+    def fail_on_the_third(self, dev):
+        ended.append(dev)
+        if len(ended) == 3:
+            raise SimulationError("injected failure")
+        tx_end(self, dev)
+
+    monkeypatch.setattr(StarNetwork, "_on_data_tx_end", fail_on_the_third)
+    out, trace = tmp_path / "m.csv", tmp_path / "trace.tsv"
+    assert main(["run", "--config", str(tiny), "--out", str(out),
+                 "--trace", str(trace)]) == 1
+    assert "wpansim: error: injected failure" in capsys.readouterr().err
+    assert not out.exists()
+    partial = read_trace(trace)         # every line parses
+    assert len(partial.of_kind("tx-start")) >= 3
+    assert len(partial.of_kind("tx-end")) == 2
 
 
 def test_run_rejects_a_sweep_file(tiny_sweep, capsys):

@@ -17,9 +17,10 @@ from pathlib import Path
 
 import pytest
 
+from wpansim.cli import main
 from wpansim.experiment import replication_seed, run_scenario_full, write_metrics_csv
 from wpansim.metrics import write_packet_log
-from wpansim.scenario import load_builtin
+from wpansim.scenario import dump_scenario, load_builtin
 from wpansim.trace import MacTrace
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
@@ -92,6 +93,22 @@ def test_outputs_match_the_pinned_digests(name, tmp_path):
     changed = {k: v for k, v in current.items() if v != pinned[k]}
     assert not changed, (f"{name}: outputs changed; new digests "
                          f"{json.dumps(changed, indent=2)}")
+
+
+@pytest.mark.parametrize("name", ["beacon-defaults-25s",
+                                  "nonbeacon-defaults-quota200"])
+def test_cli_run_streams_the_pinned_outputs(name, tmp_path):
+    spec, _ = RUNS[name]()
+    config = tmp_path / "scenario.yaml"
+    config.write_text(dump_scenario(spec))
+    files = {"metrics": tmp_path / "metrics.csv",
+             "packet_log": tmp_path / "packets.csv",
+             "trace": tmp_path / "trace.tsv"}
+    assert main(["run", "--config", str(config), "--out", str(files["metrics"]),
+                 "--packet-log", str(files["packet_log"]),
+                 "--trace", str(files["trace"])]) == 0
+    current = {k: _sha256(path.read_bytes()) for k, path in files.items()}
+    assert current == json.loads(DIGESTS.read_text())[name]
 
 
 if __name__ == "__main__":

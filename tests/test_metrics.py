@@ -7,6 +7,7 @@ from wpansim.metrics import (MetricsRow, PacketRecord, build_metrics,
                              count_outcomes, effective_data_rate,
                              mean_end_to_end_delay, packet_loss_rate,
                              read_packet_log, write_packet_log)
+from wpansim.superframe import SuperframeSchedule
 from wpansim.trace import MacTrace, read_trace
 
 
@@ -151,15 +152,17 @@ def test_reloaded_log_yields_identical_metrics(tmp_path):
 
 def test_mac_trace_round_trips(tmp_path):
     trace = MacTrace()
-    trace.add(0, 0, "beacon-start", sf=0, slot=0, period="beacon")
-    trace.add(120, 3, "arrival", pkt=17)
-    trace.add(160, 3, "cca-result", pkt=17, note="idle")
+    trace.add(120, 3, "arrival", 17)
+    trace.add(160, 3, "cca-result", 17, "idle")
+    trace.use_schedule(SuperframeSchedule(0, 0))
+    trace.add(0, 0, "beacon-start")
     path = tmp_path / "trace.tsv"
     trace.write(path)
     reloaded = read_trace(path)
     assert reloaded.events == trace.events
     rows = reloaded.events
-    assert rows[0].event == "beacon-start" and rows[0].period == "beacon"
-    assert rows[1].pkt == 17 and rows[1].sf == -1     # '-' marks absent
-    assert rows[2].note == "idle"
-    assert trace.of_kind("cca-result") == [trace.events[2]]
+    assert rows[0].pkt == 17 and rows[0].sf == -1     # '-' marks absent
+    assert rows[1].note == "idle"
+    assert (rows[2].event, rows[2].sf, rows[2].slot, rows[2].period) == \
+        ("beacon-start", 0, 0, "beacon")
+    assert trace.of_kind("cca-result") == [trace.events[1]]

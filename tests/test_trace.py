@@ -1,6 +1,7 @@
 """The MAC trace of a beacon-mode run: file round trip, queries, annotation."""
 
 import dataclasses
+from io import StringIO
 
 import pytest
 
@@ -26,6 +27,24 @@ def test_written_trace_reads_back_to_the_same_events(traced_beacon_run, tmp_path
     with open(path) as fh:
         assert len(trace) == sum(1 for _ in fh) - 1
     assert len(trace) == len(trace.events) > 1000
+
+
+def test_a_streamed_trace_writes_the_same_file_and_refuses_queries(
+        traced_beacon_run, tmp_path):
+    spec, kept = traced_beacon_run
+    sink = StringIO()
+    streamed = MacTrace(sink)
+    run_scenario_full(spec, trace=streamed)
+    path = tmp_path / "trace.tsv"
+    kept.write(path)
+    assert sink.getvalue() == path.read_text()
+    # The lines are only in the stream: no query may answer as if empty.
+    queries = [len, list, lambda t: t.events, lambda t: t.of_kind("arrival"),
+               lambda t: t.write(tmp_path / "copy.tsv")]
+    for query in queries:
+        with pytest.raises(RuntimeError, match="streamed"):
+            query(streamed)
+    assert not (tmp_path / "copy.tsv").exists()
 
 
 def test_of_kind_filters_the_events(traced_beacon_run):
