@@ -40,16 +40,21 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text)
 
 
-def _check_run_outputs(args) -> None:
-    """Reject output paths that would write a file named '-' or write two
-    outputs to one file, before anything runs."""
-    files = {"--out": None if args.out == "-" else args.out,
-             "--packet-log": args.packet_log, "--trace": args.trace}
+def _source(args) -> dict:
+    """The input file of a subcommand that reads a scenario or sweep."""
+    if args.builtin:
+        return {"--builtin": str(builtin_path(args.builtin))}
+    return {"--config": args.config}
+
+
+def _check_paths(inputs: dict, outputs: dict) -> None:
+    """Reject, before anything loads, an output path that names an input or
+    another output, or that is '-' for any output but --out (stdout)."""
     seen = {}
-    for flag, path in files.items():
-        if path is None:
+    for flag, path in (inputs | outputs).items():
+        if path is None or (flag == "--out" and path == "-"):
             continue
-        if path == "-":
+        if path == "-" and flag in outputs:
             raise ValueError(f"{flag} cannot be '-': only --out writes to stdout")
         key = Path(path).resolve()
         if key in seen:
@@ -58,7 +63,8 @@ def _check_run_outputs(args) -> None:
 
 
 def _cmd_run(args) -> int:
-    _check_run_outputs(args)
+    _check_paths(_source(args), {"--out": args.out, "--packet-log": args.packet_log,
+                                 "--trace": args.trace})
     spec = _load_spec(args)
     if isinstance(spec, SweepSpec):
         raise ScenarioError(
@@ -82,6 +88,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _check_paths(_source(args), {"--out": args.out})
     spec = _load_spec(args)
     if isinstance(spec, ScenarioSpec):
         raise ScenarioError(
@@ -99,6 +106,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_plot_data(args) -> int:
+    _check_paths({"--results": args.results}, {"--out": args.out})
     results = read_results(args.results)
     text = emit_plot_data(results, x_axis=args.x, metric=args.metric,
                           series_key=args.series)

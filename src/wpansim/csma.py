@@ -6,6 +6,9 @@ it owns no clock and schedules nothing.  The caller performs each emitted
 action (wait, CCA, transmit, arm a timer) and feeds the observed outcome back
 as the next input, which keeps the protocol logic unit-testable without a
 simulator.  States and actions are interned, so a transition allocates nothing.
+For fixed parameters a transition depends only on ``(state, input)``, apart
+from its backoff draw (:func:`backoff_wait`) and the slotted ``fits_cap``
+query, so a caller may cache the answers (see ``StarNetwork._feed``).
 
 The slotted variant (contention window, CAP deference) shares this core; see
 :func:`wpansim.superframe.slotted_step`.
@@ -163,10 +166,15 @@ def _state(nb: int, be: int, cw: int, retries: int, phase: Phase) -> TxAttemptSt
     return state
 
 
+def backoff_wait(rng: BlockDraws, be: int) -> Wait:
+    """The wait of a fresh backoff draw at exponent ``be``: the one draw the
+    step functions make, shared with callers that replay a cached ``Wait``."""
+    return _WAITS[rng_uniform_units(rng, be)]
+
+
 def _backoff(nb: int, be: int, cw: int, retries: int,
              rng: BlockDraws) -> tuple[TxAttemptState, Wait]:
-    units = rng_uniform_units(rng, be)
-    return _state(nb, be, cw, retries, _BACKOFF), _WAITS[units]
+    return _state(nb, be, cw, retries, _BACKOFF), backoff_wait(rng, be)
 
 
 def _step(state: TxAttemptState, event: MacInput, params: CsmaParams,

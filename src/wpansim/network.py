@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 from wpansim.csma import (ArmAckTimeout, CsmaParams, DeferToNextCap, DoCca, DropReason,
                           Fail, IDLE_STATE, MacInput, MacQueue, Phase, Success,
-                          Transmit, TxAttemptState, Wait, unslotted_step)
+                          Transmit, TxAttemptState, Wait, backoff_wait,
+                          unslotted_step)
 from wpansim.kernel import (EventKind, RngManager, Scheduler, SimSummary,
                             SimulationError, StopReason, rng_exponential,
                             seconds_to_symbols)
@@ -121,6 +122,10 @@ class StarNetwork:
                                        rngs.draws("backoff", node_id),
                                        rngs.draws("traffic", node_id)))
 
+        # (id(state), input value) -> (next state, action or None for a Wait):
+        # a cache of the step function's answers for this network's params.
+        self._transitions: dict[tuple, tuple] = {}
+        self._asked_cap = False
         self.log: list[PacketRecord] = []
         self._resolved = 0
         self._total_quota = None if quota is None else quota * n_devices
@@ -187,12 +192,33 @@ class StarNetwork:
         self._feed(dev, _IN_START_TX)
 
     def _feed(self, dev: Device, event: MacInput) -> None:
-        if self.slotted:
-            dev.state, action = slotted_step(dev.state, event, self.csma,
-                                             dev.rng, self._fits_cap)
+        # Every state the machines return is interned for the life of the
+        # process, so its id cannot alias; hashing the dataclass or the Enum
+        # member would run Python code.
+        key = (id(dev.state), event._value_)
+        known = self._transitions.get(key)
+        if known is None:
+            dev.state, action = self._ask_step(dev, event, key)
         else:
-            dev.state, action = unslotted_step(dev.state, event, self.csma, dev.rng)
+            dev.state, action = known
+            if action is None:      # a cached Wait: draw a fresh length
+                action = backoff_wait(dev.rng, dev.state.be)
         self._apply(dev, action)
+
+    def _ask_step(self, dev: Device, event: MacInput, key: tuple):
+        """Ask the step function, and remember its answer unless that read
+        the clock (``fits_cap``).  A Wait is remembered without its length,
+        and an invalid input raises before anything is stored."""
+        self._asked_cap = False
+        if self.slotted:
+            result = slotted_step(dev.state, event, self.csma, dev.rng,
+                                  self._fits_cap)
+        else:
+            result = unslotted_step(dev.state, event, self.csma, dev.rng)
+        if not self._asked_cap:
+            state, action = result
+            self._transitions[key] = (state, None) if type(action) is Wait else result
+        return result
 
     def _apply(self, dev: Device, action) -> None:
         now = self.sched.now
@@ -261,6 +287,7 @@ class StarNetwork:
     def _fits_cap(self) -> bool:
         # Asked at the second idle CCA, which ends inside the CAP its pair
         # started in: the transaction must end by that CAP's end.
+        self._asked_cap = True
         now = self.sched.now
         schedule = self.schedule
         _, cap_end = schedule.cap_bounds(schedule.index_at(now))

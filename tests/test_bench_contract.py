@@ -4,7 +4,8 @@
 rename or a call path that bypasses one would silently zero a layer's
 counts.  This runs one unslotted network and one slotted network traced
 in memory and once more streamed under its wrappers, and checks that every
-layer saw calls and that undo restores the originals.
+layer saw calls, that every backoff draw was counted, and that undo
+restores the originals.
 """
 
 import sys
@@ -40,7 +41,7 @@ def test_bench_tracing_wraps_live_calls_and_undoes(monkeypatch):
     assert (Scheduler.at, network.unslotted_step, network.slotted_step,
             network.build_metrics, MacTrace.add) == originals
     calls = {name: n for name, (n, _) in rec.self_times().items()}
-    for name in ("kernel.schedule", "csma.unslotted_step",
+    for name in ("kernel.schedule", "kernel.rng.backoff", "csma.unslotted_step",
                  "superframe.slotted_step", "superframe.countdown_end",
                  "phy.begin_tx", "phy.end_tx", "phy.cca_busy",
                  "phy.heard_intact", "trace.add", "network.init",
@@ -50,3 +51,9 @@ def test_bench_tracing_wraps_live_calls_and_undoes(monkeypatch):
     streamed = sink.getvalue().count("\n") - 1
     assert streamed == len(kept) > 0
     assert calls["trace.add"] == len(kept) + streamed
+    # Every backoff draws through the counted call, also when the network
+    # answers the transition from its table instead of the step function.
+    backoffs = (len(kept.of_kind("backoff-start"))
+                + sink.getvalue().count("\tbackoff-start\t"))
+    assert backoffs > 0
+    assert calls["kernel.rng.backoff"] >= backoffs

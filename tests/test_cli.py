@@ -12,7 +12,7 @@ from wpansim.experiment import METRIC_COLUMNS
 from wpansim.kernel import SimulationError
 from wpansim.metrics import read_packet_log
 from wpansim.network import StarNetwork
-from wpansim.scenario import BUILTINS
+from wpansim.scenario import BUILTINS, builtin_path
 from wpansim.trace import read_trace
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -102,6 +102,50 @@ def test_run_rejects_clashing_outputs_before_running(tiny, tmp_path, monkeypatch
     assert f"wpansim: error: {needle}" in captured.err
     assert captured.out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny.yaml"]
+
+
+@pytest.fixture
+def results_csv(tiny_sweep, tmp_path):
+    path = tmp_path / "results.csv"
+    assert main(["sweep", "--config", str(tiny_sweep), "--out", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("command,output", [
+    ("run", "--out"), ("run", "--packet-log"), ("run", "--trace"),
+    ("sweep", "--out"), ("plot-data", "--out"),
+])
+def test_no_output_may_overwrite_an_input(tiny, tiny_sweep, results_csv, tmp_path,
+                                          monkeypatch, capsys, command, output):
+    monkeypatch.chdir(tmp_path)
+    if command == "plot-data":
+        source, given = results_csv, "--results"
+        extra = ["--x", "msdu", "--metric", "effective_data_rate_bps"]
+    else:
+        source, given = (tiny if command == "run" else tiny_sweep), "--config"
+        extra = []
+    names = sorted(p.name for p in tmp_path.iterdir())
+    before = source.read_bytes()
+    # The output names the input by another spelling of the same path.
+    assert main([command, given, str(source), *extra,
+                 output, f"./{source.name}"]) == 1
+    captured = capsys.readouterr()
+    assert f"wpansim: error: {given} and {output} name the same file" in captured.err
+    assert captured.out == ""
+    assert source.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+
+
+def test_no_output_may_overwrite_a_packaged_scenario(capsys):
+    # Were the clash missed, loading a scenario into 'sweep' would still
+    # fail before anything is written.
+    path = builtin_path("nonbeacon-defaults")
+    before = path.read_bytes()
+    assert main(["sweep", "--builtin", "nonbeacon-defaults",
+                 "--out", str(path)]) == 1
+    assert ("wpansim: error: --builtin and --out name the same file"
+            in capsys.readouterr().err)
+    assert path.read_bytes() == before
 
 
 def test_a_failed_run_exits_1_and_keeps_its_partial_trace(tiny, tmp_path,

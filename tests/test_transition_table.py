@@ -1,0 +1,134 @@
+"""The per-network table of CSMA-CA transitions is only a cache.
+
+``StarNetwork._feed`` answers an input it has seen in a state from its table
+and asks ``unslotted_step`` / ``slotted_step`` otherwise.  These tests hold
+the table to the step functions: whole runs match a reference ``_feed`` that
+asks the step function on every input, an invalid input still raises on a
+warm table, and every cached ``Wait`` draws a fresh length from the stream.
+"""
+
+from io import StringIO
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from wpansim import network
+from wpansim.csma import IDLE_STATE, CsmaParams, MacInput, Phase, Wait
+from wpansim.kernel import RngManager, SimulationError, rng_uniform_units
+from wpansim.metrics import PacketRecord
+from wpansim.network import StarNetwork
+from wpansim.phy import UNIT_BACKOFF
+from wpansim.trace import MacTrace
+
+
+def reference_feed(self, dev, event):
+    """``_feed`` without the table: the step function answers every input."""
+    if self.slotted:
+        dev.state, action = network.slotted_step(dev.state, event, self.csma,
+                                                 dev.rng, self._fits_cap)
+    else:
+        dev.state, action = network.unslotted_step(dev.state, event, self.csma,
+                                                   dev.rng)
+    self._apply(dev, action)
+
+
+@st.composite
+def small_networks(draw):
+    max_be = draw(st.integers(3, 8))
+    params = CsmaParams(min_be=draw(st.integers(0, max_be)), max_be=max_be,
+                        max_nb=draw(st.integers(0, 5)),
+                        max_frame_retries=draw(st.integers(0, 7)),
+                        ack_enabled=draw(st.booleans()))
+    kwargs = dict(n_devices=draw(st.integers(1, 6)), msdu=draw(st.integers(1, 118)),
+                  interval_s=draw(st.sampled_from([0.004, 0.02, 0.1])),
+                  distribution=draw(st.sampled_from(["exponential", "periodic"])),
+                  placement=draw(st.sampled_from(["equal", "random"])),
+                  queue_capacity=draw(st.sampled_from([None, 0, 1, 3])),
+                  run_time_s=0.5, seed=draw(st.integers(0, 2**32)),
+                  csma_params=params)
+    if draw(st.booleans()):
+        so = draw(st.integers(0, 2))
+        kwargs.update(mode="beacon", so=so, bo=draw(st.integers(so, 3)))
+    return kwargs
+
+
+def traced_run(kwargs):
+    sink = StringIO()
+    net = StarNetwork(**kwargs, trace=MacTrace(sink))
+    result = net.run()
+    return net, (result.log, result.metrics, result.summary, sink.getvalue())
+
+
+# A slotted run whose frames do not always fit the rest of the CAP.
+DEFERRING = dict(mode="beacon", bo=1, so=0, n_devices=3, msdu=100,
+                 interval_s=0.02, run_time_s=0.5, seed=1)
+
+ORDERS = {"nonbeacon": dict(mode="nonbeacon"), "beacon": dict(mode="beacon", bo=2, so=1)}
+
+
+# Run lengths vary with host load; a per-example deadline would make tier-1
+# pass or fail by luck.
+@settings(max_examples=40, deadline=None)
+@given(small_networks())
+@example(dict(n_devices=4, msdu=60, interval_s=0.004, distribution="exponential",
+              placement="equal", queue_capacity=1, run_time_s=0.5, seed=5,
+              csma_params=CsmaParams(max_nb=0, ack_enabled=False)))
+@example(DEFERRING)
+def test_the_table_replays_exactly_what_the_step_functions_answer(kwargs):
+    net, shipped = traced_run(kwargs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(StarNetwork, "_feed", reference_feed)
+        _, reference = traced_run(kwargs)
+    assert shipped == reference
+    if shipped[0]:                   # a packet arrived, so a transition was stored
+        assert net._transitions
+
+
+def test_the_slotted_example_defers():
+    _, (_, _, _, trace) = traced_run(DEFERRING)
+    assert "\tdefer\t" in trace
+
+
+@pytest.mark.parametrize("mode", ["nonbeacon", "beacon"])
+def test_an_invalid_input_raises_on_a_warm_table(mode):
+    net = StarNetwork(**ORDERS[mode], n_devices=3, msdu=60, interval_s=0.01,
+                      run_time_s=0.5, seed=3)
+    net.run()
+    stored = dict(net._transitions)
+    assert stored
+    for dev in net.devices:
+        invalid = MacInput.TX_DONE if dev.state.phase is Phase.IDLE else MacInput.START_TX
+        for _ in range(2):
+            with pytest.raises(SimulationError, match="is not valid in phase"):
+                net._feed(dev, invalid)
+    assert net._transitions == stored
+
+
+@pytest.mark.parametrize("mode", ["nonbeacon", "beacon"])
+def test_each_hit_on_a_cached_wait_draws_a_fresh_length(mode, monkeypatch):
+    net = StarNetwork(**ORDERS[mode], n_devices=2, msdu=60, interval_s=0.01,
+                      run_time_s=0.2, seed=3)
+    net.run()
+    key = (id(IDLE_STATE), MacInput.START_TX.value)
+    cached_state, cached_action = net._transitions[key]
+    assert cached_action is None                  # stored without its length
+
+    def no_step(*args):
+        raise AssertionError("a table hit must not ask the step function")
+    monkeypatch.setattr(network, "unslotted_step", no_step)
+    monkeypatch.setattr(network, "slotted_step", no_step)
+    waits = []
+    monkeypatch.setattr(net, "_apply", lambda dev, action: waits.append(action))
+
+    dev = net.devices[0]
+    dev.current = PacketRecord(0, dev.id, 0, 60)
+    dev.rng = RngManager(11).draws("backoff", 1)
+    oracle = RngManager(11).draws("backoff", 1)
+    expected = [rng_uniform_units(oracle, cached_state.be) for _ in range(2)]
+    assert expected[0] != expected[1]
+    for _ in range(2):
+        dev.state = IDLE_STATE
+        net._feed(dev, MacInput.START_TX)
+        assert dev.state is cached_state
+    assert waits == [Wait(units * UNIT_BACKOFF) for units in expected]
