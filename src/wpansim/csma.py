@@ -1,7 +1,7 @@
 """CSMA-CA transmit state machine and the MAC queue.
 
 The machine is a pure transition function ``(state, input) -> (state, action)``
-plus an RNG stream (a :class:`~wpansim.kernel.BlockDraws`) for backoff draws:
+plus an RNG stream (a :class:`~wpansim.kernel.Pcg64`) for backoff draws:
 it owns no clock and schedules nothing.  The caller performs each emitted
 action (wait, CCA, transmit, arm a timer) and feeds the observed outcome back
 as the next input, which keeps the protocol logic unit-testable without a
@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from wpansim.kernel import BlockDraws, SimulationError, rng_uniform_units
+from wpansim.kernel import Pcg64, SimulationError, rng_uniform_units
 from wpansim.phy import ACK_WAIT, UNIT_BACKOFF
 
 MAX_BE = 8   # largest permitted macMaxBE
@@ -166,19 +166,19 @@ def _state(nb: int, be: int, cw: int, retries: int, phase: Phase) -> TxAttemptSt
     return state
 
 
-def backoff_wait(rng: BlockDraws, be: int) -> Wait:
+def backoff_wait(rng: Pcg64, be: int) -> Wait:
     """The wait of a fresh backoff draw at exponent ``be``: the one draw the
     step functions make, shared with callers that replay a cached ``Wait``."""
     return _WAITS[rng_uniform_units(rng, be)]
 
 
 def _backoff(nb: int, be: int, cw: int, retries: int,
-             rng: BlockDraws) -> tuple[TxAttemptState, Wait]:
+             rng: Pcg64) -> tuple[TxAttemptState, Wait]:
     return _state(nb, be, cw, retries, _BACKOFF), backoff_wait(rng, be)
 
 
 def _step(state: TxAttemptState, event: MacInput, params: CsmaParams,
-          rng: BlockDraws, slotted: bool,
+          rng: Pcg64, slotted: bool,
           fits_cap=None) -> tuple[TxAttemptState, MacAction]:
     phase = state.phase
 
@@ -226,7 +226,7 @@ def _step(state: TxAttemptState, event: MacInput, params: CsmaParams,
 
 
 def unslotted_step(state: TxAttemptState, event: MacInput, params: CsmaParams,
-                   rng: BlockDraws) -> tuple[TxAttemptState, MacAction]:
+                   rng: Pcg64) -> tuple[TxAttemptState, MacAction]:
     """One transition of the unslotted (non-beacon) CSMA-CA machine.
 
     On busy CCA the backoff stage counter NB and the exponent BE grow until

@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
+import struct
 import zlib
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from pathlib import Path
 
 SYMBOL_RATE = 62_500  # symbols per second: 250 kbps O-QPSK, 4 bits/symbol
 
@@ -140,6 +141,116 @@ class Scheduler:
 
 
 _PURPOSE_SALT = 0x802154
+_M32, _M53, _M64, _M128 = 2**32 - 1, 2**53 - 1, 2**64 - 1, 2**128 - 1
+
+
+def _seed_words(entropy: list[int]) -> list[int]:
+    """numpy's ``SeedSequence(entropy).generate_state(4, uint64)``."""
+    words = []
+    for n in entropy:     # little-endian 32-bit words; 0 gives one word
+        words.append(n & _M32)
+        while n > _M32:
+            n >>= 32
+            words.append(n & _M32)
+    hash_a = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_a
+        value ^= hash_a
+        hash_a = hash_a * 0x931E8875 & _M32
+        value = value * hash_a & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_b, out = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_b
+        hash_b = hash_b * 0x58F38DED & _M32
+        value = value * hash_b & _M32
+        out.append(value ^ value >> 16)
+    return [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+# numpy's 256-level exponential ziggurat (Marsaglia & Tsang 2000): the
+# ke_double, we_double and fe_double tables of its distributions.c.
+_ZIGGURAT = struct.unpack("<256Q256d256d",
+                          (Path(__file__).parent / "ziggurat_exp.bin").read_bytes())
+_KE, _WE, _FE = _ZIGGURAT[:256], _ZIGGURAT[256:512], _ZIGGURAT[512:]
+_ZIGGURAT_EXP_R = 7.6971174701310497140446280481
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_TWICE = 2**64 + 1   # x * _TWICE is x beside itself, so >> rot rotates it
+
+
+class Pcg64:
+    """A PCG64 stream (O'Neill 2014) whose draws equal numpy 2.4's
+    ``Generator(PCG64(SeedSequence(entropy)))`` bit for bit.
+
+    Values are drawn when asked for.  Each output steps the 128-bit state,
+    then applies XSL-RR.  :meth:`uint32` hands out the low half of an output
+    and keeps its high half for the next call, as ``Generator.integers``
+    does for 32-bit ranges.  A stream should use one kind of draw only:
+    numpy's 64-bit draws do not consume the kept half.
+    """
+
+    __slots__ = ("_state", "_inc", "_half")
+
+    def __init__(self, entropy: list[int]):
+        w0, w1, w2, w3 = _seed_words(entropy)
+        self._inc = (w2 << 64 | w3) << 1 & _M128 | 1
+        self._state = ((self._inc + (w0 << 64 | w1)) * _PCG_MULT + self._inc) & _M128
+        self._half = None
+
+    @property
+    def state(self) -> tuple:
+        """``(state, inc, kept 32-bit half or None)``."""
+        return self._state, self._inc, self._half
+
+    def next64(self) -> int:
+        # uint32 and standard_exponential inline this step: they are hot.
+        s = self._state = (self._state * _PCG_MULT + self._inc) & _M128
+        return ((s >> 64 ^ s) & _M64) * _TWICE >> (s >> 122) & _M64
+
+    def uint32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        s = self._state = (self._state * _PCG_MULT + self._inc) & _M128
+        x = ((s >> 64 ^ s) & _M64) * _TWICE >> (s >> 122)
+        self._half = x >> 32 & _M32
+        return x & _M32
+
+    def next_double(self) -> float:
+        return (self.next64() >> 11) * 2.0**-53
+
+    def uniform(self, low: float, high: float) -> float:
+        return low + (high - low) * self.next_double()
+
+    def standard_exponential(self) -> float:
+        """numpy's ``random_standard_exponential``: a 256-level ziggurat."""
+        s = self._state = (self._state * _PCG_MULT + self._inc) & _M128
+        x = ((s >> 64 ^ s) & _M64) * _TWICE >> (s >> 122)
+        r = x >> 11 & _M53
+        idx = x >> 3 & 0xFF
+        if r < _KE[idx]:
+            return r * _WE[idx]    # 98.9% of draws end here
+        if idx == 0:
+            return _ZIGGURAT_EXP_R - math.log1p(-self.next_double())
+        x = r * _WE[idx]
+        if (_FE[idx - 1] - _FE[idx]) * self.next_double() + _FE[idx] < math.exp(-x):
+            return x
+        return self.standard_exponential()
 
 
 class RngManager:
@@ -151,58 +262,19 @@ class RngManager:
     """
 
     def __init__(self, master_seed: int):
-        self.master_seed = int(master_seed) & (2**64 - 1)
+        self.master_seed = int(master_seed) & _M64
 
-    def stream(self, purpose: str, key: int = 0) -> np.random.Generator:
+    def draws(self, purpose: str, key: int = 0) -> Pcg64:
+        """The stream ``(purpose, key)``."""
         tag = zlib.crc32(purpose.encode("ascii"))
-        seq = np.random.SeedSequence([self.master_seed, _PURPOSE_SALT, tag, key])
-        return np.random.Generator(np.random.PCG64(seq))
-
-    def draws(self, purpose: str, key: int = 0) -> BlockDraws:
-        """The stream ``(purpose, key)`` read through a :class:`BlockDraws`."""
-        return BlockDraws(self.stream(purpose, key))
+        return Pcg64([self.master_seed, _PURPOSE_SALT, tag, key])
 
 
-DRAW_BLOCK = 32   # draws per refill: small, since idle buffers stay allocated
-
-
-class BlockDraws:
-    """A PCG64 stream read in blocks of ``DRAW_BLOCK`` draws, each block
-    filled on first use, yielding exactly the values of per-call draws.
-
-    :meth:`uint32` returns the 32-bit words that PCG64 hands out one by one
-    (the low half of each 64-bit output, then its high half), as used by
-    ``Generator.integers`` for 32-bit ranges.  :meth:`standard_exponential`
-    returns the ziggurat draws of ``Generator.standard_exponential``.  A
-    stream must use one kind only: per-call draws would interleave the two
-    kinds differently.
-    """
-
-    __slots__ = ("_gen", "_u32", "_exp")
-
-    def __init__(self, generator: np.random.Generator):
-        self._gen = generator
-        self._u32: list[int] = []     # pending draws, next one last
-        self._exp: list[float] = []
-
-    def uint32(self) -> int:
-        if not self._u32:
-            raw = self._gen.bit_generator.random_raw(DRAW_BLOCK // 2)
-            halves = np.stack((raw & 0xFFFF_FFFF, raw >> 32), axis=1)
-            self._u32 = halves.ravel()[::-1].tolist()
-        return self._u32.pop()
-
-    def standard_exponential(self) -> float:
-        if not self._exp:
-            self._exp = self._gen.standard_exponential(DRAW_BLOCK)[::-1].tolist()
-        return self._exp.pop()
-
-
-def rng_uniform_units(draws: BlockDraws, be: int) -> int:
+def rng_uniform_units(draws: Pcg64, be: int) -> int:
     """Uniform integer in [0, 2**be - 1]: a backoff delay in whole units.
 
-    Equals ``Generator.integers(0, 2**be)`` on the same stream: for a
-    power-of-two range its Lemire method keeps the top ``be`` bits of one
+    Equals numpy's ``Generator.integers(0, 2**be)`` on the same stream: for
+    a power-of-two range its Lemire method keeps the top ``be`` bits of one
     32-bit word and never rejects.
     """
     if not 0 <= be <= 32:
@@ -212,11 +284,12 @@ def rng_uniform_units(draws: BlockDraws, be: int) -> int:
     return draws.uint32() >> (32 - be)
 
 
-def rng_exponential(draws: BlockDraws, mean_seconds: float) -> int:
+def rng_exponential(draws: Pcg64, mean_seconds: float) -> int:
     """Exponential interarrival in symbols, rounded and clamped to >= 1.
 
     Equals ``max(1, round(Generator.exponential(mean_seconds) * SYMBOL_RATE))``
-    on the same stream, which scales one standard exponential by the mean.
+    on the same numpy stream, which scales one standard exponential by the
+    mean.
     """
     if mean_seconds <= 0:
         raise ValueError(f"mean interval must be positive, got {mean_seconds}")

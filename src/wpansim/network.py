@@ -109,7 +109,8 @@ class StarNetwork:
 
         rngs = RngManager(seed)
         if placement == "random":
-            angles = rngs.stream("placement").uniform(0, 2 * math.pi, n_devices)
+            placement_rng = rngs.draws("placement")
+            angles = [placement_rng.uniform(0, 2 * math.pi) for _ in range(n_devices)]
         else:
             angles = [2 * math.pi * i / n_devices for i in range(n_devices)]
         self.devices: list[Device] = []

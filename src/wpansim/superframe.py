@@ -14,7 +14,7 @@ from typing import Callable
 
 from wpansim.csma import (CsmaParams, MacAction, MacInput, TxAttemptState, _step,
                           check_range)
-from wpansim.kernel import BlockDraws
+from wpansim.kernel import Pcg64
 from wpansim.phy import BASE_SUPERFRAME, BEACON_AIRTIME, MIN_CAP_LENGTH, UNIT_BACKOFF
 
 MAX_ORDER = 14
@@ -111,7 +111,7 @@ class SuperframeSchedule:
 
 
 def slotted_step(state: TxAttemptState, event: MacInput, params: CsmaParams,
-                 rng: BlockDraws,
+                 rng: Pcg64,
                  fits_cap: Callable[[], bool] | None = None,
                  ) -> tuple[TxAttemptState, MacAction]:
     """One transition of the slotted (beacon-mode) CSMA-CA machine.

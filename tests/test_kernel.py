@@ -1,13 +1,20 @@
 """Event queue ordering, stop conditions, and seeded randomness."""
 
+import math
+import os
 import random
+import subprocess
+import sys
+import zlib
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from wpansim.kernel import (DRAW_BLOCK, SYMBOL_RATE, BlockDraws, EventKind,
-                            RngManager, Scheduler, SimulationError, StopReason,
-                            rng_exponential, rng_uniform_units, seconds_to_symbols,
-                            symbols_to_seconds)
+from wpansim import kernel
+from wpansim.kernel import (SYMBOL_RATE, EventKind, Pcg64, RngManager, Scheduler,
+                            SimulationError, StopReason, rng_exponential,
+                            rng_uniform_units, seconds_to_symbols, symbols_to_seconds)
 
 
 def test_symbol_conversions():
@@ -141,26 +148,30 @@ def test_beacon_grid_schedule():
 # ------------------------------------------------------------------ RNG
 
 
+def _words(draws, n):
+    return [draws.uint32() for _ in range(n)]
+
+
 def test_same_seed_reproduces_draws():
-    a = RngManager(42).stream("backoff", 3)
-    b = RngManager(42).stream("backoff", 3)
-    assert list(a.integers(0, 1000, 20)) == list(b.integers(0, 1000, 20))
+    a = RngManager(42).draws("backoff", 3)
+    b = RngManager(42).draws("backoff", 3)
+    assert _words(a, 20) == _words(b, 20)
 
 
 def test_streams_differ_across_purpose_key_and_master():
-    base = list(RngManager(42).stream("backoff", 1).integers(0, 10**6, 10))
-    assert list(RngManager(42).stream("backoff", 2).integers(0, 10**6, 10)) != base
-    assert list(RngManager(42).stream("traffic", 1).integers(0, 10**6, 10)) != base
-    assert list(RngManager(43).stream("backoff", 1).integers(0, 10**6, 10)) != base
+    base = _words(RngManager(42).draws("backoff", 1), 10)
+    assert _words(RngManager(42).draws("backoff", 2), 10) != base
+    assert _words(RngManager(42).draws("traffic", 1), 10) != base
+    assert _words(RngManager(43).draws("backoff", 1), 10) != base
 
 
 def test_stream_is_insensitive_to_other_streams():
     # Drawing from one node's stream must not shift another's sequence.
     mgr = RngManager(7)
-    before = list(mgr.stream("backoff", 5).integers(0, 10**6, 10))
-    mgr.stream("backoff", 4).integers(0, 10**6, 1000)
-    mgr.stream("traffic", 5).integers(0, 10**6, 1000)
-    assert list(mgr.stream("backoff", 5).integers(0, 10**6, 10)) == before
+    before = _words(mgr.draws("backoff", 5), 10)
+    _words(mgr.draws("backoff", 4), 1000)
+    _words(mgr.draws("traffic", 5), 1000)
+    assert _words(mgr.draws("backoff", 5), 10) == before
 
 
 def test_uniform_units_range_and_degenerate_exponent():
@@ -187,10 +198,21 @@ def test_exponential_interarrival_mean_and_floor():
         rng_exponential(rng, 0.0)
 
 
-# The block draws must reproduce numpy's per-call draws exactly: every
-# golden output depends on it.  These per-call expressions are the oracle; a
-# numpy release that changes PCG64's 32-bit buffering, the bounded-integer
-# method or the ziggurat makes these tests fail.
+# Every golden output depends on these streams.  numpy 2.4.6's
+# Generator(PCG64(SeedSequence(...))) is the oracle; wpansim does not import
+# numpy, so a numpy release that changes its streams fails here and changes
+# no simulator output.
+
+SEEDS = [0, 1, 2**63 + 5, 2**64 - 1]
+
+
+def _entropy(seed, purpose, key):
+    return [seed, kernel._PURPOSE_SALT, zlib.crc32(purpose.encode("ascii")), key]
+
+
+def _numpy_stream(seed, purpose="traffic", key=0):
+    seq = np.random.SeedSequence(_entropy(seed, purpose, key))
+    return np.random.Generator(np.random.PCG64(seq))
 
 
 def _oracle_units(gen, be):
@@ -201,34 +223,121 @@ def _oracle_gap(gen, mean_s):
     return max(1, round(gen.exponential(mean_s) * SYMBOL_RATE))
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("key", [0, 9])
+def test_seeding_and_raw_words_match_numpy(seed, key):
+    oracle = _numpy_stream(seed, "backoff", key)
+    draws = RngManager(seed).draws("backoff", key)
+    state = oracle.bit_generator.state["state"]
+    assert draws.state == (state["state"], state["inc"], None)
+    assert [draws.next64() for _ in range(1000)] == (
+        oracle.bit_generator.random_raw(1000).tolist())
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_32_bit_halves_match_numpy_across_word_boundaries(seed):
+    oracle = _numpy_stream(seed, "backoff", 2)
+    draws = RngManager(seed).draws("backoff", 2)
+    # Odd counts leave a kept half behind, so later calls start mid-word.
+    for n in (1, 2, 3, 64, 257):
+        assert _words(draws, n) == oracle.integers(0, 2**32, n, dtype=np.uint32).tolist()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_uniform_matches_numpy(seed):
+    oracle = _numpy_stream(seed, "placement")
+    draws = RngManager(seed).draws("placement")
+    assert [draws.uniform(0, 2 * math.pi) for _ in range(500)] == (
+        oracle.uniform(0, 2 * math.pi, 500).tolist())
+
+
+def test_exponentials_match_numpy_through_both_slow_paths(monkeypatch):
+    # Counts the ziggurat's rare branches: the idx == 0 tail calls log1p,
+    # each wedge test calls exp, and a wedge rejection draws afresh.
+    counts = {"tail": 0, "wedge": 0, "draws": 0}
+
+    class CountingMath:
+        def log1p(x):
+            counts["tail"] += 1
+            return math.log1p(x)
+
+        def exp(x):
+            counts["wedge"] += 1
+            return math.exp(x)
+
+    def counting_draw(self):
+        counts["draws"] += 1
+        return draw(self)
+
+    draw = Pcg64.standard_exponential
+    monkeypatch.setattr(kernel, "math", CountingMath)
+    monkeypatch.setattr(Pcg64, "standard_exponential", counting_draw)
+    n = 80_000
+    for seed in SEEDS:
+        draws = RngManager(seed).draws("traffic", 1)
+        assert [draws.standard_exponential() for _ in range(n)] == (
+            _numpy_stream(seed, "traffic", 1).standard_exponential(n).tolist())
+    rejected = counts["draws"] - n * len(SEEDS)
+    assert counts["tail"] >= 1
+    assert rejected >= 1
+    assert counts["wedge"] > rejected
+
+
 @pytest.mark.parametrize("seed,key", [(1, 1), (421, 8), (2**63 + 5, 0)])
-def test_block_backoff_draws_match_per_call_draws(seed, key):
-    exponents = random.Random(seed).choices(range(9), k=7 * DRAW_BLOCK + 3)
-    oracle = RngManager(seed).stream("backoff", key)
+def test_backoff_draws_match_per_call_draws(seed, key):
+    exponents = random.Random(seed).choices(range(9), k=7 * 32 + 3)
+    oracle = _numpy_stream(seed, "backoff", key)
     draws = RngManager(seed).draws("backoff", key)
     assert ([rng_uniform_units(draws, be) for be in exponents]
             == [_oracle_units(oracle, be) for be in exponents])
-    # Further block boundaries, at the exponents the simulator draws most.
-    for be in (1, 2, 3, 8) * DRAW_BLOCK:
+    # Further draws, at the exponents the simulator draws most.
+    for be in (1, 2, 3, 8) * 32:
         assert rng_uniform_units(draws, be) == _oracle_units(oracle, be)
 
 
 @pytest.mark.parametrize("seed,key", [(2, 1), (422, 3), (2**63 + 5, 0)])
-def test_block_exponential_draws_match_per_call_draws(seed, key):
+def test_exponential_draws_match_per_call_draws(seed, key):
     means = random.Random(seed).choices([1e-4, 0.01, 0.025, 0.05, 1.0, 10.0],
-                                        k=5 * DRAW_BLOCK + 7)
-    oracle = RngManager(seed).stream("traffic", key)
+                                        k=5 * 32 + 7)
+    oracle = _numpy_stream(seed, "traffic", key)
     draws = RngManager(seed).draws("traffic", key)
     gaps = [rng_exponential(draws, m) for m in means]
     assert gaps == [_oracle_gap(oracle, m) for m in means]
     assert all(type(g) is int for g in gaps)
 
 
-def test_block_draws_fill_lazily():
-    gen = RngManager(3).stream("backoff")
-    draws = BlockDraws(gen)
-    before = gen.bit_generator.state
+def test_draws_are_taken_on_demand():
+    draws = RngManager(3).draws("backoff")
+    before = draws.state
     assert rng_uniform_units(draws, 0) == 0        # a zero exponent draws nothing
-    assert gen.bit_generator.state == before
+    assert draws.state == before
     rng_uniform_units(draws, 3)
-    assert gen.bit_generator.state != before
+    assert draws.state != before
+    # One 64-bit output serves two 32-bit draws: the second steps nothing.
+    stepped = draws.state
+    assert stepped[2] is not None
+    rng_uniform_units(draws, 3)
+    assert draws.state == (stepped[0], stepped[1], None)
+
+
+def test_wpansim_runs_without_loading_numpy(tmp_path):
+    config = tmp_path / "tiny.yaml"
+    config.write_text("mode: nonbeacon\nn_devices: 4\nquota: 5\nseed: 8\n"
+                      "placement: random\n")
+    script = f"""
+import sys
+import wpansim
+assert "numpy" not in sys.modules, "import wpansim loaded numpy"
+from wpansim.cli import main
+assert main(["run", "--config", {str(config)!r}, "--out", {str(tmp_path / "m.csv")!r},
+             "--packet-log", {str(tmp_path / "p.csv")!r},
+             "--trace", {str(tmp_path / "t.tsv")!r}]) == 0
+assert "numpy" not in sys.modules, "wpansim run loaded numpy"
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "p.csv").read_text().count("\n") == 1 + 4 * 5

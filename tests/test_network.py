@@ -1,10 +1,15 @@
 """End-to-end star-network runs: delivery timing, drop accounting,
 stop conditions, determinism, and beacon-mode structure."""
 
+import hashlib
+from io import StringIO
+
 import pytest
 
 from wpansim.csma import CsmaParams, DropReason
+from wpansim.experiment import write_metrics_csv
 from wpansim.kernel import SimulationError, seconds_to_symbols
+from wpansim.metrics import write_packet_log
 from wpansim.network import StarNetwork
 from wpansim.phy import (ACK_AIRTIME, CCA_DURATION, TURNAROUND, UNIT_BACKOFF,
                          data_frame_airtime)
@@ -217,3 +222,21 @@ def test_device_out_of_reach_loses_everything_to_retries():
     assert m.packet_loss_rate == 1.0
     # Four transmissions per packet: the original and three retries.
     assert all(rec.tx_count == 4 for rec in result.log)
+
+
+def test_random_placement_outputs_are_pinned(tmp_path):
+    # No golden run places devices at random.  On a 100 m circle some pairs
+    # are out of each other's 176 m range, so the drawn angles decide who
+    # hears whom and every output byte depends on the placement stream.
+    net = StarNetwork(placement="random", circle_radius_m=100.0, n_devices=16,
+                      interval_s=0.05, quota=40, seed=2024)
+    devices = range(1, 17)
+    assert any(not net.medium.in_range(a, b) for a in devices for b in devices)
+    result = net.run()
+    buf = StringIO()
+    write_metrics_csv([result.metrics], buf)
+    write_packet_log(tmp_path / "packets.csv", result.log)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
+        "11a9393bce8210be9dd7a41509f56741185d4ec7fa51ca28f749f5954d1221cb")
+    assert hashlib.sha256((tmp_path / "packets.csv").read_bytes()).hexdigest() == (
+        "a3fb52a9e497b56b63cd545da76bbb0b39d4904bbc8cb9f6c13dcc86efec28d0")
