@@ -43,85 +43,6 @@ class PacketRecord:
 
 
 @dataclass(frozen=True, slots=True)
-class OutcomeCounts:
-    generated: int
-    delivered: int
-    dropped: dict[DropReason, int]   # excludes unresolved_at_end
-    unresolved: int
-
-    @property
-    def dropped_total(self) -> int:
-        return sum(self.dropped.values())
-
-
-def _walk(log: list[PacketRecord]) -> tuple[OutcomeCounts, int, int]:
-    """One pass over the log: the outcome counts, plus the payload bits and
-    the summed delay in symbols of the delivered packets."""
-    delivered = unresolved = bits = delay_sum = 0
-    dropped = {reason: 0 for reason in DropReason if reason is not UNRESOLVED}
-    for rec in log:
-        if rec.rx_time is not None:
-            if rec.drop_reason is not None:
-                raise ValueError(f"packet {rec.packet_id} has two outcomes")
-            delivered += 1
-            bits += rec.msdu_len * 8
-            delay_sum += rec.rx_time - rec.gen_time
-        elif rec.drop_reason is UNRESOLVED:
-            unresolved += 1
-        elif rec.drop_reason is not None:
-            dropped[rec.drop_reason] += 1
-        else:
-            raise ValueError(f"packet {rec.packet_id} has no outcome")
-    return OutcomeCounts(len(log), delivered, dropped, unresolved), bits, delay_sum
-
-
-def count_outcomes(log: list[PacketRecord]) -> OutcomeCounts:
-    return _walk(log)[0]
-
-
-def _data_rate(bits: int, t_start: int, t_end: int) -> float:
-    if t_end <= t_start:
-        raise ValueError(f"empty measurement window: [{t_start}, {t_end}]")
-    return bits * SYMBOL_RATE / (t_end - t_start)
-
-
-def _loss_rate(counts: OutcomeCounts) -> float:
-    if counts.generated == 0:
-        raise ValueError("loss rate undefined: no packets generated")
-    resolved = counts.generated - counts.unresolved
-    if resolved == 0:
-        raise ValueError("loss rate undefined: no packets resolved")
-    return counts.dropped_total / resolved
-
-
-def _mean_delay_s(delay_sum: int, delivered: int) -> float | None:
-    if not delivered:
-        return None
-    return delay_sum / delivered / SYMBOL_RATE
-
-
-def effective_data_rate(log: list[PacketRecord], t_start: int, t_end: int) -> float:
-    """Delivered MSDU payload bits per second over [t_start, t_end] symbols.
-
-    Headers never count; a retransmitted packet counts once.
-    """
-    bits = sum(rec.msdu_len * 8 for rec in log if rec.rx_time is not None)
-    return _data_rate(bits, t_start, t_end)
-
-
-def packet_loss_rate(log: list[PacketRecord]) -> float:
-    """Dropped / generated; unresolved-at-end packets are left out of both."""
-    return _loss_rate(count_outcomes(log))
-
-
-def mean_end_to_end_delay(log: list[PacketRecord]) -> float | None:
-    """Mean generation-to-delivery time in seconds over delivered packets only;
-    None when nothing was delivered (rows must show a not-a-value marker)."""
-    delays = [rec.rx_time - rec.gen_time for rec in log if rec.rx_time is not None]
-    return _mean_delay_s(sum(delays), len(delays))
-
-
-@dataclass(frozen=True, slots=True)
 class MetricsRow:
     """One experiment point's results: the three QoS metrics plus the counts
     that produced them."""
@@ -141,26 +62,45 @@ class MetricsRow:
 
 
 def build_metrics(log: list[PacketRecord], t_start: int, t_end: int) -> MetricsRow:
-    """Every metric of the log from one pass over it; the values equal those
-    of the single-metric functions."""
-    counts, bits, delay_sum = _walk(log)
-    rate = _data_rate(bits, t_start, t_end)
-    try:
-        loss = _loss_rate(counts)
-    except ValueError:
-        loss = None
-    delay_s = _mean_delay_s(delay_sum, counts.delivered)
+    """Every metric of the log, from one pass over it.
+
+    The effective data rate is delivered MSDU payload bits per second over
+    [t_start, t_end] symbols: headers never count, and a retransmitted packet
+    counts once.  The loss rate is dropped over resolved packets; packets
+    unresolved at the end are left out of both, and it is None when nothing
+    resolved.  The delay is the mean generation-to-delivery time over
+    delivered packets only; None when nothing was delivered (rows must show a
+    not-a-value marker).
+    """
+    delivered = bits = delay_sum = 0
+    dropped = dict.fromkeys(DropReason, 0)
+    for rec in log:
+        if rec.rx_time is not None:
+            if rec.drop_reason is not None:
+                raise ValueError(f"packet {rec.packet_id} has two outcomes")
+            delivered += 1
+            bits += rec.msdu_len * 8
+            delay_sum += rec.rx_time - rec.gen_time
+        elif rec.drop_reason is not None:
+            dropped[rec.drop_reason] += 1
+        else:
+            raise ValueError(f"packet {rec.packet_id} has no outcome")
+    if t_end <= t_start:
+        raise ValueError(f"empty measurement window: [{t_start}, {t_end}]")
+    unresolved = dropped[UNRESOLVED]
+    resolved = len(log) - unresolved
+    delay_s = delay_sum / delivered / SYMBOL_RATE if delivered else None
     return MetricsRow(
-        generated=counts.generated,
-        delivered=counts.delivered,
-        dropped_queue_overflow=counts.dropped[DropReason.QUEUE_OVERFLOW],
-        dropped_channel_access=counts.dropped[DropReason.CHANNEL_ACCESS_FAILURE],
-        dropped_retry_exhausted=counts.dropped[DropReason.RETRY_EXHAUSTED],
-        unresolved=counts.unresolved,
+        generated=len(log),
+        delivered=delivered,
+        dropped_queue_overflow=dropped[DropReason.QUEUE_OVERFLOW],
+        dropped_channel_access=dropped[DropReason.CHANNEL_ACCESS_FAILURE],
+        dropped_retry_exhausted=dropped[DropReason.RETRY_EXHAUSTED],
+        unresolved=unresolved,
         t_start_symbols=t_start,
         t_end_symbols=t_end,
-        effective_data_rate_bps=rate,
-        packet_loss_rate=loss,
+        effective_data_rate_bps=bits * SYMBOL_RATE / (t_end - t_start),
+        packet_loss_rate=(resolved - delivered) / resolved if resolved else None,
         mean_delay_symbols=None if delay_s is None else delay_s * SYMBOL_RATE,
         mean_delay_s=delay_s,
     )

@@ -70,35 +70,27 @@ class RunResult:
 
 
 class StarNetwork:
-    def __init__(self, *, mode: str = "nonbeacon", n_devices: int = 1,
-                 msdu: int = 60, interval_s: float = 0.025,
-                 distribution: str = "exponential",
-                 csma_params: CsmaParams | None = None,
-                 bo: int | None = None, so: int | None = None,
-                 queue_capacity: int | None = 1,
-                 quota: int | None = None, run_time_s: float | None = None,
-                 seed: int = 1, circle_radius_m: float = 50.0,
-                 placement: str = "equal", trace: MacTrace | None = None):
+    def __init__(self, *, csma_params: CsmaParams | None = None,
+                 circle_radius_m: float = 50.0, trace: MacTrace | None = None,
+                 **scenario):
+        """``scenario`` takes the fields of :class:`ScenarioSpec`, with its
+        defaults and checks, except the MAC ones, which ``csma_params`` sets."""
         self.csma = csma_params or CsmaParams()
-        # Validates the keywords by the same rules as a scenario file.
-        ScenarioSpec(mode=mode, n_devices=n_devices, msdu=msdu,
-                     interval_s=interval_s, distribution=distribution,
-                     bo=bo, so=so, queue_capacity=queue_capacity, quota=quota,
-                     run_time_s=run_time_s, seed=seed, placement=placement,
-                     **dataclasses.asdict(self.csma))
+        spec = ScenarioSpec(**scenario, **dataclasses.asdict(self.csma))
+        n_devices = spec.n_devices
 
-        self.slotted = mode == "beacon"
-        self.msdu = msdu
-        self.interval_s = interval_s
-        self.distribution = distribution
-        self.quota = quota
-        self.run_time_s = run_time_s
-        self.schedule = SuperframeSchedule(bo, so) if self.slotted else None
+        self.slotted = spec.mode == "beacon"
+        self.msdu = spec.msdu
+        self.interval_s = spec.interval_s
+        self.distribution = spec.distribution
+        self.quota = spec.quota
+        self.run_time_s = spec.run_time_s
+        self.schedule = SuperframeSchedule(spec.bo, spec.so) if self.slotted else None
         self.trace = trace
         if trace is not None:
             trace.use_schedule(self.schedule)
 
-        self.data_airtime = data_frame_airtime(msdu)
+        self.data_airtime = data_frame_airtime(spec.msdu)
         # Time on air a transmission must reserve before the CAP end.
         self.transaction = self.data_airtime + (
             TURNAROUND + ACK_AIRTIME if self.csma.ack_enabled else 0)
@@ -107,8 +99,8 @@ class StarNetwork:
         self.medium = Medium()
         self.medium.add_node(COORDINATOR, 0.0, 0.0)
 
-        rngs = RngManager(seed)
-        if placement == "random":
+        rngs = RngManager(spec.seed)
+        if spec.placement == "random":
             placement_rng = rngs.draws("placement")
             angles = [placement_rng.uniform(0, 2 * math.pi) for _ in range(n_devices)]
         else:
@@ -119,7 +111,7 @@ class StarNetwork:
             self.medium.add_node(node_id,
                                  circle_radius_m * math.cos(angles[i]),
                                  circle_radius_m * math.sin(angles[i]))
-            self.devices.append(Device(node_id, queue_capacity,
+            self.devices.append(Device(node_id, spec.queue_capacity,
                                        rngs.draws("backoff", node_id),
                                        rngs.draws("traffic", node_id)))
 
@@ -129,8 +121,8 @@ class StarNetwork:
         self._asked_cap = False
         self.log: list[PacketRecord] = []
         self._resolved = 0
-        self._total_quota = None if quota is None else quota * n_devices
-        self._period_symbols = max(1, seconds_to_symbols(interval_s))
+        self._total_quota = None if spec.quota is None else spec.quota * n_devices
+        self._period_symbols = max(1, seconds_to_symbols(spec.interval_s))
 
     # ---------------------------------------------------------------- run
 

@@ -37,6 +37,9 @@ class ScenarioError(ValueError):
     """A scenario file failed to parse or validate."""
 
 
+_CSMA_DEFAULTS = CsmaParams()
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One fully-specified simulation run.
@@ -52,10 +55,10 @@ class ScenarioSpec:
     msdu: int = 60
     interval_s: float = 0.025
     distribution: str = "exponential"
-    min_be: int = 3
-    max_be: int = 5
-    max_nb: int = 4
-    max_frame_retries: int = 3
+    min_be: int = _CSMA_DEFAULTS.min_be
+    max_be: int = _CSMA_DEFAULTS.max_be
+    max_nb: int = _CSMA_DEFAULTS.max_nb
+    max_frame_retries: int = _CSMA_DEFAULTS.max_frame_retries
     bo: int | None = None
     so: int | None = None
     queue_capacity: int | None = 1
@@ -63,7 +66,7 @@ class ScenarioSpec:
     run_time_s: float | None = None
     seed: int = 1
     placement: str = "equal"
-    ack_enabled: bool = True
+    ack_enabled: bool = _CSMA_DEFAULTS.ack_enabled
 
     def __post_init__(self):
         if self.mode not in ("nonbeacon", "beacon"):

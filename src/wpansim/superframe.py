@@ -55,11 +55,6 @@ class SuperframeSchedule:
             raise ValueError(f"so={so} leaves a CAP shorter than "
                              f"{MIN_CAP_LENGTH} symbols")
 
-    def slot_index(self, t: int) -> int:
-        """Slot number 0..15 within the active portion, for trace annotation."""
-        offset = t % self.bi
-        return min(offset // self.slot_len, 15)
-
     def index_at(self, t: int) -> int:
         return t // self.bi
 

@@ -4,8 +4,6 @@ import pytest
 
 from wpansim.csma import DropReason
 from wpansim.metrics import (MetricsRow, PacketRecord, build_metrics,
-                             count_outcomes, effective_data_rate,
-                             mean_end_to_end_delay, packet_loss_rate,
                              read_packet_log, write_packet_log)
 from wpansim.superframe import SuperframeSchedule
 from wpansim.trace import MacTrace, read_trace
@@ -19,25 +17,29 @@ def _dropped(pid, gen, reason, msdu=60, node=1):
     return PacketRecord(pid, node, gen, msdu, drop_reason=reason)
 
 
+def _rate(log, t_start, t_end):
+    return build_metrics(log, t_start, t_end).effective_data_rate_bps
+
+
 def test_effective_data_rate_counts_payload_bits_only():
     # 40 delivered packets x 60 bytes = 19200 bits over one second of
     # symbols: 19200 bps regardless of headers or retransmissions.
     log = [_delivered(i, i * 100, i * 100 + 266) for i in range(40)]
     for rec in log:
         rec.tx_count = 3          # retries must not multiply the numerator
-    assert effective_data_rate(log, 0, 62500) == pytest.approx(19200.0)
+    assert _rate(log, 0, 62500) == pytest.approx(19200.0)
     # Dropped packets contribute nothing.
     log.append(_dropped(99, 50, DropReason.QUEUE_OVERFLOW))
-    assert effective_data_rate(log, 0, 62500) == pytest.approx(19200.0)
+    assert _rate(log, 0, 62500) == pytest.approx(19200.0)
     # Halving the window doubles the rate.
-    assert effective_data_rate(log, 0, 31250) == pytest.approx(38400.0)
+    assert _rate(log, 0, 31250) == pytest.approx(38400.0)
 
 
 def test_empty_measurement_window_rejected():
     with pytest.raises(ValueError):
-        effective_data_rate([], 100, 100)
+        build_metrics([], 100, 100)
     with pytest.raises(ValueError):
-        effective_data_rate([], 200, 100)
+        build_metrics([], 200, 100)
 
 
 def test_loss_rate_is_drops_over_resolved():
@@ -47,24 +49,22 @@ def test_loss_rate_is_drops_over_resolved():
               _dropped(8, 0, DropReason.UNRESOLVED_AT_END),
               _dropped(9, 0, DropReason.UNRESOLVED_AT_END)])
     # 2 drops / 8 resolved; the two tail packets sit out.
-    assert packet_loss_rate(log) == pytest.approx(0.25)
+    assert build_metrics(log, 0, 1).packet_loss_rate == pytest.approx(0.25)
 
 
 def test_loss_rate_undefined_without_data():
-    with pytest.raises(ValueError):
-        packet_loss_rate([])
+    assert build_metrics([], 0, 1).packet_loss_rate is None
     only_tail = [_dropped(0, 0, DropReason.UNRESOLVED_AT_END)]
-    with pytest.raises(ValueError):
-        packet_loss_rate(only_tail)
+    assert build_metrics(only_tail, 0, 1).packet_loss_rate is None
 
 
 def test_mean_delay_averages_delivered_packets_only():
     log = [_delivered(0, 1000, 1266), _delivered(1, 5000, 5532),
            _dropped(2, 0, DropReason.RETRY_EXHAUSTED)]
     # (266 + 532) / 2 symbols = 399 symbols = 6.384 ms
-    assert mean_end_to_end_delay(log) == pytest.approx(399 / 62500)
-    assert mean_end_to_end_delay([log[2]]) is None
-    assert mean_end_to_end_delay([]) is None
+    assert build_metrics(log, 0, 1).mean_delay_s == pytest.approx(399 / 62500)
+    assert build_metrics([log[2]], 0, 1).mean_delay_s is None
+    assert build_metrics([], 0, 1).mean_delay_s is None
 
 
 def test_delay_of_an_undelivered_packet_is_an_error():
@@ -79,25 +79,27 @@ def test_outcome_counting_partitions_the_log():
               _dropped(4, 0, DropReason.QUEUE_OVERFLOW),
               _dropped(5, 0, DropReason.CHANNEL_ACCESS_FAILURE),
               _dropped(6, 0, DropReason.UNRESOLVED_AT_END)])
-    counts = count_outcomes(log)
-    assert counts.generated == 7
-    assert counts.delivered == 3
-    assert counts.dropped[DropReason.QUEUE_OVERFLOW] == 2
-    assert counts.dropped[DropReason.CHANNEL_ACCESS_FAILURE] == 1
-    assert counts.dropped[DropReason.RETRY_EXHAUSTED] == 0
-    assert counts.unresolved == 1
-    assert counts.dropped_total == 3
-    assert counts.delivered + counts.dropped_total + counts.unresolved == 7
+    row = build_metrics(log, 0, 1)
+    assert row.generated == 7
+    assert row.delivered == 3
+    assert row.dropped_queue_overflow == 2
+    assert row.dropped_channel_access == 1
+    assert row.dropped_retry_exhausted == 0
+    assert row.unresolved == 1
+    dropped = (row.dropped_queue_overflow + row.dropped_channel_access
+               + row.dropped_retry_exhausted)
+    assert dropped == 3
+    assert row.delivered + dropped + row.unresolved == 7
 
 
 def test_double_and_missing_outcomes_are_rejected():
     confused = PacketRecord(0, 1, 0, 60, rx_time=300,
                             drop_reason=DropReason.RETRY_EXHAUSTED)
     with pytest.raises(ValueError):
-        count_outcomes([confused])
+        build_metrics([confused], 0, 1)
     open_ended = PacketRecord(1, 1, 0, 60)
     with pytest.raises(ValueError):
-        count_outcomes([open_ended])
+        build_metrics([open_ended], 0, 1)
 
 
 def test_build_metrics_assembles_a_full_row():

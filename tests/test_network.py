@@ -13,6 +13,7 @@ from wpansim.metrics import write_packet_log
 from wpansim.network import StarNetwork
 from wpansim.phy import (ACK_AIRTIME, CCA_DURATION, TURNAROUND, UNIT_BACKOFF,
                          data_frame_airtime)
+from wpansim.scenario import ScenarioSpec
 from wpansim.superframe import SuperframeSchedule
 from wpansim.trace import MacTrace
 
@@ -202,6 +203,16 @@ def test_deadline_stops_the_run_at_exactly_run_time_s():
         StarNetwork(quota=1000, run_time_s=2.5)
     with pytest.raises(ValueError, match="stop condition is required"):
         StarNetwork()
+
+
+def test_unset_keywords_take_the_scenario_defaults():
+    result = StarNetwork(quota=1, interval_s=1.0, distribution="periodic").run()
+    assert result.metrics.generated == ScenarioSpec(quota=1).n_devices
+
+
+def test_mac_parameters_are_set_only_through_csma_params():
+    with pytest.raises(TypeError):
+        StarNetwork(min_be=2, quota=1)
 
 
 def test_beacon_mode_requires_both_orders():

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from wpansim.csma import DropReason, MacQueue
 from wpansim.kernel import RngManager, rng_exponential, rng_uniform_units
-from wpansim.metrics import (PacketRecord, build_metrics, count_outcomes,
-                             effective_data_rate, mean_end_to_end_delay,
-                             packet_loss_rate)
+from wpansim.metrics import PacketRecord, build_metrics
 from wpansim.phy import Medium
 from wpansim.superframe import SuperframeSchedule
+
+from metrics_oracle import (DROPS, effective_data_rate, mean_end_to_end_delay,
+                            outcome_counts, packet_loss_rate)
 
 UNIT = 20
 
@@ -110,12 +111,15 @@ def test_outcome_counts_partition_any_log(outcomes):
             log.append(PacketRecord(i, 0, i * 10, 60, rx_time=i * 10 + 266))
         else:
             log.append(PacketRecord(i, 0, i * 10, 60, drop_reason=outcome))
-    counts = count_outcomes(log)
-    assert counts.generated == len(log)
-    assert (counts.delivered + counts.dropped_total + counts.unresolved
-            == counts.generated)
-    assert counts.delivered == outcomes.count("delivered")
-    assert counts.unresolved == outcomes.count(DropReason.UNRESOLVED_AT_END)
+    row = build_metrics(log, 0, 1)
+    dropped = (row.dropped_queue_overflow, row.dropped_channel_access,
+               row.dropped_retry_exhausted)
+    assert row.generated == len(log)
+    assert row.delivered + sum(dropped) + row.unresolved == row.generated
+    assert row.delivered == outcomes.count("delivered")
+    assert row.unresolved == outcomes.count(DropReason.UNRESOLVED_AT_END)
+    counts = outcome_counts(log)
+    assert dropped == tuple(counts[reason] for reason in DROPS)
 
 
 @given(st.lists(st.tuples(_OUTCOMES, st.integers(min_value=1, max_value=118),
@@ -131,13 +135,9 @@ def test_one_pass_metrics_equal_the_single_metric_functions(packets, window):
             log.append(PacketRecord(i, 0, i * 7, msdu, drop_reason=outcome))
     row = build_metrics(log, 0, window)
     assert row.effective_data_rate_bps == effective_data_rate(log, 0, window)
-    try:
-        loss = packet_loss_rate(log)
-    except ValueError:
-        loss = None
-    assert row.packet_loss_rate == loss
+    assert row.packet_loss_rate == packet_loss_rate(log)
     assert row.mean_delay_s == mean_end_to_end_delay(log)
-    assert row.delivered == count_outcomes(log).delivered
+    assert row.delivered == outcome_counts(log)["delivered"]
 
 
 _COORD = st.floats(min_value=-400.0, max_value=400.0, allow_nan=False)

@@ -8,6 +8,7 @@ from wpansim.kernel import RngManager
 from wpansim.superframe import (SuperframeSchedule,
                                 beacon_interval, duty_cycle, slotted_step,
                                 superframe_duration)
+from wpansim.trace import MacTrace
 
 
 def test_interval_and_duration_identities():
@@ -121,12 +122,12 @@ def test_countdown_spans_multiple_superframes_when_needed():
 
 
 def test_slot_index_annotation():
-    s = _sched(2, 1)                       # slot_len 120
-    assert s.slot_index(0) == 0
-    assert s.slot_index(119) == 0
-    assert s.slot_index(120) == 1
-    assert s.slot_index(1919) == 15
-    assert s.slot_index(3840 + 240) == 2   # second superframe
+    trace = MacTrace()
+    trace.use_schedule(_sched(2, 1))       # slot_len 120
+    times = [0, 119, 120, 1919, 3840 + 240]   # the last in the second superframe
+    for t in times:
+        trace.add(t, 0, "arrival")
+    assert [ev.slot for ev in trace] == [0, 0, 1, 15, 2]
 
 
 # ------------------------------------------------- slotted contention window

@@ -70,7 +70,7 @@ def test_slotted_annotation_matches_the_schedule_queries(traced_beacon_run):
             period = "cap"
         else:
             period = "inactive"
-        slot = sched.slot_index(ev.time) if offset < sched.sd else -1
+        slot = offset // sched.slot_len if offset < sched.sd else -1
         assert (ev.sf, ev.slot, ev.period) == (sched.index_at(ev.time), slot, period), ev
         periods.add(period)
     assert periods == {"beacon", "cap", "inactive"}
