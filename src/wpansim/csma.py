@@ -17,7 +17,7 @@ The slotted variant (contention window, CAP deference) shares this core; see
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from wpansim.kernel import Pcg64, SimulationError, rng_uniform_units
@@ -36,9 +36,42 @@ def check_range(name: str, value, lo, hi=None) -> None:
         raise ValueError(f"{name} must be <= {hi}, got {value}")
 
 
+_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+          "bool": (bool, "true or false")}
+
+
+def type_error(name: str, value, annotation: str) -> str | None:
+    """Why ``value`` cannot fill a spec field typed ``annotation``, if it cannot.
+
+    Other annotations pass: a string field is a choice, and a structured one
+    (a sweep's ``base`` and ``axes``) is checked by its spec.
+    """
+    kind, _, optional = annotation.partition(" | ")
+    if (value is None and optional) or kind not in _TYPES:
+        return None
+    types, expected = _TYPES[kind]
+    # bool is a subclass of int: true/false is neither integer nor number.
+    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, types):
+        return f"{name} must be {expected}, got {value!r}"
+    return None
+
+
+def check_types(spec) -> None:
+    """Raise ``ValueError`` at the first field of dataclass ``spec``, in field
+    order, whose value its annotation (a string, under PEP 563) rejects.  An
+    int in a ``float`` field becomes a float, so equal specs compare equal."""
+    for field in fields(spec):
+        value = getattr(spec, field.name)
+        error = type_error(field.name, value, field.type)
+        if error:
+            raise ValueError(error)
+        if value is not None and field.type.startswith("float"):
+            object.__setattr__(spec, field.name, float(value))
+
+
 @dataclass(frozen=True, slots=True)
 class CsmaParams:
-    """Tunable MAC attributes, range-checked against their permitted values."""
+    """Tunable MAC attributes, checked against their types and permitted values."""
 
     min_be: int = 3             # macMinBE
     max_be: int = 5             # macMaxBE
@@ -47,6 +80,7 @@ class CsmaParams:
     ack_enabled: bool = True
 
     def __post_init__(self):
+        check_types(self)
         check_range("max_be", self.max_be, 3, MAX_BE)
         check_range("min_be", self.min_be, 0, self.max_be)
         check_range("max_nb", self.max_nb, 0, 5)

@@ -60,7 +60,7 @@ class SimSummary:
 
 # Heap entry layout; (time, seq) is unique so later fields are never compared.
 # The entry itself is the event's handle: cancelling or firing it clears _FN.
-_TIME, _SEQ, _FN, _ARG, _KIND = range(5)
+_TIME, _SEQ, _FN, _ARG = range(4)
 
 
 class Scheduler:
@@ -82,13 +82,13 @@ class Scheduler:
         """Schedule ``fn(arg)`` at ``time``; scheduling in the past is an error.
 
         Returns the heap entry as an opaque handle for :meth:`cancel`.
-        ``target`` names the node the event concerns, for callers that wrap
-        this method; the scheduler does not keep it.
+        ``kind`` and ``target`` (the node the event concerns) are for callers
+        that wrap this method; the scheduler keeps neither.
         """
         if time < self.now:
             raise SimulationError(
                 f"event {kind.value} scheduled at {time} before current time {self.now}")
-        entry = [time, self._next_seq(), fn, arg, kind]
+        entry = [time, self._next_seq(), fn, arg]
         heapq.heappush(self._heap, entry)
         return entry
 

@@ -142,14 +142,9 @@ class StarNetwork:
         for rec in self.log:
             if rec.rx_time is None and rec.drop_reason is None:
                 rec.drop_reason = DropReason.UNRESOLVED_AT_END
-        metrics = self._build_row(summary)
+        start = self.log[0].gen_time if self.log else 0
+        metrics = build_metrics(self.log, start, summary.end_time)
         return RunResult(metrics, summary, self.log)
-
-    def _build_row(self, summary: SimSummary) -> MetricsRow:
-        if not self.log:
-            return MetricsRow(0, 0, 0, 0, 0, 0, 0, summary.end_time,
-                              0.0, None, None, None)
-        return build_metrics(self.log, self.log[0].gen_time, summary.end_time)
 
     # ------------------------------------------------------------ traffic
 

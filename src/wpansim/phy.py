@@ -92,8 +92,9 @@ class Medium:
         self._hears: dict[int, set[int]] = {}
         self._asleep: set[int] = set()
         self._tx_of: dict[int, Transmission | None] = {}
-        self._active: list[Transmission] = []
-        self._recent: list[Transmission] = []   # ended, kept for the CCA window
+        # Frames in start order, on the air or ended less than CCA_DURATION
+        # ago; end_tx drops older ones, and each reader tests ``end`` itself.
+        self._air: list[Transmission] = []
 
     def add_node(self, node_id: int, x: float = 0.0, y: float = 0.0) -> None:
         if node_id in self._pos:
@@ -123,7 +124,7 @@ class Medium:
         if own is not None and own.end > now:
             raise SimulationError(f"node {node_id} put to sleep while transmitting")
         self._asleep.add(node_id)
-        for tx in self._active:
+        for tx in self._air:
             if tx.end > now and tx.frame.src != node_id:
                 tx.deaf.add(node_id)
 
@@ -134,7 +135,7 @@ class Medium:
         if src in self._asleep:
             raise SimulationError(f"node {src} began a frame while asleep")
         tx = Transmission(frame, now, now + frame.airtime)
-        for other in self._active:
+        for other in self._air:
             # A transmission ending exactly now does not overlap [now, end).
             if other.end > now:
                 tx.overlappers.append(other)
@@ -143,17 +144,16 @@ class Medium:
                 tx.deaf.add(other.frame.src)   # busy sending its own frame
         if self._asleep:
             tx.deaf.update(self._asleep)
-        self._active.append(tx)
+        self._air.append(tx)
         self._tx_of[src] = tx
         return tx
 
     def end_tx(self, tx: Transmission, now: int) -> None:
         if tx.end != now:
             raise SimulationError(f"transmission closed at {now}, expected {tx.end}")
-        self._active.remove(tx)
         self._tx_of[tx.frame.src] = None
-        self._recent.append(tx)
-        self._prune(now)
+        cutoff = now - CCA_DURATION
+        self._air = [other for other in self._air if other.end > cutoff]
 
     def heard_intact(self, tx: Transmission, node_id: int) -> bool:
         """Whether ``node_id`` received the whole frame uncorrupted."""
@@ -174,17 +174,9 @@ class Medium:
         if node_id in self._asleep:
             raise SimulationError(f"sleeping node {node_id} performed a CCA")
         hears = self._hears[node_id]
-        for tx in self._active:
-            src = tx.frame.src
-            if src != node_id and tx.start < now and src in hears:
-                return True
         w_start = now - CCA_DURATION
-        for tx in self._recent:
+        for tx in self._air:
             src = tx.frame.src
             if src != node_id and tx.start < now and tx.end > w_start and src in hears:
                 return True
         return False
-
-    def _prune(self, now: int) -> None:
-        cutoff = now - CCA_DURATION
-        self._recent = [tx for tx in self._recent if tx.end > cutoff]

@@ -22,7 +22,8 @@ from pathlib import Path
 
 import yaml
 
-from wpansim.csma import CsmaParams, check_range
+from wpansim.csma import CsmaParams, check_range, check_types, type_error
+from wpansim.kernel import SYMBOL_RATE
 from wpansim.phy import MAX_MSDU_BYTES
 from wpansim.superframe import SuperframeSchedule
 
@@ -69,6 +70,7 @@ class ScenarioSpec:
     ack_enabled: bool = _CSMA_DEFAULTS.ack_enabled
 
     def __post_init__(self):
+        check_types(self)
         if self.mode not in ("nonbeacon", "beacon"):
             raise ValueError(f"mode must be nonbeacon or beacon, got {self.mode!r}")
         check_range("n_devices", self.n_devices, 1)
@@ -97,9 +99,9 @@ class ScenarioSpec:
             if self.run_time_s is not None:
                 raise ValueError("run_time_s and quota are mutually exclusive")
             check_range("quota", self.quota, 1)
-        elif not 0 < self.run_time_s < math.inf:
-            raise ValueError(
-                f"run_time_s must be finite and > 0, got {self.run_time_s}")
+        elif not 1 / SYMBOL_RATE <= self.run_time_s < math.inf:
+            raise ValueError("run_time_s must be finite and at least one symbol "
+                             f"(1/{SYMBOL_RATE} s), got {self.run_time_s}")
         if self.queue_capacity is not None:
             check_range("queue_capacity", self.queue_capacity, 0)
         check_range("seed", self.seed, 0, 2 ** 64 - 1)
@@ -135,6 +137,7 @@ class SweepSpec:
     seed_base: int = 0
 
     def __post_init__(self):
+        check_types(self)
         if not self.axes:
             raise ValueError("axes: a sweep needs at least one axis")
         seen = set()
@@ -176,9 +179,9 @@ class SweepSpec:
 # ---------------------------------------------------------------------------
 # YAML loading with file/line diagnostics.
 
-# Field name -> type annotation; annotations are strings under PEP 563.
+# Field name -> type annotation (a string under PEP 563), for axis values.
 _SCENARIO_KEYS = {f.name: f.type for f in dataclasses.fields(ScenarioSpec)}
-_SWEEP_KEYS = {f.name: f.type for f in dataclasses.fields(SweepSpec)}
+_SWEEP_KEYS = {f.name for f in dataclasses.fields(SweepSpec)}
 
 
 def _collect_lines(node, prefix: tuple, lines: dict, label: str) -> None:
@@ -202,8 +205,8 @@ def _collect_lines(node, prefix: tuple, lines: dict, label: str) -> None:
 
 
 class _Reader:
-    """Type checks over one mapping of a parsed file, for error messages that
-    point at the offending line.  Ranges are the specs' to check."""
+    """One mapping of a parsed file, for error messages that point at the
+    offending line.  Types and ranges are the specs' to check."""
 
     def __init__(self, label: str, lines: dict, raw: dict, prefix: tuple = ()):
         self.label = label
@@ -226,16 +229,6 @@ class _Reader:
             if key not in allowed:
                 self.fail(key, f"unknown key {key!r}")
 
-    def typed(self, key: str, annotation: str):
-        """``raw[key]``, checked against a spec field's type annotation."""
-        value = self.raw[key]
-        error = _type_error(key, value, annotation)
-        if error:
-            self.fail(key, error)
-        if value is not None and annotation.startswith("float"):
-            return float(value)
-        return value
-
     def construct(self, cls, **fields):
         """``cls(**fields)``; a ``ValueError`` is reported at the line of the
         key its message starts with, or else at this mapping's line."""
@@ -246,30 +239,9 @@ class _Reader:
             self.fail(re.match(r"\w*", message)[0], message)
 
 
-_YAML_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
-               "bool": (bool, "true or false")}
-
-
-def _type_error(name: str, value, annotation: str) -> str | None:
-    """Why ``value`` cannot fill a spec field typed ``annotation``, if it cannot.
-
-    Strings pass: every string field of a spec is a choice that the spec
-    checks itself.
-    """
-    kind, _, optional = annotation.partition(" | ")
-    if (value is None and optional) or kind not in _YAML_TYPES:
-        return None
-    types, expected = _YAML_TYPES[kind]
-    # bool is a subclass of int: true/false is neither integer nor number.
-    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, types):
-        return f"{name} must be {expected}, got {value!r}"
-    return None
-
-
 def _build_scenario(reader: _Reader) -> ScenarioSpec:
     reader.reject_unknown(_SCENARIO_KEYS)
-    return reader.construct(ScenarioSpec, **{
-        key: reader.typed(key, _SCENARIO_KEYS[key]) for key in reader.raw})
+    return reader.construct(ScenarioSpec, **reader.raw)
 
 
 def _build_sweep(reader: _Reader) -> SweepSpec:
@@ -294,19 +266,18 @@ def _build_sweep(reader: _Reader) -> SweepSpec:
         if name == "bo_so":
             for v in values:
                 if (not isinstance(v, list) or len(v) != 2
-                        or not all(isinstance(x, int) for x in v)):
+                        or any(type_error(name, x, "int") for x in v)):
                     raise ScenarioError(
                         f"{reader.label}:{line}: bo_so values must be [bo, so] pairs")
             values = [tuple(v) for v in values]
         elif name in _SCENARIO_KEYS:
             for value in values:
-                error = _type_error(name, value, _SCENARIO_KEYS[name])
+                error = type_error(name, value, _SCENARIO_KEYS[name])
                 if error:
                     raise ScenarioError(f"{reader.label}:{line}: {error}")
         axes.append((name, tuple(values)))
 
-    counts = {key: reader.typed(key, _SWEEP_KEYS[key])
-              for key in ("replications", "seed_base") if key in raw}
+    counts = {key: raw[key] for key in ("replications", "seed_base") if key in raw}
     return reader.construct(SweepSpec, base=base, axes=tuple(axes), **counts)
 
 

@@ -9,7 +9,7 @@ import pytest
 from wpansim.csma import CsmaParams, DropReason
 from wpansim.experiment import write_metrics_csv
 from wpansim.kernel import SimulationError, seconds_to_symbols
-from wpansim.metrics import write_packet_log
+from wpansim.metrics import MetricsRow, write_packet_log
 from wpansim.network import StarNetwork
 from wpansim.phy import (ACK_AIRTIME, CCA_DURATION, TURNAROUND, UNIT_BACKOFF,
                          data_frame_airtime)
@@ -203,6 +203,21 @@ def test_deadline_stops_the_run_at_exactly_run_time_s():
         StarNetwork(quota=1000, run_time_s=2.5)
     with pytest.raises(ValueError, match="stop condition is required"):
         StarNetwork()
+
+
+def test_mistyped_csma_params_fail_before_the_run():
+    # An int-typed float reached the backoff draw's shift mid-run.
+    with pytest.raises(ValueError, match="^min_be must be an integer"):
+        StarNetwork(csma_params=CsmaParams(min_be=2.0), quota=1)
+
+
+def test_a_run_is_at_least_one_symbol_long():
+    with pytest.raises(ValueError, match="at least one symbol"):
+        StarNetwork(run_time_s=1e-6)               # rounds to 0 symbols
+    # A window with no packet in it still gets a row, from build_metrics.
+    result = StarNetwork(run_time_s=0.001, interval_s=10).run()
+    assert result.metrics == MetricsRow(0, 0, 0, 0, 0, 0, 0, 62,
+                                        0.0, None, None, None)
 
 
 def test_unset_keywords_take_the_scenario_defaults():

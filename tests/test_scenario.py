@@ -2,9 +2,12 @@
 packaged configuration library."""
 
 import dataclasses
+import re
 
 import pytest
 
+from wpansim.csma import CsmaParams, type_error
+from wpansim.network import StarNetwork
 from wpansim.scenario import (BUILTINS, ScenarioError, ScenarioSpec,
                               SweepSpec, builtin_path, dump_scenario,
                               load_builtin, load_scenario, loads_scenario)
@@ -204,3 +207,47 @@ def test_replacing_base_fields_preserves_validity():
     assert smaller.quota == 10
     with pytest.raises(ValueError):
         dataclasses.replace(sweep.base, msdu=0)
+
+
+_SWEEP = SweepSpec(ScenarioSpec(quota=1), (("msdu", (20,)),))
+
+
+@pytest.mark.parametrize("field,build", [
+    ("seed", lambda: ScenarioSpec(seed=1.5, quota=1)),
+    ("msdu", lambda: StarNetwork(msdu=60.5, quota=1)),
+    ("quota", lambda: StarNetwork(quota=2.5)),
+    ("n_devices", lambda: dataclasses.replace(_SWEEP.base, n_devices=True)),
+    ("ack_enabled", lambda: CsmaParams(ack_enabled="no")),
+    ("seed_base", lambda: dataclasses.replace(_SWEEP, seed_base=2.5)),
+    ("replications", lambda: dataclasses.replace(_SWEEP, replications=1.5)),
+    ("axes", lambda: dataclasses.replace(_SWEEP, axes=(("msdu", (20.5,)),))),
+    ("min_be", lambda: StarNetwork(csma_params=CsmaParams(min_be=2.0), quota=1)),
+])
+def test_library_paths_check_types_as_the_loader_does(field, build):
+    with pytest.raises(ValueError) as err:
+        build()
+    # The loader places an error at the key its message starts with.
+    assert re.match(r"\w+", str(err.value))[0] == field
+
+
+def test_int_in_a_float_field_becomes_a_float():
+    spec = ScenarioSpec(interval_s=1, run_time_s=2)
+    assert type(spec.interval_s) is float and type(spec.run_time_s) is float
+
+
+def test_bo_so_pair_of_a_boolean_is_reported_at_its_entry():
+    with pytest.raises(ScenarioError, match="^f.yaml:4: bo_so values must be"):
+        loads_scenario("base: {mode: beacon, bo: 7, so: 6, run_time_s: 1}\n"
+                       "axes:\n  - [n_devices, [2]]\n  - [bo_so, [[true, 1]]]\n",
+                       label="f.yaml")
+
+
+def test_every_spec_field_is_type_checked_or_exempt():
+    # A new field must have a type the rule checks, or be named here.
+    exempt = {"mode", "distribution", "placement", "base", "axes"}
+    checked = {"int", "float", "bool", "int | None", "float | None"}
+    for cls in (CsmaParams, ScenarioSpec, SweepSpec):
+        for f in dataclasses.fields(cls):
+            if f.name not in exempt:
+                assert f.type in checked, (cls.__name__, f.name, f.type)
+                assert type_error(f.name, "x", f.type), (cls.__name__, f.name)
