@@ -1,8 +1,6 @@
 """One-hop IEEE 802.15.4 star-network simulator and QoS sweep harness."""
 
 from wpansim.csma import CsmaParams, DropReason
-from wpansim.experiment import (ResultsTable, emit_plot_data, run_scenario,
-                                run_scenario_full, run_sweep)
 from wpansim.kernel import (SYMBOL_RATE, Scheduler, SimulationError,
                             seconds_to_symbols, symbols_to_seconds)
 from wpansim.metrics import MetricsRow, PacketRecord
@@ -39,3 +37,11 @@ __all__ = [
     "symbols_to_seconds",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # PEP 562: the names of __all__ not imported above load the sweep layer.
+    if name in __all__:
+        from wpansim import experiment
+        return getattr(experiment, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

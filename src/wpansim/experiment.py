@@ -14,15 +14,18 @@ import csv
 import hashlib
 import json
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from io import StringIO
+from typing import TYPE_CHECKING
 
+from wpansim.csma import type_error
 from wpansim.kernel import SYMBOL_RATE
 from wpansim.metrics import MetricsRow
 from wpansim.network import RunResult, StarNetwork
 from wpansim.scenario import ScenarioSpec, SweepSpec
-from wpansim.trace import MacTrace
+
+if TYPE_CHECKING:
+    from wpansim.trace import MacTrace
 
 __all__ = [
     "replication_seed", "run_scenario", "run_scenario_full",
@@ -141,6 +144,8 @@ def run_sweep(sweep: SweepSpec, jobs: int = 1) -> ResultsTable:
     ``map`` yield outcomes in job order, so output bytes depend only on the
     sweep and its seeds, never on scheduling.
     """
+    if error := type_error("jobs", jobs, "int"):
+        raise ValueError(error)
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
     points = sweep.points()
@@ -158,6 +163,7 @@ def run_sweep(sweep: SweepSpec, jobs: int = 1) -> ResultsTable:
     if workers <= 1:
         outcomes = map(_run_job, jobs_list)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = iter(list(pool.map(_run_job, jobs_list, chunksize=1)))
 

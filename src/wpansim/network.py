@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from wpansim.csma import (ArmAckTimeout, CsmaParams, DeferToNextCap, DoCca, DropReason,
                           Fail, IDLE_STATE, MacInput, MacQueue, Phase, Success,
@@ -26,7 +27,9 @@ from wpansim.phy import (ACK_AIRTIME, BEACON_AIRTIME, CCA_DURATION, Frame,
                          data_frame_airtime)
 from wpansim.scenario import ScenarioSpec
 from wpansim.superframe import SuperframeSchedule, slotted_step
-from wpansim.trace import MacTrace
+
+if TYPE_CHECKING:
+    from wpansim.trace import MacTrace
 
 COORDINATOR = 0
 

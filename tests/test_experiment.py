@@ -89,7 +89,8 @@ def test_sweep_starts_no_more_workers_than_runs(monkeypatch):
         def map(self, fn, iterable, chunksize=1):
             return map(fn, iterable)
 
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessPool)
+    # run_sweep imports the pool class when it needs one, from here.
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
     sweep = _tiny_sweep()                     # 2 points x 3 replications
     expected = run_sweep(sweep).to_csv()
     assert run_sweep(sweep, jobs=64).to_csv() == expected
@@ -202,6 +203,15 @@ def test_plot_data_on_empty_results_is_just_a_header():
     assert emit_plot_data(table, "msdu", "mean_delay_s") == "x\tmean\tstddev\tn\n"
 
 
-def test_run_sweep_validates_jobs():
+def test_run_sweep_validates_jobs(monkeypatch):
     with pytest.raises(ValueError):
         run_sweep(_tiny_sweep(), jobs=0)
+    with pytest.raises(ValueError, match="^jobs must be positive, got -1$"):
+        run_sweep(_tiny_sweep(), jobs=-1)
+    ran = []
+    monkeypatch.setattr(experiment, "run_scenario",
+                        lambda spec, seed=None: ran.append(seed))
+    for jobs in (True, 2.5, "2"):
+        with pytest.raises(ValueError, match="^jobs must be an integer, got "):
+            run_sweep(_tiny_sweep(), jobs=jobs)
+    assert ran == []                          # rejected before any job ran

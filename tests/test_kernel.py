@@ -334,10 +334,53 @@ assert main(["run", "--config", {str(config)!r}, "--out", {str(tmp_path / "m.csv
              "--trace", {str(tmp_path / "t.tsv")!r}]) == 0
 assert "numpy" not in sys.modules, "wpansim run loaded numpy"
 """
+    _run_fresh(script)
+    assert (tmp_path / "p.csv").read_text().count("\n") == 1 + 4 * 5
+
+
+def _run_fresh(script: str) -> None:
+    """Run ``script`` in a new interpreter that imports wpansim from ``src``."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert (tmp_path / "p.csv").read_text().count("\n") == 1 + 4 * 5
+
+
+def test_a_run_loads_neither_the_process_pool_nor_the_sweep_layer(tmp_path):
+    config = tmp_path / "tiny.yaml"
+    config.write_text("mode: nonbeacon\nn_devices: 4\nquota: 5\nseed: 8\n")
+    script = f"""
+import sys
+import wpansim
+wpansim.StarNetwork(n_devices=4, msdu=60, interval_s=0.02, quota=5, seed=1).run()
+loaded = [name for name in ("multiprocessing", "concurrent.futures.process",
+                            "wpansim.experiment", "wpansim.trace")
+          if name in sys.modules]
+assert not loaded, f"a network run loaded {{loaded}}"
+from wpansim.cli import main
+assert main(["run", "--config", {str(config)!r}, "--out", {str(tmp_path / "m.csv")!r},
+             "--trace", {str(tmp_path / "t.tsv")!r}]) == 0
+assert "multiprocessing" not in sys.modules, "wpansim run --trace loaded multiprocessing"
+from wpansim import run_sweep
+import wpansim.experiment
+assert run_sweep is wpansim.experiment.run_sweep
+"""
+    _run_fresh(script)
+    assert (tmp_path / "t.tsv").is_file()
+
+
+def test_the_package_binds_every_public_name():
+    import wpansim
+    import wpansim.experiment
+
+    namespace = {}
+    exec("from wpansim import *", namespace)
+    assert set(wpansim.__all__) <= namespace.keys()
+    assert wpansim.run_sweep is wpansim.experiment.run_sweep
+    assert not hasattr(wpansim, "no_such_name")
+    from wpansim import cli, csma, metrics, network, scenario
+    assert [m.__name__ for m in (cli, csma, metrics, network, scenario)] == [
+        "wpansim.cli", "wpansim.csma", "wpansim.metrics", "wpansim.network",
+        "wpansim.scenario"]
