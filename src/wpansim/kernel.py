@@ -92,6 +92,18 @@ class Scheduler:
         heapq.heappush(self._heap, entry)
         return entry
 
+    def hold(self, time: int, fn, arg=None) -> list:
+        """The entry :meth:`at` would queue now, kept out of the queue: its
+        ``seq`` is taken now, so :meth:`release` queues it in its FIFO place."""
+        return [time, self._next_seq(), fn, arg]
+
+    def release(self, entry: list) -> None:
+        """Queue an entry from :meth:`hold`; its time must not have passed."""
+        if entry[_TIME] < self.now:
+            raise SimulationError(
+                f"event released at {entry[_TIME]} before current time {self.now}")
+        heapq.heappush(self._heap, entry)
+
     def cancel(self, handle: list) -> bool:
         """Cancel a pending event; False if it already fired or was cancelled."""
         if handle[_FN] is None:

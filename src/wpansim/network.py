@@ -48,7 +48,7 @@ _AWAITING_ACK = Phase.AWAITING_ACK
 class Device:
     """Per-device MAC driver state; protocol logic lives in the step functions."""
 
-    __slots__ = ("id", "queue", "rng", "traffic_rng", "state", "current",
+    __slots__ = ("id", "queue", "rng", "traffic_rng", "state", "row", "current",
                  "ack_timer", "tx", "generated", "last_intact")
 
     def __init__(self, node_id: int, queue_capacity: int | None,
@@ -58,6 +58,7 @@ class Device:
         self.rng = rng
         self.traffic_rng = traffic_rng
         self.state: TxAttemptState = IDLE_STATE
+        self.row: dict = {}     # the network's transition row for ``state``
         self.current: PacketRecord | None = None
         self.ack_timer = None
         self.tx = None
@@ -118,9 +119,11 @@ class StarNetwork:
                                        rngs.draws("backoff", node_id),
                                        rngs.draws("traffic", node_id)))
 
-        # (id(state), input value) -> (next state, action or None for a Wait):
-        # a cache of the step function's answers for this network's params.
-        self._transitions: dict[tuple, tuple] = {}
+        # The step functions' answers for these params, as linked rows:
+        # id(state) -> {input value: (next state, action or None for a Wait,
+        # its performer from _PERFORM, the next state's row)}.  States are
+        # interned for the life of the process, so an id cannot alias.
+        self._transitions: dict[int, dict] = {id(IDLE_STATE): {}}
         self._asked_cap = False
         self.log: list[PacketRecord] = []
         self._resolved = 0
@@ -180,84 +183,91 @@ class StarNetwork:
 
     def _start_attempt(self, dev: Device) -> None:
         dev.state = IDLE_STATE
+        dev.row = self._transitions[id(IDLE_STATE)]
         self._feed(dev, _IN_START_TX)
 
     def _feed(self, dev: Device, event: MacInput) -> None:
-        # Every state the machines return is interned for the life of the
-        # process, so its id cannot alias; hashing the dataclass or the Enum
-        # member would run Python code.
-        key = (id(dev.state), event._value_)
-        known = self._transitions.get(key)
+        known = dev.row.get(event._value_)
         if known is None:
-            dev.state, action = self._ask_step(dev, event, key)
-        else:
-            dev.state, action = known
-            if action is None:      # a cached Wait: draw a fresh length
-                action = backoff_wait(dev.rng, dev.state.be)
-        self._apply(dev, action)
+            self._ask_step(dev, event)
+            return
+        dev.state, action, perform, dev.row = known
+        if action is None:      # a cached Wait: draw a fresh length
+            action = backoff_wait(dev.rng, dev.state.be)
+        perform(self, dev, action)
 
-    def _ask_step(self, dev: Device, event: MacInput, key: tuple):
+    def _ask_step(self, dev: Device, event: MacInput) -> None:
         """Ask the step function, and remember its answer unless that read
         the clock (``fits_cap``).  A Wait is remembered without its length,
         and an invalid input raises before anything is stored."""
         self._asked_cap = False
         if self.slotted:
-            result = slotted_step(dev.state, event, self.csma, dev.rng,
-                                  self._fits_cap)
+            state, action = slotted_step(dev.state, event, self.csma, dev.rng,
+                                         self._fits_cap)
         else:
-            result = unslotted_step(dev.state, event, self.csma, dev.rng)
+            state, action = unslotted_step(dev.state, event, self.csma, dev.rng)
+        row = self._transitions.setdefault(id(state), {})
         if not self._asked_cap:
-            state, action = result
-            self._transitions[key] = (state, None) if type(action) is Wait else result
-        return result
+            dev.row[event._value_] = (state, None if type(action) is Wait else action,
+                                      _PERFORM[type(action)], row)
+        dev.state, dev.row = state, row
+        self._apply(dev, action)
 
     def _apply(self, dev: Device, action) -> None:
+        _PERFORM[type(action)](self, dev, action)
+
+    def _do_wait(self, dev: Device, action: Wait) -> None:
         now = self.sched.now
-        if type(action) is Wait:
-            units = action.duration // UNIT_BACKOFF
-            if self.trace is not None:
-                self.trace.add(now, dev.id, "backoff-start", dev.current.packet_id,
-                               f"be={dev.state.be} units={units}")
-            if self.slotted:
-                end = self.schedule.countdown_end(now, units)
-                self.sched.at(end, self._on_countdown_done, dev, kind=_EV_BACKOFF)
-            else:
-                self.sched.at(now + action.duration, self._on_backoff_expired,
-                              dev, kind=_EV_BACKOFF)
-        elif type(action) is DoCca:
-            self._issue_cca(dev)
-        elif type(action) is Transmit:
-            if self.slotted:
-                # CCA result instants sit 8 symbols into a period; the frame
-                # goes out on the next 20-symbol boundary.
-                self.sched.at(now + (UNIT_BACKOFF - CCA_DURATION), self._begin_data_tx,
-                              dev, kind=_EV_TX_START)
-            else:
-                self._begin_data_tx(dev)
-        elif type(action) is ArmAckTimeout:
-            dev.ack_timer = self.sched.at(now + action.duration, self._on_ack_timeout,
-                                          dev, kind=_EV_ACK_TIMEOUT)
-        elif type(action) is Success:
-            rec = dev.current
-            if self.csma.ack_enabled or dev.last_intact:
-                rec.rx_time = now
-                if self.trace is not None:
-                    self.trace.add(now, dev.id, "delivered", rec.packet_id)
-                self._count_resolution()
-            else:
-                self._resolve_drop(rec, DropReason.RETRY_EXHAUSTED)
-            self._next_frame(dev)
-        elif type(action) is Fail:
-            self._resolve_drop(dev.current, action.reason)
-            self._next_frame(dev)
-        elif type(action) is DeferToNextCap:
-            if self.trace is not None:
-                self.trace.add(now, dev.id, "defer", dev.current.packet_id)
-            # Both CCAs are redone at the start of the next CAP.
-            self.sched.at(self.schedule.next_cap_start(now), self._issue_cca,
-                          dev, kind=_EV_BACKOFF)
+        units = action.duration // UNIT_BACKOFF
+        if self.trace is not None:
+            self.trace.add(now, dev.id, "backoff-start", dev.current.packet_id,
+                           f"be={dev.state.be} units={units}")
+        if self.slotted:
+            end = self.schedule.countdown_end(now, units)
+            self.sched.at(end, self._on_countdown_done, dev, kind=_EV_BACKOFF)
         else:
-            raise SimulationError(f"unhandled MAC action {action!r}")
+            self.sched.at(now + action.duration, self._on_backoff_expired,
+                          dev, kind=_EV_BACKOFF)
+
+    def _do_transmit(self, dev: Device, action: Transmit) -> None:
+        if self.slotted:
+            # CCA result instants sit 8 symbols into a period; the frame
+            # goes out on the next 20-symbol boundary.
+            self.sched.at(self.sched.now + (UNIT_BACKOFF - CCA_DURATION),
+                          self._begin_data_tx, dev, kind=_EV_TX_START)
+        else:
+            self._begin_data_tx(dev)
+
+    def _do_arm(self, dev: Device, action: ArmAckTimeout) -> None:
+        when = self.sched.now + action.duration
+        if dev.last_intact:
+            # The ACK decides, at its end, whether this timeout is queued.
+            dev.ack_timer = self.sched.hold(when, self._on_ack_timeout, dev)
+        else:
+            self.sched.at(when, self._on_ack_timeout, dev, kind=_EV_ACK_TIMEOUT)
+
+    def _do_success(self, dev: Device, action: Success) -> None:
+        rec = dev.current
+        if self.csma.ack_enabled or dev.last_intact:
+            rec.rx_time = now = self.sched.now
+            if self.trace is not None:
+                self.trace.add(now, dev.id, "delivered", rec.packet_id)
+            self._count_resolution()
+        else:
+            self._resolve_drop(rec, DropReason.RETRY_EXHAUSTED)
+        self._next_frame(dev)
+
+    def _do_fail(self, dev: Device, action: Fail) -> None:
+        self._resolve_drop(dev.current, action.reason)
+        self._next_frame(dev)
+
+    def _do_defer(self, dev: Device, action: DeferToNextCap) -> None:
+        now = self.sched.now
+        if self.trace is not None:
+            self.trace.add(now, dev.id, "defer", dev.current.packet_id)
+        # Both CCAs are redone at the start of the next CAP.
+        self.sched.at(self.schedule.next_cap_start(now), self._issue_cca,
+                      dev, kind=_EV_BACKOFF)
 
     def _on_backoff_expired(self, dev: Device) -> None:
         self._feed(dev, _IN_BACKOFF_EXPIRED)
@@ -284,7 +294,7 @@ class StarNetwork:
         _, cap_end = schedule.cap_bounds(schedule.index_at(now))
         return now + (UNIT_BACKOFF - CCA_DURATION) + self.transaction <= cap_end
 
-    def _issue_cca(self, dev: Device) -> None:
+    def _issue_cca(self, dev: Device, action: DoCca | None = None) -> None:
         now = self.sched.now
         if self.slotted and dev.state.cw == 1:
             start = now + (UNIT_BACKOFF - CCA_DURATION)  # next boundary
@@ -344,11 +354,12 @@ class StarNetwork:
         self.medium.end_tx(tx, now)
         if self.trace is not None:
             self.trace.add(now, COORDINATOR, "ack-end", tx.frame.packet_id)
-        if self.medium.heard_intact(tx, dev.id):
-            if (dev.state.phase is _AWAITING_ACK and dev.current is not None
-                    and dev.current.packet_id == tx.frame.packet_id):
-                self.sched.cancel(dev.ack_timer)
-                self._feed(dev, _IN_ACK_RECEIVED)
+        timer, dev.ack_timer = dev.ack_timer, None
+        if (self.medium.heard_intact(tx, dev.id) and dev.state.phase is _AWAITING_ACK
+                and dev.current.packet_id == tx.frame.packet_id):
+            self._feed(dev, _IN_ACK_RECEIVED)      # the held timeout is dropped
+        else:
+            self.sched.release(timer)
 
     def _on_ack_timeout(self, dev: Device) -> None:
         if self.trace is not None:
@@ -409,3 +420,11 @@ class StarNetwork:
             self.medium.set_awake(node_id, False, now)
         if self.trace is not None:
             self.trace.add(now, COORDINATOR, "sleep", -1, f"k={k}")
+
+
+# Each action's performer, called as perform(network, dev, action).  Plain
+# functions: bound methods in the rows would make every network a cycle.
+_PERFORM = {Wait: StarNetwork._do_wait, DoCca: StarNetwork._issue_cca,
+            Transmit: StarNetwork._do_transmit, ArmAckTimeout: StarNetwork._do_arm,
+            Success: StarNetwork._do_success, Fail: StarNetwork._do_fail,
+            DeferToNextCap: StarNetwork._do_defer}

@@ -10,7 +10,7 @@ transmitting for the whole frame, otherwise the frame is missed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 from wpansim.kernel import SimulationError
@@ -66,15 +66,18 @@ class Frame:
     packet_id: int = -1
 
 
-@dataclass(slots=True)
 class Transmission:
-    frame: Frame
-    start: int
-    end: int
-    # Other transmissions that overlapped this one in time at any point.
-    overlappers: list["Transmission"] = field(default_factory=list)
-    # Receivers that slept or transmitted during the frame and so missed it.
-    deaf: set[int] = field(default_factory=set)
+    __slots__ = ("frame", "start", "end", "overlappers", "deaf")
+
+    def __init__(self, frame: Frame, start: int, end: int):
+        self.frame = frame
+        self.start = start
+        self.end = end
+        # Senders of the frames that overlapped this one in time at any point;
+        # holding the frames themselves would tie overlapping ones in cycles.
+        self.overlappers: list[int] = []
+        # Receivers that slept or transmitted during the frame and so missed it.
+        self.deaf: set[int] = set()
 
 
 class Medium:
@@ -138,8 +141,8 @@ class Medium:
         for other in self._air:
             # A transmission ending exactly now does not overlap [now, end).
             if other.end > now:
-                tx.overlappers.append(other)
-                other.overlappers.append(tx)
+                tx.overlappers.append(other.frame.src)
+                other.overlappers.append(src)
                 other.deaf.add(src)
                 tx.deaf.add(other.frame.src)   # busy sending its own frame
         if self._asleep:
@@ -163,7 +166,7 @@ class Medium:
         hears = self._hears[node_id]
         if src not in hears:
             return False
-        return all(o.frame.src not in hears for o in tx.overlappers)
+        return hears.isdisjoint(tx.overlappers)
 
     def cca_busy(self, node_id: int, now: int) -> bool:
         """Channel state over the CCA window [now - 8, now).

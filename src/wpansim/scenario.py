@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-import yaml
-
 from wpansim.csma import CsmaParams, check_range, check_types, type_error
 from wpansim.kernel import SYMBOL_RATE
 from wpansim.phy import MAX_MSDU_BYTES
@@ -186,6 +184,7 @@ _SWEEP_KEYS = {f.name for f in dataclasses.fields(SweepSpec)}
 
 def _collect_lines(node, prefix: tuple, lines: dict, label: str) -> None:
     """Map every key/item path in the YAML document to its 1-based line."""
+    import yaml
     if isinstance(node, yaml.MappingNode):
         seen = set()
         for key_node, value_node in node.value:
@@ -283,6 +282,7 @@ def _build_sweep(reader: _Reader) -> SweepSpec:
 
 def loads_scenario(text: str, label: str = "<string>") -> ScenarioSpec | SweepSpec:
     """Parse scenario or sweep YAML from a string; ``label`` names it in errors."""
+    import yaml     # loaded on first use: a process that only runs networks skips it
     loader = yaml.SafeLoader(text)
     lines: dict = {}
     try:
@@ -332,6 +332,7 @@ def _scenario_dict(spec: ScenarioSpec) -> dict:
 
 def dump_scenario(spec: ScenarioSpec | SweepSpec) -> str:
     """Serialize a spec back to YAML text."""
+    import yaml
     if isinstance(spec, SweepSpec):
         data = {
             "base": _scenario_dict(spec.base),

@@ -81,6 +81,43 @@ def test_cancel_semantics():
     assert sched.cancel(keeper) is False      # already fired
 
 
+def test_a_released_entry_keeps_the_fifo_place_it_was_held_in():
+    sched = Scheduler()
+    fired = []
+    held = sched.hold(30, fired.append, "held")
+
+    def later(_):
+        sched.at(30, fired.append, "queued")
+        sched.release(held)
+
+    sched.at(10, later)
+    summary = sched.run()
+    assert fired == ["held", "queued"]
+    assert summary.events_processed == 3
+
+
+def test_releasing_an_entry_whose_time_has_passed_is_an_error():
+    sched = Scheduler()
+    held = sched.hold(5, lambda _: None)
+    sched.at(10, lambda _: None)
+    sched.run()
+    with pytest.raises(SimulationError, match="released at 5 before current time 10"):
+        sched.release(held)
+
+
+def test_an_entry_never_released_never_fires_and_is_not_pending():
+    sched = Scheduler()
+    fired = []
+    sched.hold(10, fired.append, "held")
+    assert not sched.pending()
+    sched.at(20, fired.append, "queued")
+    assert sched.pending()
+    summary = sched.run()
+    assert fired == ["queued"]
+    assert summary.events_processed == 1
+    assert not sched.pending()
+
+
 def test_until_stops_exactly_at_limit_without_firing_boundary_events():
     sched = Scheduler()
     fired = []
@@ -356,9 +393,11 @@ import sys
 import wpansim
 wpansim.StarNetwork(n_devices=4, msdu=60, interval_s=0.02, quota=5, seed=1).run()
 loaded = [name for name in ("multiprocessing", "concurrent.futures.process",
-                            "wpansim.experiment", "wpansim.trace")
+                            "wpansim.experiment", "wpansim.trace", "yaml")
           if name in sys.modules]
 assert not loaded, f"a network run loaded {{loaded}}"
+assert wpansim.load_builtin("nonbeacon-defaults").n_devices == 8
+assert "yaml" in sys.modules
 from wpansim.cli import main
 assert main(["run", "--config", {str(config)!r}, "--out", {str(tmp_path / "m.csv")!r},
              "--trace", {str(tmp_path / "t.tsv")!r}]) == 0

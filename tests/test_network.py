@@ -1,19 +1,22 @@
 """End-to-end star-network runs: delivery timing, drop accounting,
 stop conditions, determinism, and beacon-mode structure."""
 
+import dataclasses
+import gc
 import hashlib
+import weakref
 from io import StringIO
 
 import pytest
 
 from wpansim.csma import CsmaParams, DropReason
-from wpansim.experiment import write_metrics_csv
-from wpansim.kernel import SimulationError, seconds_to_symbols
+from wpansim.experiment import run_scenario_full, write_metrics_csv
+from wpansim.kernel import Scheduler, SimulationError, seconds_to_symbols
 from wpansim.metrics import MetricsRow, write_packet_log
-from wpansim.network import StarNetwork
+from wpansim.network import Device, StarNetwork
 from wpansim.phy import (ACK_AIRTIME, CCA_DURATION, TURNAROUND, UNIT_BACKOFF,
-                         data_frame_airtime)
-from wpansim.scenario import ScenarioSpec
+                         Transmission, data_frame_airtime)
+from wpansim.scenario import ScenarioSpec, load_builtin
 from wpansim.superframe import SuperframeSchedule
 from wpansim.trace import MacTrace
 
@@ -266,3 +269,51 @@ def test_random_placement_outputs_are_pinned(tmp_path):
         "11a9393bce8210be9dd7a41509f56741185d4ec7fa51ca28f749f5954d1221cb")
     assert hashlib.sha256((tmp_path / "packets.csv").read_bytes()).hexdigest() == (
         "a3fb52a9e497b56b63cd545da76bbb0b39d4904bbc8cb9f6c13dcc86efec28d0")
+
+
+def test_every_queued_event_fires_or_is_left_pending(monkeypatch):
+    # An ACK timeout is queued only once no intact ACK can arrive, so no
+    # cancelled entry costs the heap a push and a pop.
+    queued, scheds = [0], []
+
+    def counted(method):
+        def wrapper(self, *args, **kwargs):
+            queued[0] += 1
+            scheds.append(self)
+            return method(self, *args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(Scheduler, "at", counted(Scheduler.at))
+    monkeypatch.setattr(Scheduler, "release", counted(Scheduler.release))
+    spec = dataclasses.replace(load_builtin("nonbeacon-defaults"), quota=200)
+    result = run_scenario_full(spec)
+    assert len(set(map(id, scheds))) == 1
+    live = sum(entry[2] is not None for entry in scheds[0]._heap)
+    assert result.metrics.delivered > 0
+    assert queued[0] == result.summary.events_processed + live
+
+
+def test_a_finished_network_is_freed_without_the_cycle_collector():
+    # The transition rows hold plain functions, not bound methods, and a
+    # transmission holds the senders of the frames it overlapped, not the
+    # frames, so neither a network nor its collided frames wait for the
+    # cycle collector.
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    gc.garbage.clear()
+    try:
+        net = StarNetwork(n_devices=8, msdu=60, interval_s=0.01, quota=25, seed=9)
+        log = net.run().log
+        assert any(net._transitions.values())
+        assert any(rec.tx_count > 1 for rec in log)      # frames collided
+        ref = weakref.ref(net)
+        del net, log
+        assert ref() is None
+        gc.collect()
+        cyclic = {type(obj).__name__ for obj in gc.garbage
+                  if isinstance(obj, (StarNetwork, Device, Transmission))}
+        assert not cyclic
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()

@@ -1,12 +1,15 @@
 """The per-network table of CSMA-CA transitions is only a cache.
 
-``StarNetwork._feed`` answers an input it has seen in a state from its table
-and asks ``unslotted_step`` / ``slotted_step`` otherwise.  These tests hold
-the table to the step functions: whole runs match a reference ``_feed`` that
-asks the step function on every input, an invalid input still raises on a
-warm table, and every cached ``Wait`` draws a fresh length from the stream.
+``StarNetwork._feed`` answers an input it has seen in a state from the row
+of that state in its table, and asks ``unslotted_step`` / ``slotted_step``
+otherwise.  These tests hold the table to the step functions: whole runs
+match a reference ``_feed`` that asks the step function on every input, an
+invalid input still raises on a warm table, and every cached ``Wait`` draws
+a fresh length from the stream.
 """
 
+import copy
+import re
 from io import StringIO
 
 import pytest
@@ -82,7 +85,7 @@ def test_the_table_replays_exactly_what_the_step_functions_answer(kwargs):
         _, reference = traced_run(kwargs)
     assert shipped == reference
     if shipped[0]:                   # a packet arrived, so a transition was stored
-        assert net._transitions
+        assert any(net._transitions.values())
 
 
 def test_the_slotted_example_defers():
@@ -95,8 +98,8 @@ def test_an_invalid_input_raises_on_a_warm_table(mode):
     net = StarNetwork(**ORDERS[mode], n_devices=3, msdu=60, interval_s=0.01,
                       run_time_s=0.5, seed=3)
     net.run()
-    stored = dict(net._transitions)
-    assert stored
+    stored = copy.deepcopy(net._transitions)
+    assert any(stored.values())
     for dev in net.devices:
         invalid = MacInput.TX_DONE if dev.state.phase is Phase.IDLE else MacInput.START_TX
         for _ in range(2):
@@ -110,16 +113,19 @@ def test_each_hit_on_a_cached_wait_draws_a_fresh_length(mode, monkeypatch):
     net = StarNetwork(**ORDERS[mode], n_devices=2, msdu=60, interval_s=0.01,
                       run_time_s=0.2, seed=3)
     net.run()
-    key = (id(IDLE_STATE), MacInput.START_TX.value)
-    cached_state, cached_action = net._transitions[key]
+    row = net._transitions[id(IDLE_STATE)]
+    cached_state, cached_action, perform, next_row = row[MacInput.START_TX.value]
     assert cached_action is None                  # stored without its length
+    assert perform is network._PERFORM[Wait]
+    assert next_row is net._transitions[id(cached_state)]
 
     def no_step(*args):
         raise AssertionError("a table hit must not ask the step function")
     monkeypatch.setattr(network, "unslotted_step", no_step)
     monkeypatch.setattr(network, "slotted_step", no_step)
-    waits = []
-    monkeypatch.setattr(net, "_apply", lambda dev, action: waits.append(action))
+    sink = StringIO()
+    net.trace = MacTrace(sink)
+    net.trace.use_schedule(net.schedule)
 
     dev = net.devices[0]
     dev.current = PacketRecord(0, dev.id, 0, 60)
@@ -128,7 +134,9 @@ def test_each_hit_on_a_cached_wait_draws_a_fresh_length(mode, monkeypatch):
     expected = [rng_uniform_units(oracle, cached_state.be) for _ in range(2)]
     assert expected[0] != expected[1]
     for _ in range(2):
-        dev.state = IDLE_STATE
+        dev.state, dev.row = IDLE_STATE, row
         net._feed(dev, MacInput.START_TX)
-        assert dev.state is cached_state
+        assert dev.state is cached_state and dev.row is next_row
+    waits = [Wait(int(units) * UNIT_BACKOFF)
+             for units in re.findall(r"\tbackoff-start\t.*units=(\d+)", sink.getvalue())]
     assert waits == [Wait(units * UNIT_BACKOFF) for units in expected]
