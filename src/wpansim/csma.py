@@ -7,8 +7,9 @@ action (wait, CCA, transmit, arm a timer) and feeds the observed outcome back
 as the next input, which keeps the protocol logic unit-testable without a
 simulator.  States and actions are interned, so a transition allocates nothing.
 For fixed parameters a transition depends only on ``(state, input)``, apart
-from its backoff draw (:func:`backoff_wait`) and the slotted ``fits_cap``
-query, so a caller may cache the answers (see ``StarNetwork._feed``).
+from its backoff draw (:func:`backoff_wait`) and the answer of the slotted
+``fits_cap`` query, so a caller may cache the answers, one per ``fits_cap``
+answer where the query is asked (see ``StarNetwork._feed`` and ``_do_fit``).
 
 The slotted variant (contention window, CAP deference) shares this core; see
 :func:`wpansim.superframe.slotted_step`.

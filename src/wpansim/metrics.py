@@ -114,16 +114,17 @@ PACKET_LOG_COLUMNS = ["node", "gen_time_symbols", "msdu_len", "outcome",
 
 
 def write_packet_log(path, log: list[PacketRecord]) -> None:
+    # The bytes csv.writer would write, "\r\n" line ends included: no field
+    # needs quoting, since each is an integer or a fixed word.
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PACKET_LOG_COLUMNS)
+        fh.write(",".join(PACKET_LOG_COLUMNS) + "\r\n")
         for rec in log:
             if rec.rx_time is not None:
                 outcome, detail = "delivered", rec.rx_time
             else:
                 outcome, detail = "dropped", rec.drop_reason.value
-            writer.writerow([rec.node, rec.gen_time, rec.msdu_len, outcome,
-                             detail, rec.packet_id, rec.tx_count])
+            fh.write(f"{rec.node},{rec.gen_time},{rec.msdu_len},{outcome},{detail},"
+                     f"{rec.packet_id},{rec.tx_count}\r\n")
 
 
 def read_packet_log(path) -> list[PacketRecord]:

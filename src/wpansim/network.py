@@ -95,8 +95,8 @@ class StarNetwork:
             trace.use_schedule(self.schedule)
 
         self.data_airtime = data_frame_airtime(spec.msdu)
-        # Time on air a transmission must reserve before the CAP end.
-        self.transaction = self.data_airtime + (
+        # From the second idle CCA's end to the end of its transaction.
+        self._fit_span = (UNIT_BACKOFF - CCA_DURATION) + self.data_airtime + (
             TURNAROUND + ACK_AIRTIME if self.csma.ack_enabled else 0)
 
         self.sched = Scheduler()
@@ -121,16 +121,15 @@ class StarNetwork:
 
         # The step functions' answers for these params, as linked rows:
         # id(state) -> {input value: (next state, action or None for a Wait,
-        # its performer from _PERFORM, the next state's row)}.  States are
-        # interned for the life of the process, so an id cannot alias.
+        # its performer from _PERFORM, the next state's row)}, CAP-fit ones as
+        # _do_fit reads them.  States are interned for the life of the
+        # process, so an id cannot alias.
         self._transitions: dict[int, dict] = {id(IDLE_STATE): {}}
-        self._asked_cap = False
+        self._fit = self._cap = None    # the last fits_cap answer; the current CAP
         self.log: list[PacketRecord] = []
         self._resolved = 0
         self._total_quota = None if spec.quota is None else spec.quota * n_devices
         self._period_symbols = max(1, seconds_to_symbols(spec.interval_s))
-
-    # ---------------------------------------------------------------- run
 
     def run(self) -> RunResult:
         if self.slotted:
@@ -151,8 +150,6 @@ class StarNetwork:
         start = self.log[0].gen_time if self.log else 0
         metrics = build_metrics(self.log, start, summary.end_time)
         return RunResult(metrics, summary, self.log)
-
-    # ------------------------------------------------------------ traffic
 
     def _schedule_arrival(self, dev: Device) -> None:
         if self.distribution == "exponential":
@@ -179,8 +176,6 @@ class StarNetwork:
         else:
             self._resolve_drop(rec, DropReason.QUEUE_OVERFLOW)
 
-    # ------------------------------------------------------ MAC sequencing
-
     def _start_attempt(self, dev: Device) -> None:
         dev.state = IDLE_STATE
         dev.row = self._transitions[id(IDLE_STATE)]
@@ -197,24 +192,38 @@ class StarNetwork:
         perform(self, dev, action)
 
     def _ask_step(self, dev: Device, event: MacInput) -> None:
-        """Ask the step function, and remember its answer unless that read
-        the clock (``fits_cap``).  A Wait is remembered without its length,
-        and an invalid input raises before anything is stored."""
-        self._asked_cap = False
+        """Ask the step function and remember its answer: a Wait without its
+        length, one that asked ``fits_cap`` under that answer (``_do_fit``).
+        An invalid input raises before anything is stored."""
+        self._fit = None
         if self.slotted:
             state, action = slotted_step(dev.state, event, self.csma, dev.rng,
                                          self._fits_cap)
         else:
             state, action = unslotted_step(dev.state, event, self.csma, dev.rng)
         row = self._transitions.setdefault(id(state), {})
-        if not self._asked_cap:
+        perform = _PERFORM[type(action)]
+        if self._fit is None:
             dev.row[event._value_] = (state, None if type(action) is Wait else action,
-                                      _PERFORM[type(action)], row)
+                                      perform, row)
+        else:   # into the state's row: after a _do_fit miss dev.row is the answers
+            answers = self._transitions[id(dev.state)].setdefault(
+                event._value_, (dev.state, event, _PERFORM[MacInput], {}))[3]
+            answers[self._fit] = (state, action, perform, row if self._fit else None)
         dev.state, dev.row = state, row
-        self._apply(dev, action)
+        perform(self, dev, action)
 
-    def _apply(self, dev: Device, action) -> None:
-        _PERFORM[type(action)](self, dev, action)
+    def _do_fit(self, dev: Device, event: MacInput) -> None:
+        # Performs a transition that asks fits_cap: its entry keeps the state
+        # and holds, as its row, an entry per answer.  A deferral's has no row:
+        # linking the state its CCA pair began in would close a cycle.
+        known = dev.row.get(self._fits_cap())
+        if known is None:
+            self._ask_step(dev, event)
+            return
+        dev.state, action, perform, row = known
+        dev.row = self._transitions[id(dev.state)] if row is None else row
+        perform(self, dev, action)
 
     def _do_wait(self, dev: Device, action: Wait) -> None:
         now = self.sched.now
@@ -277,10 +286,9 @@ class StarNetwork:
         # CCA pair (which needs to resolve strictly before nodes sleep); if so
         # it carries over to the next CAP, like the pause rule.
         now = self.sched.now
-        schedule = self.schedule
-        cap_start, cap_end = schedule.cap_bounds(schedule.index_at(now))
+        cap_start, cap_end = self._cap
         if now < cap_start or now + UNIT_BACKOFF + CCA_DURATION >= cap_end:
-            self.sched.at(schedule.next_cap_start(now), self._on_countdown_done,
+            self.sched.at(self.schedule.next_cap_start(now), self._on_countdown_done,
                           dev, kind=_EV_BACKOFF)
             return
         self._feed(dev, _IN_BACKOFF_EXPIRED)
@@ -288,11 +296,8 @@ class StarNetwork:
     def _fits_cap(self) -> bool:
         # Asked at the second idle CCA, which ends inside the CAP its pair
         # started in: the transaction must end by that CAP's end.
-        self._asked_cap = True
-        now = self.sched.now
-        schedule = self.schedule
-        _, cap_end = schedule.cap_bounds(schedule.index_at(now))
-        return now + (UNIT_BACKOFF - CCA_DURATION) + self.transaction <= cap_end
+        self._fit = self.sched.now + self._fit_span <= self._cap[1]
+        return self._fit
 
     def _issue_cca(self, dev: Device, action: DoCca | None = None) -> None:
         now = self.sched.now
@@ -311,8 +316,6 @@ class StarNetwork:
             self.trace.add(self.sched.now, dev.id, "cca-result",
                            dev.current.packet_id, "busy" if busy else "idle")
         self._feed(dev, _IN_CCA_BUSY if busy else _IN_CCA_IDLE)
-
-    # ------------------------------------------------------- transmissions
 
     def _begin_data_tx(self, dev: Device) -> None:
         now = self.sched.now
@@ -367,8 +370,6 @@ class StarNetwork:
                            dev.current.packet_id)
         self._feed(dev, _IN_ACK_TIMEOUT)
 
-    # --------------------------------------------------------- resolution
-
     def _resolve_drop(self, rec: PacketRecord, reason: DropReason) -> None:
         rec.drop_reason = reason
         if self.trace is not None:
@@ -386,14 +387,13 @@ class StarNetwork:
         if dev.current is not None:
             self._start_attempt(dev)
 
-    # ---------------------------------------------------------- superframe
-
     def _on_superframe_start(self, k: int) -> None:
         # A quota run whose device events ran dry opens no more superframes,
         # so the heap drains and run() reports the unmet quota.
         if self.quota is not None and not self.sched.pending():
             return
         now = self.sched.now
+        self._cap = self.schedule.cap_bounds(k)
         for node_id in range(len(self.devices) + 1):
             self.medium.set_awake(node_id, True, now)
         beacon = Frame(FrameKind.BEACON, COORDINATOR, BEACON_AIRTIME)
@@ -422,9 +422,9 @@ class StarNetwork:
             self.trace.add(now, COORDINATOR, "sleep", -1, f"k={k}")
 
 
-# Each action's performer, called as perform(network, dev, action).  Plain
-# functions: bound methods in the rows would make every network a cycle.
+# Each action's performer (a CAP-fit entry's action is its input), called as
+# perform(network, dev, action): bound methods would make each network a cycle.
 _PERFORM = {Wait: StarNetwork._do_wait, DoCca: StarNetwork._issue_cca,
             Transmit: StarNetwork._do_transmit, ArmAckTimeout: StarNetwork._do_arm,
             Success: StarNetwork._do_success, Fail: StarNetwork._do_fail,
-            DeferToNextCap: StarNetwork._do_defer}
+            DeferToNextCap: StarNetwork._do_defer, MacInput: StarNetwork._do_fit}

@@ -1,10 +1,12 @@
 """QoS metric formulas, outcome accounting, and log file round-trips."""
 
+import csv
+
 import pytest
 
 from wpansim.csma import DropReason
-from wpansim.metrics import (MetricsRow, PacketRecord, build_metrics,
-                             read_packet_log, write_packet_log)
+from wpansim.metrics import (PACKET_LOG_COLUMNS, MetricsRow, PacketRecord,
+                             build_metrics, read_packet_log, write_packet_log)
 from wpansim.superframe import SuperframeSchedule
 from wpansim.trace import MacTrace, read_trace
 
@@ -133,6 +135,30 @@ def test_packet_log_round_trips_through_csv(tmp_path):
     path = tmp_path / "packets.csv"
     write_packet_log(path, log)
     assert read_packet_log(path) == log
+
+
+def test_packet_log_bytes_are_what_csv_writer_writes(tmp_path):
+    big = 2**31
+    log = [_delivered(0, 0, 266), _delivered(big + 7, big, 3 * big, msdu=118, node=big)]
+    log += [_dropped(i + 1, 100 * i, reason) for i, reason in enumerate(DropReason)]
+    log[0].tx_count = 2
+    log[1].tx_count = 7
+    log[-1].tx_count = 0                  # unresolved_at_end, never sent
+    oracle = tmp_path / "oracle.csv"
+    with open(oracle, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(PACKET_LOG_COLUMNS)
+        for rec in log:
+            detail = rec.rx_time if rec.delivered else rec.drop_reason.value
+            writer.writerow([rec.node, rec.gen_time, rec.msdu_len,
+                             "delivered" if rec.delivered else "dropped", detail,
+                             rec.packet_id, rec.tx_count])
+    path = tmp_path / "packets.csv"
+    write_packet_log(path, log)
+    assert path.read_bytes() == oracle.read_bytes()
+    assert path.read_bytes().count(b"\r\n") == len(log) + 1
+    write_packet_log(path, [])
+    assert path.read_bytes() == oracle.read_bytes().split(b"\r\n")[0] + b"\r\n"
 
 
 def test_packet_log_reader_rejects_foreign_headers(tmp_path):

@@ -2,10 +2,12 @@
 
 ``StarNetwork._feed`` answers an input it has seen in a state from the row
 of that state in its table, and asks ``unslotted_step`` / ``slotted_step``
-otherwise.  These tests hold the table to the step functions: whole runs
-match a reference ``_feed`` that asks the step function on every input, an
-invalid input still raises on a warm table, and every cached ``Wait`` draws
-a fresh length from the stream.
+otherwise; a slotted transition that asks ``fits_cap`` is stored once per
+answer.  These tests hold the table to the step functions: whole runs match
+a reference ``_feed`` that asks the step function on every input (and reads
+the CAP from the schedule on every read), an invalid input still raises on a
+warm table, every cached ``Wait`` draws a fresh length from the stream, and
+a CAP-fit hit continues from the entry of the answer the clock gives.
 """
 
 import copy
@@ -16,12 +18,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wpansim import network
+from wpansim import network, superframe
 from wpansim.csma import IDLE_STATE, CsmaParams, MacInput, Phase, Wait
-from wpansim.kernel import RngManager, SimulationError, rng_uniform_units
+from wpansim.kernel import EventKind, RngManager, SimulationError, rng_uniform_units
 from wpansim.metrics import PacketRecord
 from wpansim.network import StarNetwork
-from wpansim.phy import UNIT_BACKOFF
+from wpansim.phy import (ACK_AIRTIME, CCA_DURATION, TURNAROUND, UNIT_BACKOFF,
+                         data_frame_airtime)
 from wpansim.trace import MacTrace
 
 
@@ -33,7 +36,32 @@ def reference_feed(self, dev, event):
     else:
         dev.state, action = network.unslotted_step(dev.state, event, self.csma,
                                                    dev.rng)
-    self._apply(dev, action)
+    network._PERFORM[type(action)](self, dev, action)
+
+
+def transaction(msdu, params):
+    """Data frame, then turnaround and ACK when acknowledged, in symbols."""
+    return data_frame_airtime(msdu) + (TURNAROUND + ACK_AIRTIME
+                                       if params.ack_enabled else 0)
+
+
+def reference_fits_cap(self):
+    """``_fits_cap`` with the CAP read from the schedule at the clock."""
+    now = self.sched.now
+    _, cap_end = self.schedule.cap_bounds(self.schedule.index_at(now))
+    return (now + (UNIT_BACKOFF - CCA_DURATION) + transaction(self.msdu, self.csma)
+            <= cap_end)
+
+
+def reference_countdown_done(self, dev):
+    """``_on_countdown_done`` with the CAP read from the schedule at the clock."""
+    now = self.sched.now
+    cap_start, cap_end = self.schedule.cap_bounds(self.schedule.index_at(now))
+    if now < cap_start or now + UNIT_BACKOFF + CCA_DURATION >= cap_end:
+        self.sched.at(self.schedule.next_cap_start(now), self._on_countdown_done,
+                      dev, kind=EventKind.BACKOFF)
+    else:
+        self._feed(dev, MacInput.BACKOFF_EXPIRED)
 
 
 @st.composite
@@ -78,10 +106,19 @@ ORDERS = {"nonbeacon": dict(mode="nonbeacon"), "beacon": dict(mode="beacon", bo=
               placement="equal", queue_capacity=1, run_time_s=0.5, seed=5,
               csma_params=CsmaParams(max_nb=0, ack_enabled=False)))
 @example(DEFERRING)
+# A beacon quota run: no superframe opens after its last packet resolves.
+@example(dict(mode="beacon", bo=2, so=1, n_devices=3, msdu=80, interval_s=0.05,
+              distribution="periodic", quota=6, seed=4))
+# BO = SO: each CAP ends where the next superframe starts.  Countdowns of up to
+# 255 periods end on that instant both before and after its superframe opens.
+@example(dict(mode="beacon", bo=0, so=0, n_devices=3, msdu=60, interval_s=0.02,
+              run_time_s=0.5, seed=1, csma_params=CsmaParams(min_be=8, max_be=8)))
 def test_the_table_replays_exactly_what_the_step_functions_answer(kwargs):
     net, shipped = traced_run(kwargs)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(StarNetwork, "_feed", reference_feed)
+        mp.setattr(StarNetwork, "_fits_cap", reference_fits_cap)
+        mp.setattr(StarNetwork, "_on_countdown_done", reference_countdown_done)
         _, reference = traced_run(kwargs)
     assert shipped == reference
     if shipped[0]:                   # a packet arrived, so a transition was stored
@@ -140,3 +177,39 @@ def test_each_hit_on_a_cached_wait_draws_a_fresh_length(mode, monkeypatch):
     waits = [Wait(int(units) * UNIT_BACKOFF)
              for units in re.findall(r"\tbackoff-start\t.*units=(\d+)", sink.getvalue())]
     assert waits == [Wait(units * UNIT_BACKOFF) for units in expected]
+
+
+def test_a_cap_fit_hit_continues_from_the_entry_of_its_answer(monkeypatch):
+    net = StarNetwork(**DEFERRING)
+    net.run()
+    idle = MacInput.CCA_IDLE
+    fit_entries = [row[idle.value] for row in net._transitions.values()
+                   if row.get(idle.value, (None,) * 4)[2] is network._PERFORM[MacInput]]
+    state, action, _, answers = next(e for e in fit_entries if len(e[3]) == 2)
+    assert action is idle                    # not None: a hit draws no backoff
+    # A deferral's entry links no row, so the table has no cycle to compare.
+    assert copy.deepcopy(net._transitions) == net._transitions
+    expected = {fits: superframe.slotted_step(state, idle, net.csma, None, lambda: fits)
+                for fits in (True, False)}
+
+    def no_step(*args):
+        raise AssertionError("a table hit must not ask the step function")
+    monkeypatch.setattr(network, "slotted_step", no_step)
+    scheduled = []
+    monkeypatch.setattr(net.sched, "at",
+                        lambda time, fn, arg=None, **_: scheduled.append(fn.__name__))
+    dev = net.devices[0]
+    dev.current = PacketRecord(0, dev.id, 0, DEFERRING["msdu"])
+    span = UNIT_BACKOFF - CCA_DURATION + transaction(DEFERRING["msdu"], net.csma)
+    now = net.sched.now
+    for fits, performed in ((True, "_begin_data_tx"), (False, "_issue_cca")):
+        # The transaction would end on the CAP end, or one symbol after it.
+        net._cap = (0, now + span - (not fits))
+        dev.state, dev.row = state, net._transitions[id(state)]
+        drawn = dev.rng.state
+        net._feed(dev, idle)
+        next_state, _ = expected[fits]
+        assert dev.state is next_state is answers[fits][0]
+        assert dev.row is net._transitions[id(next_state)]
+        assert dev.rng.state == drawn
+        assert scheduled.pop() == performed
