@@ -7,9 +7,8 @@ action (wait, CCA, transmit, arm a timer) and feeds the observed outcome back
 as the next input, which keeps the protocol logic unit-testable without a
 simulator.  States and actions are interned, so a transition allocates nothing.
 For fixed parameters a transition depends only on ``(state, input)``, apart
-from its backoff draw (:func:`backoff_wait`) and the answer of the slotted
-``fits_cap`` query, so a caller may cache the answers, one per ``fits_cap``
-answer where the query is asked (see ``StarNetwork._feed`` and ``_do_fit``).
+from its backoff draw (:func:`backoff_wait`), so a caller may cache the
+answers (see ``StarNetwork._feed``).
 
 The slotted variant (contention window, CAP deference) shares this core; see
 :func:`wpansim.superframe.slotted_step`.
@@ -109,6 +108,7 @@ class MacInput(Enum):
     START_TX = "start_tx"
     BACKOFF_EXPIRED = "backoff_expired"
     CCA_IDLE = "cca_idle"
+    CCA_IDLE_NO_FIT = "cca_idle_no_fit"  # slotted, cw 1: the transaction overruns the CAP
     CCA_BUSY = "cca_busy"
     TX_DONE = "tx_done"
     ACK_RECEIVED = "ack_received"
@@ -213,18 +213,18 @@ def _backoff(nb: int, be: int, cw: int, retries: int,
 
 
 def _step(state: TxAttemptState, event: MacInput, params: CsmaParams,
-          rng: Pcg64, slotted: bool,
-          fits_cap=None) -> tuple[TxAttemptState, MacAction]:
+          rng: Pcg64, slotted: bool) -> tuple[TxAttemptState, MacAction]:
     phase = state.phase
 
     if phase is _CCA and event is _CCA_IDLE:
         if slotted and state.cw == 2:
             return _state(state.nb, state.be, 1, state.retries, _CCA), _DO_CCA
-        if slotted and not fits_cap():
-            # Transaction would cross the CAP end: hold the frame and redo
-            # both CCAs in the next CAP, without drawing a new backoff.
-            return _state(state.nb, state.be, 2, state.retries, _CCA), _DEFER
         return _state(state.nb, state.be, 0, state.retries, _TRANSMITTING), _TRANSMIT
+
+    if phase is _CCA and event is MacInput.CCA_IDLE_NO_FIT and slotted and state.cw == 1:
+        # Hold the frame and redo both CCAs in the next CAP, without
+        # drawing a new backoff.
+        return _state(state.nb, state.be, 2, state.retries, _CCA), _DEFER
 
     if phase is _CCA and event is _CCA_BUSY:
         nb = state.nb + 1

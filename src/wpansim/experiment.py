@@ -11,9 +11,6 @@ without executing the rest of the sweep.
 from __future__ import annotations
 
 import csv
-import hashlib
-import json
-import statistics
 from dataclasses import dataclass, fields
 from io import StringIO
 from typing import TYPE_CHECKING
@@ -49,6 +46,8 @@ def replication_seed(seed_base: int, point: dict, replication: int) -> int:
     Hashes the point's parameters by name, so the seed survives reordering of
     axes and is insensitive to the position of the point within the sweep.
     """
+    import hashlib  # loaded on first use, as is json: a single run needs neither
+    import json
     payload = json.dumps([seed_base, sorted(point.items()), replication],
                          separators=(",", ":"))
     digest = hashlib.sha256(payload.encode()).digest()
@@ -124,6 +123,7 @@ class ResultsTable:
 
 def _mean_stddev(values: list) -> tuple:
     """The aggregate rule: mean of one or more values, stddev of two or more."""
+    import statistics
     return (statistics.fmean(values) if values else None,
             statistics.stdev(values) if len(values) >= 2 else None)
 

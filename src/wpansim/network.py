@@ -121,11 +121,11 @@ class StarNetwork:
 
         # The step functions' answers for these params, as linked rows:
         # id(state) -> {input value: (next state, action or None for a Wait,
-        # its performer from _PERFORM, the next state's row)}, CAP-fit ones as
-        # _do_fit reads them.  States are interned for the life of the
-        # process, so an id cannot alias.
+        # its performer from _PERFORM, the next state's row or None after a
+        # deferral)}.  States are interned for the life of the process, so an
+        # id cannot alias.
         self._transitions: dict[int, dict] = {id(IDLE_STATE): {}}
-        self._fit = self._cap = None    # the last fits_cap answer; the current CAP
+        self._cap = None                # the current CAP's (start, end)
         self.log: list[PacketRecord] = []
         self._resolved = 0
         self._total_quota = None if spec.quota is None else spec.quota * n_devices
@@ -144,6 +144,11 @@ class StarNetwork:
                 f"run ended ({summary.stop_reason.value}) at t={summary.end_time} "
                 f"with the packet quota unmet ({self._resolved}/"
                 f"{self._total_quota} resolved)")
+        # Pending events and held ACK timeouts call this network's bound methods:
+        # dropped, they leave no cycle, so a finished network is freed at once.
+        self.sched._heap.clear()
+        for dev in self.devices:
+            dev.ack_timer = None
         for rec in self.log:
             if rec.rx_time is None and rec.drop_reason is None:
                 rec.drop_reason = DropReason.UNRESOLVED_AT_END
@@ -192,37 +197,19 @@ class StarNetwork:
         perform(self, dev, action)
 
     def _ask_step(self, dev: Device, event: MacInput) -> None:
-        """Ask the step function and remember its answer: a Wait without its
-        length, one that asked ``fits_cap`` under that answer (``_do_fit``).
-        An invalid input raises before anything is stored."""
-        self._fit = None
+        """Ask the step function and remember its answer, a Wait without its
+        length.  An invalid input raises before anything is stored."""
         if self.slotted:
-            state, action = slotted_step(dev.state, event, self.csma, dev.rng,
-                                         self._fits_cap)
+            state, action = slotted_step(dev.state, event, self.csma, dev.rng)
         else:
             state, action = unslotted_step(dev.state, event, self.csma, dev.rng)
         row = self._transitions.setdefault(id(state), {})
         perform = _PERFORM[type(action)]
-        if self._fit is None:
-            dev.row[event._value_] = (state, None if type(action) is Wait else action,
-                                      perform, row)
-        else:   # into the state's row: after a _do_fit miss dev.row is the answers
-            answers = self._transitions[id(dev.state)].setdefault(
-                event._value_, (dev.state, event, _PERFORM[MacInput], {}))[3]
-            answers[self._fit] = (state, action, perform, row if self._fit else None)
+        # A deferral returns to the state its CCA pair began in: linking that
+        # row would close a cycle in the table, so _do_defer looks it up.
+        dev.row[event._value_] = (state, None if type(action) is Wait else action,
+                                  perform, None if type(action) is DeferToNextCap else row)
         dev.state, dev.row = state, row
-        perform(self, dev, action)
-
-    def _do_fit(self, dev: Device, event: MacInput) -> None:
-        # Performs a transition that asks fits_cap: its entry keeps the state
-        # and holds, as its row, an entry per answer.  A deferral's has no row:
-        # linking the state its CCA pair began in would close a cycle.
-        known = dev.row.get(self._fits_cap())
-        if known is None:
-            self._ask_step(dev, event)
-            return
-        dev.state, action, perform, row = known
-        dev.row = self._transitions[id(dev.state)] if row is None else row
         perform(self, dev, action)
 
     def _do_wait(self, dev: Device, action: Wait) -> None:
@@ -272,6 +259,8 @@ class StarNetwork:
 
     def _do_defer(self, dev: Device, action: DeferToNextCap) -> None:
         now = self.sched.now
+        if dev.row is None:     # a hit on a deferral's entry, which links no row
+            dev.row = self._transitions[id(dev.state)]
         if self.trace is not None:
             self.trace.add(now, dev.id, "defer", dev.current.packet_id)
         # Both CCAs are redone at the start of the next CAP.
@@ -293,12 +282,6 @@ class StarNetwork:
             return
         self._feed(dev, _IN_BACKOFF_EXPIRED)
 
-    def _fits_cap(self) -> bool:
-        # Asked at the second idle CCA, which ends inside the CAP its pair
-        # started in: the transaction must end by that CAP's end.
-        self._fit = self.sched.now + self._fit_span <= self._cap[1]
-        return self._fit
-
     def _issue_cca(self, dev: Device, action: DoCca | None = None) -> None:
         now = self.sched.now
         if self.slotted and dev.state.cw == 1:
@@ -311,11 +294,19 @@ class StarNetwork:
                       kind=_EV_CCA_RESULT)
 
     def _on_cca_result(self, dev: Device) -> None:
-        busy = self.medium.cca_busy(dev.id, self.sched.now)
+        now = self.sched.now
+        busy = self.medium.cca_busy(dev.id, now)
         if self.trace is not None:
-            self.trace.add(self.sched.now, dev.id, "cca-result",
-                           dev.current.packet_id, "busy" if busy else "idle")
-        self._feed(dev, _IN_CCA_BUSY if busy else _IN_CCA_IDLE)
+            self.trace.add(now, dev.id, "cca-result", dev.current.packet_id,
+                           "busy" if busy else "idle")
+        if busy:
+            self._feed(dev, _IN_CCA_BUSY)
+        # A slotted second CCA ends inside the CAP its pair started in: the
+        # transaction must end by that CAP's end.  Unslotted states have cw 0.
+        elif dev.state.cw == 1 and now + self._fit_span > self._cap[1]:
+            self._feed(dev, MacInput.CCA_IDLE_NO_FIT)
+        else:
+            self._feed(dev, _IN_CCA_IDLE)
 
     def _begin_data_tx(self, dev: Device) -> None:
         now = self.sched.now
@@ -422,9 +413,9 @@ class StarNetwork:
             self.trace.add(now, COORDINATOR, "sleep", -1, f"k={k}")
 
 
-# Each action's performer (a CAP-fit entry's action is its input), called as
-# perform(network, dev, action): bound methods would make each network a cycle.
+# Each action's performer, called as perform(network, dev, action): bound
+# methods would make each network a cycle.
 _PERFORM = {Wait: StarNetwork._do_wait, DoCca: StarNetwork._issue_cca,
             Transmit: StarNetwork._do_transmit, ArmAckTimeout: StarNetwork._do_arm,
             Success: StarNetwork._do_success, Fail: StarNetwork._do_fail,
-            DeferToNextCap: StarNetwork._do_defer, MacInput: StarNetwork._do_fit}
+            DeferToNextCap: StarNetwork._do_defer}

@@ -10,8 +10,6 @@ global 20-symbol grid because beacon intervals are multiples of 960.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from wpansim.csma import (CsmaParams, MacAction, MacInput, TxAttemptState, _step,
                           check_range)
 from wpansim.kernel import Pcg64
@@ -106,20 +104,19 @@ class SuperframeSchedule:
 
 
 def slotted_step(state: TxAttemptState, event: MacInput, params: CsmaParams,
-                 rng: Pcg64,
-                 fits_cap: Callable[[], bool] | None = None,
-                 ) -> tuple[TxAttemptState, MacAction]:
+                 rng: Pcg64) -> tuple[TxAttemptState, MacAction]:
     """One transition of the slotted (beacon-mode) CSMA-CA machine.
 
     Differences from the unslotted variant: a contention window of two CCAs
     on consecutive backoff boundaries must both find the channel idle (any
-    busy result resets CW to 2 alongside the NB/BE escalation), and when CW
-    reaches zero the caller-supplied ``fits_cap`` predicate decides whether
-    the whole transaction (frame, turnaround, acknowledgement) still fits in
-    the current CAP — if not, the frame is deferred to the next CAP where
-    both CCAs are performed anew.
+    busy result resets CW to 2 alongside the NB/BE escalation), and the whole
+    transaction (frame, turnaround, acknowledgement) must fit in the current
+    CAP.  The caller observes that fit as it observes the channel: when the
+    second CCA is idle but the transaction would cross the CAP end, it feeds
+    ``CCA_IDLE_NO_FIT`` instead of ``CCA_IDLE``, and the frame is deferred to
+    the next CAP, where both CCAs are performed anew.
 
     The caller owns all boundary alignment and the pausing of backoff
     countdowns outside the CAP; this function only sequences the protocol.
     """
-    return _step(state, event, params, rng, True, fits_cap)
+    return _step(state, event, params, rng, True)

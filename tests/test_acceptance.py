@@ -336,7 +336,9 @@ def test_criterion_11_machine_invariants_hold_on_random_walks(data):
 
     def step(state, event):
         if slotted:
-            return slotted_step(state, event, params, rng, fits_cap=fits)
+            if event is MacInput.CCA_IDLE and state.cw == 1 and not fits():
+                event = MacInput.CCA_IDLE_NO_FIT
+            return slotted_step(state, event, params, rng)
         return unslotted_step(state, event, params, rng)
 
     state, action = step(IDLE_STATE, MacInput.START_TX)

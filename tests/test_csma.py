@@ -143,6 +143,13 @@ def test_inputs_out_of_phase_are_rejected():
                 MacInput.CCA_IDLE, MacInput.ACK_RECEIVED])
 
 
+def test_the_cap_overrun_input_is_rejected_without_a_cap():
+    # Unslotted CSMA has no CAP: only slotted_step at CW 1 accepts it.
+    with pytest.raises(SimulationError, match="not valid in phase cca"):
+        _drive([MacInput.START_TX, MacInput.BACKOFF_EXPIRED,
+                MacInput.CCA_IDLE_NO_FIT])
+
+
 def test_parameter_ranges_are_validated():
     with pytest.raises(ValueError):
         CsmaParams(max_be=9)

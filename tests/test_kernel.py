@@ -369,7 +369,8 @@ from wpansim.cli import main
 assert main(["run", "--config", {str(config)!r}, "--out", {str(tmp_path / "m.csv")!r},
              "--packet-log", {str(tmp_path / "p.csv")!r},
              "--trace", {str(tmp_path / "t.tsv")!r}]) == 0
-assert "numpy" not in sys.modules, "wpansim run loaded numpy"
+for name in ("numpy", "hashlib", "json", "statistics"):
+    assert name not in sys.modules, f"wpansim run loaded {{name}}"
 """
     _run_fresh(script)
     assert (tmp_path / "p.csv").read_text().count("\n") == 1 + 4 * 5

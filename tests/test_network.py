@@ -1,6 +1,7 @@
 """End-to-end star-network runs: delivery timing, drop accounting,
 stop conditions, determinism, and beacon-mode structure."""
 
+import copy
 import dataclasses
 import gc
 import hashlib
@@ -19,6 +20,8 @@ from wpansim.phy import (ACK_AIRTIME, CCA_DURATION, TURNAROUND, UNIT_BACKOFF,
 from wpansim.scenario import ScenarioSpec, load_builtin
 from wpansim.superframe import SuperframeSchedule
 from wpansim.trace import MacTrace
+
+from test_transition_table import DEFERRING
 
 # A lone device with acknowledgements completes one transaction in
 # CCA (8) + data frame for 60 B (154) + turnaround (12) + ACK (22) symbols
@@ -292,20 +295,30 @@ def test_every_queued_event_fires_or_is_left_pending(monkeypatch):
     assert queued[0] == result.summary.events_processed + live
 
 
-def test_a_finished_network_is_freed_without_the_cycle_collector():
-    # The transition rows hold plain functions, not bound methods, and a
-    # transmission holds the senders of the frames it overlapped, not the
-    # frames, so neither a network nor its collided frames wait for the
-    # cycle collector.
+@pytest.mark.parametrize("kwargs", [
+    dict(n_devices=8, msdu=60, interval_s=0.01, quota=25, seed=9),
+    # Stops on its time limit with an ACK in flight, its timeout held.
+    dict(n_devices=8, msdu=60, interval_s=0.01, run_time_s=0.055, seed=9),
+    DEFERRING,
+], ids=["nonbeacon", "ack-in-flight", "deferring"])
+def test_a_finished_network_is_freed_without_the_cycle_collector(kwargs):
+    # The transition rows hold plain functions, not bound methods, a
+    # deferral's entry links no row, a finished run drops its pending events
+    # and held ACK timeouts, and a transmission holds the senders of the
+    # frames it overlapped, not the frames, so neither a network nor its
+    # collided frames wait for the cycle collector.
     gc.collect()
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
     gc.garbage.clear()
     try:
-        net = StarNetwork(n_devices=8, msdu=60, interval_s=0.01, quota=25, seed=9)
+        net = StarNetwork(**kwargs)
         log = net.run().log
         assert any(net._transitions.values())
         assert any(rec.tx_count > 1 for rec in log)      # frames collided
+        if kwargs is DEFERRING:
+            # Deep-copying a table with a cycle would recurse without end.
+            assert copy.deepcopy(net._transitions) == net._transitions
         ref = weakref.ref(net)
         del net, log
         assert ref() is None

@@ -4,7 +4,7 @@ import pytest
 
 from wpansim.csma import (CsmaParams, DeferToNextCap, DoCca, IDLE_STATE,
                           MacInput, Phase, Transmit, Wait)
-from wpansim.kernel import RngManager
+from wpansim.kernel import RngManager, SimulationError
 from wpansim.superframe import (SuperframeSchedule,
                                 beacon_interval, duty_cycle, slotted_step,
                                 superframe_duration)
@@ -139,8 +139,9 @@ def _walk(events, fits=None, params=None, rng=None):
     state = IDLE_STATE
     actions = []
     for event in events:
-        state, action = slotted_step(state, event, params, rng,
-                                     fits_cap=fits)
+        if event is MacInput.CCA_IDLE and state.cw == 1 and not fits():
+            event = MacInput.CCA_IDLE_NO_FIT
+        state, action = slotted_step(state, event, params, rng)
         actions.append(action)
     return state, actions
 
@@ -178,3 +179,13 @@ def test_transaction_that_cannot_fit_defers_to_the_next_cap():
     assert state.cw == 2
     # NB and BE are untouched by a defer: it is not an escalation.
     assert state.nb == 0 and state.be == 3
+
+
+@pytest.mark.parametrize("before, phase", [
+    ([MacInput.START_TX, MacInput.BACKOFF_EXPIRED], "cca"),    # CW 2: first CCA
+    ([MacInput.START_TX], "backoff"),
+])
+def test_the_cap_overrun_input_is_only_valid_after_the_second_cca(before, phase):
+    state, _ = _walk(before)
+    with pytest.raises(SimulationError, match=f"is not valid in phase {phase}"):
+        slotted_step(state, MacInput.CCA_IDLE_NO_FIT, CsmaParams(), None)

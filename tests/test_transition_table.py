@@ -2,12 +2,13 @@
 
 ``StarNetwork._feed`` answers an input it has seen in a state from the row
 of that state in its table, and asks ``unslotted_step`` / ``slotted_step``
-otherwise; a slotted transition that asks ``fits_cap`` is stored once per
-answer.  These tests hold the table to the step functions: whole runs match
-a reference ``_feed`` that asks the step function on every input (and reads
+otherwise.  The CAP fit of a slotted second CCA is an input like the CCA
+result (``CCA_IDLE`` or ``CCA_IDLE_NO_FIT``), so every input has one entry.
+These tests hold the table to the step functions: whole runs match a
+reference ``_feed`` that asks the step function on every input (and reads
 the CAP from the schedule on every read), an invalid input still raises on a
 warm table, every cached ``Wait`` draws a fresh length from the stream, and
-a CAP-fit hit continues from the entry of the answer the clock gives.
+an idle second CCA continues from the entry of the fit the clock gives.
 """
 
 import copy
@@ -24,7 +25,7 @@ from wpansim.kernel import EventKind, RngManager, SimulationError, rng_uniform_u
 from wpansim.metrics import PacketRecord
 from wpansim.network import StarNetwork
 from wpansim.phy import (ACK_AIRTIME, CCA_DURATION, TURNAROUND, UNIT_BACKOFF,
-                         data_frame_airtime)
+                         Medium, data_frame_airtime)
 from wpansim.trace import MacTrace
 
 
@@ -32,7 +33,7 @@ def reference_feed(self, dev, event):
     """``_feed`` without the table: the step function answers every input."""
     if self.slotted:
         dev.state, action = network.slotted_step(dev.state, event, self.csma,
-                                                 dev.rng, self._fits_cap)
+                                                 dev.rng)
     else:
         dev.state, action = network.unslotted_step(dev.state, event, self.csma,
                                                    dev.rng)
@@ -45,12 +46,20 @@ def transaction(msdu, params):
                                        if params.ack_enabled else 0)
 
 
-def reference_fits_cap(self):
-    """``_fits_cap`` with the CAP read from the schedule at the clock."""
+def reference_cca_result(self, dev):
+    """``_on_cca_result`` with the CAP read from the schedule at the clock."""
     now = self.sched.now
-    _, cap_end = self.schedule.cap_bounds(self.schedule.index_at(now))
-    return (now + (UNIT_BACKOFF - CCA_DURATION) + transaction(self.msdu, self.csma)
-            <= cap_end)
+    busy = self.medium.cca_busy(dev.id, now)
+    if self.trace is not None:
+        self.trace.add(now, dev.id, "cca-result", dev.current.packet_id,
+                       "busy" if busy else "idle")
+    event = MacInput.CCA_BUSY if busy else MacInput.CCA_IDLE
+    if not busy and self.slotted and dev.state.cw == 1:
+        _, cap_end = self.schedule.cap_bounds(self.schedule.index_at(now))
+        if (now + (UNIT_BACKOFF - CCA_DURATION) + transaction(self.msdu, self.csma)
+                > cap_end):
+            event = MacInput.CCA_IDLE_NO_FIT
+    self._feed(dev, event)
 
 
 def reference_countdown_done(self, dev):
@@ -117,7 +126,7 @@ def test_the_table_replays_exactly_what_the_step_functions_answer(kwargs):
     net, shipped = traced_run(kwargs)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(StarNetwork, "_feed", reference_feed)
-        mp.setattr(StarNetwork, "_fits_cap", reference_fits_cap)
+        mp.setattr(StarNetwork, "_on_cca_result", reference_cca_result)
         mp.setattr(StarNetwork, "_on_countdown_done", reference_countdown_done)
         _, reference = traced_run(kwargs)
     assert shipped == reference
@@ -138,10 +147,12 @@ def test_an_invalid_input_raises_on_a_warm_table(mode):
     stored = copy.deepcopy(net._transitions)
     assert any(stored.values())
     for dev in net.devices:
-        invalid = MacInput.TX_DONE if dev.state.phase is Phase.IDLE else MacInput.START_TX
-        for _ in range(2):
-            with pytest.raises(SimulationError, match="is not valid in phase"):
-                net._feed(dev, invalid)
+        assert dev.state.cw != 1        # where CCA_IDLE_NO_FIT would be valid
+        for invalid in (MacInput.TX_DONE if dev.state.phase is Phase.IDLE
+                        else MacInput.START_TX, MacInput.CCA_IDLE_NO_FIT):
+            for _ in range(2):
+                with pytest.raises(SimulationError, match="is not valid in phase"):
+                    net._feed(dev, invalid)
     assert net._transitions == stored
 
 
@@ -182,19 +193,22 @@ def test_each_hit_on_a_cached_wait_draws_a_fresh_length(mode, monkeypatch):
 def test_a_cap_fit_hit_continues_from_the_entry_of_its_answer(monkeypatch):
     net = StarNetwork(**DEFERRING)
     net.run()
-    idle = MacInput.CCA_IDLE
-    fit_entries = [row[idle.value] for row in net._transitions.values()
-                   if row.get(idle.value, (None,) * 4)[2] is network._PERFORM[MacInput]]
-    state, action, _, answers = next(e for e in fit_entries if len(e[3]) == 2)
-    assert action is idle                    # not None: a hit draws no backoff
-    # A deferral's entry links no row, so the table has no cycle to compare.
+    fits, overruns = MacInput.CCA_IDLE, MacInput.CCA_IDLE_NO_FIT
+    states = {id(entry[0]): entry[0]
+              for row in net._transitions.values() for entry in row.values()}
+    state = next(s for key, s in states.items()
+                 if {fits.value, overruns.value} <= net._transitions[key].keys())
+    row = net._transitions[id(state)]
+    assert row[overruns.value][3] is None     # a deferral's entry links no row
+    # So the table has no cycle to compare.
     assert copy.deepcopy(net._transitions) == net._transitions
-    expected = {fits: superframe.slotted_step(state, idle, net.csma, None, lambda: fits)
-                for fits in (True, False)}
+    expected = {event: superframe.slotted_step(state, event, net.csma, None)
+                for event in (fits, overruns)}
 
     def no_step(*args):
         raise AssertionError("a table hit must not ask the step function")
     monkeypatch.setattr(network, "slotted_step", no_step)
+    monkeypatch.setattr(Medium, "cca_busy", lambda *args: False)
     scheduled = []
     monkeypatch.setattr(net.sched, "at",
                         lambda time, fn, arg=None, **_: scheduled.append(fn.__name__))
@@ -202,14 +216,14 @@ def test_a_cap_fit_hit_continues_from_the_entry_of_its_answer(monkeypatch):
     dev.current = PacketRecord(0, dev.id, 0, DEFERRING["msdu"])
     span = UNIT_BACKOFF - CCA_DURATION + transaction(DEFERRING["msdu"], net.csma)
     now = net.sched.now
-    for fits, performed in ((True, "_begin_data_tx"), (False, "_issue_cca")):
+    for event, performed in ((fits, "_begin_data_tx"), (overruns, "_issue_cca")):
         # The transaction would end on the CAP end, or one symbol after it.
-        net._cap = (0, now + span - (not fits))
-        dev.state, dev.row = state, net._transitions[id(state)]
+        net._cap = (0, now + span - (event is overruns))
+        dev.state, dev.row = state, row
         drawn = dev.rng.state
-        net._feed(dev, idle)
-        next_state, _ = expected[fits]
-        assert dev.state is next_state is answers[fits][0]
+        net._on_cca_result(dev)
+        next_state, _ = expected[event]
+        assert dev.state is next_state is row[event.value][0]
         assert dev.row is net._transitions[id(next_state)]
         assert dev.rng.state == drawn
         assert scheduled.pop() == performed
