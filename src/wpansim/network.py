@@ -125,7 +125,6 @@ class StarNetwork:
         # deferral)}.  States are interned for the life of the process, so an
         # id cannot alias.
         self._transitions: dict[int, dict] = {id(IDLE_STATE): {}}
-        self._cap = None                # the current CAP's (start, end)
         self.log: list[PacketRecord] = []
         self._resolved = 0
         self._total_quota = None if spec.quota is None else spec.quota * n_devices
@@ -220,10 +219,9 @@ class StarNetwork:
                            f"be={dev.state.be} units={units}")
         if self.slotted:
             end = self.schedule.countdown_end(now, units)
-            self.sched.at(end, self._on_countdown_done, dev, kind=_EV_BACKOFF)
         else:
-            self.sched.at(now + action.duration, self._on_backoff_expired,
-                          dev, kind=_EV_BACKOFF)
+            end = now + action.duration
+        self.sched.at(end, self._on_backoff_expired, dev, kind=_EV_BACKOFF)
 
     def _do_transmit(self, dev: Device, action: Transmit) -> None:
         if self.slotted:
@@ -270,21 +268,9 @@ class StarNetwork:
     def _on_backoff_expired(self, dev: Device) -> None:
         self._feed(dev, _IN_BACKOFF_EXPIRED)
 
-    def _on_countdown_done(self, dev: Device) -> None:
-        # Slotted: the countdown may complete too close to the CAP end for a
-        # CCA pair (which needs to resolve strictly before nodes sleep); if so
-        # it carries over to the next CAP, like the pause rule.
-        now = self.sched.now
-        cap_start, cap_end = self._cap
-        if now < cap_start or now + UNIT_BACKOFF + CCA_DURATION >= cap_end:
-            self.sched.at(self.schedule.next_cap_start(now), self._on_countdown_done,
-                          dev, kind=_EV_BACKOFF)
-            return
-        self._feed(dev, _IN_BACKOFF_EXPIRED)
-
     def _issue_cca(self, dev: Device, action: DoCca | None = None) -> None:
         now = self.sched.now
-        if self.slotted and dev.state.cw == 1:
+        if dev.state.cw == 1:       # slotted: the second CCA of the pair
             start = now + (UNIT_BACKOFF - CCA_DURATION)  # next boundary
         else:
             start = now
@@ -303,7 +289,8 @@ class StarNetwork:
             self._feed(dev, _IN_CCA_BUSY)
         # A slotted second CCA ends inside the CAP its pair started in: the
         # transaction must end by that CAP's end.  Unslotted states have cw 0.
-        elif dev.state.cw == 1 and now + self._fit_span > self._cap[1]:
+        elif (dev.state.cw == 1 and now + self._fit_span
+              > now - now % self.schedule.bi + self.schedule.sd):
             self._feed(dev, MacInput.CCA_IDLE_NO_FIT)
         else:
             self._feed(dev, _IN_CCA_IDLE)
@@ -384,7 +371,6 @@ class StarNetwork:
         if self.quota is not None and not self.sched.pending():
             return
         now = self.sched.now
-        self._cap = self.schedule.cap_bounds(k)
         for node_id in range(len(self.devices) + 1):
             self.medium.set_awake(node_id, True, now)
         beacon = Frame(FrameKind.BEACON, COORDINATOR, BEACON_AIRTIME)

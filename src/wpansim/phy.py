@@ -133,7 +133,9 @@ class Medium:
 
     def begin_tx(self, frame: Frame, now: int) -> Transmission:
         src = frame.src
-        if self._tx_of[src] is not None:
+        own = self._tx_of[src]
+        # Its own frame ending exactly now has finished, as in set_awake.
+        if own is not None and own.end > now:
             raise SimulationError(f"node {src} began a frame while already transmitting")
         if src in self._asleep:
             raise SimulationError(f"node {src} began a frame while asleep")
@@ -154,7 +156,8 @@ class Medium:
     def end_tx(self, tx: Transmission, now: int) -> None:
         if tx.end != now:
             raise SimulationError(f"transmission closed at {now}, expected {tx.end}")
-        self._tx_of[tx.frame.src] = None
+        if self._tx_of[tx.frame.src] is tx:     # not yet replaced by a later frame
+            self._tx_of[tx.frame.src] = None
         cutoff = now - CCA_DURATION
         self._air = [other for other in self._air if other.end > cutoff]
 

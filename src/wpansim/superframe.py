@@ -80,27 +80,29 @@ class SuperframeSchedule:
         return cap_end
 
     def countdown_end(self, t: int, units: int) -> int:
-        """Boundary where a countdown of ``units`` backoff periods completes.
+        """Boundary where a slotted backoff of ``units`` periods expires.
 
         Counting starts at the first boundary at or after ``t`` and only
         consumes whole periods that lie inside a CAP; it pauses over beacons
-        and inactive portions.  The completion instant may fall exactly on a
-        CAP end (also for a zero-length countdown whose first boundary is
-        that end), in which case the caller must defer to the next CAP.
+        and inactive portions.  A countdown that completes with fewer than
+        two periods left in its CAP, too few for the CCA pair, expires at the
+        start of the next CAP instead (also for a zero-length countdown).
         """
         if units < 0:
             raise ValueError(f"countdown units must be non-negative, got {units}")
-        k = self.index_at(t)
-        cap_start, cap_end = self.cap_bounds(k)
-        b = max(-(-t // UNIT_BACKOFF) * UNIT_BACKOFF, cap_start)
+        start = t - t % self.bi             # of the superframe holding t
+        b = max(-(-t // UNIT_BACKOFF) * UNIT_BACKOFF, start + self.cap_offset)
         while True:
+            cap_end = start + self.sd
             if b <= cap_end:
                 avail = (cap_end - b) // UNIT_BACKOFF
-                if units <= avail:
+                if units + 2 <= avail:
                     return b + units * UNIT_BACKOFF
+                if units <= avail:
+                    return start + self.bi + self.cap_offset
                 units -= avail
-            k += 1
-            b, cap_end = self.cap_bounds(k)
+            start += self.bi
+            b = start + self.cap_offset
 
 
 def slotted_step(state: TxAttemptState, event: MacInput, params: CsmaParams,

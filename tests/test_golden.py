@@ -1,10 +1,13 @@
 """Golden digests: SHA-256 of the metrics CSV, packet log and MAC trace of
-ten reduced-volume runs, pinned in ``tests/golden/digests.json``.
+ten reduced-volume runs, pinned in ``tests/golden/digests.json``, plus
+``trace_sorted``, the SHA-256 of the trace's lines sorted.
 
-A refactor or speed-up must leave every digest unchanged.  A change that
-alters behaviour on purpose re-pins them, says so in CHANGES.md, and shows
-that the sweep means moved within their stddev.  To print the current
-digests as JSON:
+A refactor or speed-up must leave every digest unchanged.  One that only
+reorders trace lines within an instant re-pins ``trace`` alone, and the
+unchanged ``trace_sorted`` shows that the lines themselves did not change.
+A change that alters behaviour on purpose re-pins them, says so in
+CHANGES.md, and shows that the sweep means moved within their stddev.  To
+print the current digests as JSON:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -72,6 +75,12 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def trace_digests(trace: bytes) -> dict[str, str]:
+    """The ``trace`` and ``trace_sorted`` digests of a trace file's bytes."""
+    return {"trace": _sha256(trace),
+            "trace_sorted": _sha256(b"".join(sorted(trace.splitlines(keepends=True))))}
+
+
 def run_digests(name: str, out_dir: Path) -> dict[str, str]:
     """Digests of the three output files of one golden run."""
     spec, seed = RUNS[name]()
@@ -83,7 +92,7 @@ def run_digests(name: str, out_dir: Path) -> dict[str, str]:
     trace.write(out_dir / "trace.tsv")
     return {"metrics": _sha256(buf.getvalue().encode()),
             "packet_log": _sha256((out_dir / "packets.csv").read_bytes()),
-            "trace": _sha256((out_dir / "trace.tsv").read_bytes())}
+            **trace_digests((out_dir / "trace.tsv").read_bytes())}
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
@@ -108,6 +117,7 @@ def test_cli_run_streams_the_pinned_outputs(name, tmp_path):
                  "--packet-log", str(files["packet_log"]),
                  "--trace", str(files["trace"])]) == 0
     current = {k: _sha256(path.read_bytes()) for k, path in files.items()}
+    current.update(trace_digests(files["trace"].read_bytes()))
     assert current == json.loads(DIGESTS.read_text())[name]
 
 

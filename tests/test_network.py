@@ -179,6 +179,20 @@ def test_beacon_mode_with_full_duty_cycle_never_sleeps():
     assert not trace.of_kind("sleep")
 
 
+def test_an_ack_may_end_as_the_next_beacon_starts_when_bo_equals_so():
+    # At 6 B, data + turnaround + ACK is 80 symbols, on the 20-symbol grid,
+    # so a transaction can end exactly on the CAP end, which at BO = SO is
+    # the next superframe start: the coordinator sends its beacon as its ACK
+    # ends.
+    assert data_frame_airtime(6) + TURNAROUND + ACK_AIRTIME == 80
+    trace = MacTrace()
+    result = StarNetwork(mode="beacon", bo=0, so=0, n_devices=2, msdu=6,
+                         interval_s=0.005, run_time_s=1.0, seed=0, trace=trace).run()
+    assert result.summary.end_time == seconds_to_symbols(1.0)
+    beacons = {ev.time for ev in trace.of_kind("beacon-start")}
+    assert any(ev.time in beacons for ev in trace.of_kind("delivered"))
+
+
 def test_constructor_rejects_bad_shapes():
     with pytest.raises(ValueError):
         StarNetwork(msdu=119, quota=1)                  # above the MSDU cap

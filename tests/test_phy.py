@@ -142,6 +142,20 @@ def test_protocol_violations_raise():
         med.cca_busy(0, 300)                   # sensing while asleep
 
 
+def test_a_sender_may_start_a_frame_as_its_last_one_ends():
+    # As in set_awake, an own frame ending exactly now has finished even
+    # before end_tx closes it; closing it then leaves the new frame current.
+    med = _medium_with((0, 0, 0), (1, 50, 0))
+    ack = med.begin_tx(Frame(FrameKind.ACK, 0, ACK_AIRTIME, 1), 0)
+    beacon = med.begin_tx(Frame(FrameKind.BEACON, 0, BEACON_AIRTIME), 22)
+    med.end_tx(ack, 22)
+    assert med.heard_intact(ack, 1)
+    with pytest.raises(SimulationError):
+        med.begin_tx(_data(0, pkt=2), 30)      # the beacon is still on the air
+    med.end_tx(beacon, 60)
+    assert med.heard_intact(beacon, 1)
+
+
 def test_cca_busy_during_and_just_after_a_frame():
     med = _medium_with((0, 0, 0), (1, 50, 0), (2, -50, 0))
     tx = med.begin_tx(_data(1), 100)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from wpansim.csma import DropReason, MacQueue
 from wpansim.kernel import RngManager, rng_exponential, rng_uniform_units
 from wpansim.metrics import PacketRecord, build_metrics
-from wpansim.phy import Medium
+from wpansim.phy import CCA_DURATION, Medium
 from wpansim.superframe import SuperframeSchedule
 
 from metrics_oracle import (DROPS, effective_data_rate, mean_end_to_end_delay,
@@ -67,24 +67,65 @@ def schedule_and_time(draw):
     return sched, t, units
 
 
+def pause_end(sched, t, units):
+    """Where ``units`` whole in-CAP backoff periods, counted from the first
+    boundary at or after ``t``, run out: the countdown with its pauses over
+    beacons and inactive portions, and no carry-over, so it may end on a CAP
+    end."""
+    k = sched.index_at(t)
+    cap_start, cap_end = sched.cap_bounds(k)
+    b = max(-(-t // UNIT) * UNIT, cap_start)
+    while True:
+        if b <= cap_end:
+            avail = (cap_end - b) // UNIT
+            if units <= avail:
+                return b + units * UNIT
+            units -= avail
+        k += 1
+        b, cap_end = sched.cap_bounds(k)
+
+
+def countdown_oracle(sched, t, units):
+    """``pause_end``, then the carry rule as a check at the expiry instant:
+    outside the CAP of that instant's superframe, or too close to its end for
+    the two CCAs (the second must resolve before the CAP closes), the
+    countdown moves on to the next CAP opening and is checked there again."""
+    end = pause_end(sched, t, units)
+    while True:
+        cap_start, cap_end = sched.cap_bounds(sched.index_at(end))
+        if cap_start <= end and end + UNIT + CCA_DURATION < cap_end:
+            return end
+        end = sched.next_cap_start(end)
+
+
 @settings(max_examples=300)
 @given(schedule_and_time())
+@example((SuperframeSchedule(0, 0), 40, 46))    # pauses to a superframe start, BO = SO
+@example((SuperframeSchedule(1, 1), 40, 94))
+@example((SuperframeSchedule(0, 0), 941, 0))    # zero units, first boundary the CAP end
+@example((SuperframeSchedule(2, 1), 1905, 0))
+@example((SuperframeSchedule(2, 1), 1880, 1))   # one period short of the CAP end
+@example((SuperframeSchedule(2, 1), 10, 3))     # starts in the beacon
+@example((SuperframeSchedule(0, 0), 960, 0))
+@example((SuperframeSchedule(2, 1), 2500, 1))   # starts in the inactive portion
+@example((SuperframeSchedule(3, 0), 7000, 60))
 def test_countdown_lands_on_an_in_cap_boundary(args):
     sched, t, units = args
     end = sched.countdown_end(t, units)
+    assert end == countdown_oracle(sched, t, units)
     assert end >= t
     assert end % UNIT == 0
-    # Strictly inside a CAP, or exactly on the closing edge of the CAP that
-    # precedes it (when SD == BI that edge coincides with the next beacon).
-    if not sched.in_cap(end):
-        assert end == sched.cap_bounds(sched.index_at(end - 1))[1]
+    # Inside a CAP, with the two periods of the CCA pair to spare.
+    assert sched.in_cap(end)
+    assert end + 2 * UNIT <= sched.cap_end_for(end)
 
 
 @settings(max_examples=200)
 @given(schedule_and_time())
 def test_countdown_is_monotone_in_units(args):
     sched, t, units = args
-    assert sched.countdown_end(t, units + 1) >= sched.countdown_end(t, units) + UNIT
+    assert pause_end(sched, t, units + 1) >= pause_end(sched, t, units) + UNIT
+    assert sched.countdown_end(t, units + 1) >= sched.countdown_end(t, units)
 
 
 @settings(max_examples=200)
@@ -94,10 +135,14 @@ def test_countdown_is_monotone_in_units(args):
 @example((SuperframeSchedule(2, 1), 1905, 0))
 def test_countdown_is_exact_when_the_cap_has_room(args):
     sched, t, units = args
-    cap_start, cap_end = sched.cap_bounds(sched.index_at(t))
+    k = sched.index_at(t)
+    cap_start, cap_end = sched.cap_bounds(k)
     b = max(-(-t // UNIT) * UNIT, cap_start)
     if b <= cap_end and units <= (cap_end - b) // UNIT:
-        assert sched.countdown_end(t, units) == b + units * UNIT
+        end = b + units * UNIT
+        # Room for the CCA pair too, or the countdown expires at the next CAP.
+        expected = end if end + 2 * UNIT <= cap_end else sched.cap_bounds(k + 1)[0]
+        assert sched.countdown_end(t, units) == expected
 
 
 _OUTCOMES = st.sampled_from(["delivered"] + [r for r in DropReason])

@@ -98,25 +98,38 @@ def test_countdown_pauses_over_the_inactive_portion():
     # From 1880 only two whole periods remain in this CAP; a five-period
     # countdown carries the remaining three into the next CAP.
     assert s.countdown_end(1880, 5) == 3880 + 3 * 20
-    # Exactly consuming the tail of the CAP is allowed: the result may land
-    # on the CAP end itself.
-    assert s.countdown_end(1880, 2) == 1920
+    # A countdown that consumes the tail of the CAP leaves no room for the
+    # CCA pair, so it expires at the next CAP opening.
+    assert s.countdown_end(1880, 2) == 3880
+    assert s.countdown_end(1880, 1) == 3880
+    # Exactly two periods left: the pair fits.
     assert s.countdown_end(1880, 0) == 1880
-    # A zero-length countdown whose first boundary is the CAP end completes
-    # there; it is not carried over to the next CAP.
-    assert s.countdown_end(1905, 0) == 1920
+    # A zero-length countdown whose first boundary is the CAP end is carried
+    # over to the next CAP too.
+    assert s.countdown_end(1905, 0) == 3880
     # Unaligned start rounds up to the grid before counting.
-    assert s.countdown_end(1885, 1) == 1920
+    assert s.countdown_end(1885, 1) == 3880
+    assert s.countdown_end(1845, 1) == 1880
     # A start during sleep counts from the next CAP opening.
     assert s.countdown_end(2500, 1) == 3900
     with pytest.raises(ValueError):
         s.countdown_end(100, -1)
 
 
+def test_countdown_carries_over_at_a_superframe_start_when_bo_equals_so():
+    s = _sched(0, 0)                       # CAP [40, 960), next [1000, 1920)
+    assert s.countdown_end(40, 44) == 920
+    assert s.countdown_end(40, 45) == 1000
+    assert s.countdown_end(40, 46) == 1000  # would end on the superframe start
+    assert s.countdown_end(941, 0) == 1000
+    assert s.countdown_end(960, 0) == 1000  # in the beacon
+
+
 def test_countdown_spans_multiple_superframes_when_needed():
     s = _sched(2, 1)                       # 94 whole periods per CAP
     per_cap = (1920 - 40) // 20
-    assert s.countdown_end(40, per_cap) == 1920
+    assert s.countdown_end(40, per_cap - 2) == 1880
+    assert s.countdown_end(40, per_cap) == 3880
     assert s.countdown_end(40, per_cap + 1) == 3880 + 20
     assert s.countdown_end(40, 2 * per_cap + 7) == 2 * 3840 + 40 + 7 * 20
 

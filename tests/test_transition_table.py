@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from wpansim import network, superframe
 from wpansim.csma import IDLE_STATE, CsmaParams, MacInput, Phase, Wait
-from wpansim.kernel import EventKind, RngManager, SimulationError, rng_uniform_units
+from wpansim.kernel import RngManager, SimulationError, rng_uniform_units
 from wpansim.metrics import PacketRecord
 from wpansim.network import StarNetwork
 from wpansim.phy import (ACK_AIRTIME, CCA_DURATION, TURNAROUND, UNIT_BACKOFF,
@@ -60,17 +60,6 @@ def reference_cca_result(self, dev):
                 > cap_end):
             event = MacInput.CCA_IDLE_NO_FIT
     self._feed(dev, event)
-
-
-def reference_countdown_done(self, dev):
-    """``_on_countdown_done`` with the CAP read from the schedule at the clock."""
-    now = self.sched.now
-    cap_start, cap_end = self.schedule.cap_bounds(self.schedule.index_at(now))
-    if now < cap_start or now + UNIT_BACKOFF + CCA_DURATION >= cap_end:
-        self.sched.at(self.schedule.next_cap_start(now), self._on_countdown_done,
-                      dev, kind=EventKind.BACKOFF)
-    else:
-        self._feed(dev, MacInput.BACKOFF_EXPIRED)
 
 
 @st.composite
@@ -119,7 +108,7 @@ ORDERS = {"nonbeacon": dict(mode="nonbeacon"), "beacon": dict(mode="beacon", bo=
 @example(dict(mode="beacon", bo=2, so=1, n_devices=3, msdu=80, interval_s=0.05,
               distribution="periodic", quota=6, seed=4))
 # BO = SO: each CAP ends where the next superframe starts.  Countdowns of up to
-# 255 periods end on that instant both before and after its superframe opens.
+# 255 periods pause to that instant and expire at the next CAP opening.
 @example(dict(mode="beacon", bo=0, so=0, n_devices=3, msdu=60, interval_s=0.02,
               run_time_s=0.5, seed=1, csma_params=CsmaParams(min_be=8, max_be=8)))
 def test_the_table_replays_exactly_what_the_step_functions_answer(kwargs):
@@ -127,7 +116,6 @@ def test_the_table_replays_exactly_what_the_step_functions_answer(kwargs):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(StarNetwork, "_feed", reference_feed)
         mp.setattr(StarNetwork, "_on_cca_result", reference_cca_result)
-        mp.setattr(StarNetwork, "_on_countdown_done", reference_countdown_done)
         _, reference = traced_run(kwargs)
     assert shipped == reference
     if shipped[0]:                   # a packet arrived, so a transition was stored
@@ -215,10 +203,10 @@ def test_a_cap_fit_hit_continues_from_the_entry_of_its_answer(monkeypatch):
     dev = net.devices[0]
     dev.current = PacketRecord(0, dev.id, 0, DEFERRING["msdu"])
     span = UNIT_BACKOFF - CCA_DURATION + transaction(DEFERRING["msdu"], net.csma)
-    now = net.sched.now
+    _, cap_end = net.schedule.cap_bounds(net.schedule.index_at(net.sched.now) + 1)
     for event, performed in ((fits, "_begin_data_tx"), (overruns, "_issue_cca")):
         # The transaction would end on the CAP end, or one symbol after it.
-        net._cap = (0, now + span - (event is overruns))
+        net.sched.now = cap_end - span + (event is overruns)
         dev.state, dev.row = state, row
         drawn = dev.rng.state
         net._on_cca_result(dev)
