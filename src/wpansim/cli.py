@@ -4,7 +4,7 @@ Subcommands
     run        one scenario -> metrics CSV (optional packet log / MAC trace)
     sweep      sweep file -> results CSV with per-point aggregates
     plot-data  results CSV -> per-series x/mean/stddev/n text blocks
-    scenarios  list the packaged scenario and sweep files
+    scenarios  list the packaged scenarios and sweeps
 
 Exit status is 0 on success and nonzero with a diagnostic on stderr for any
 failure (bad file, bad flag combination, simulation error).
@@ -23,7 +23,7 @@ from wpansim.experiment import (emit_plot_data, read_results, run_scenario_full,
 from wpansim.kernel import SimulationError
 from wpansim.metrics import write_packet_log
 from wpansim.scenario import (BUILTINS, ScenarioError, ScenarioSpec, SweepSpec,
-                              builtin_path, load_builtin, load_scenario)
+                              load_builtin, load_scenario)
 from wpansim.trace import MacTrace
 
 
@@ -38,13 +38,6 @@ def _write_text(path: str | None, text: str) -> None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
-
-
-def _source(args) -> dict:
-    """The input file of a subcommand that reads a scenario or sweep."""
-    if args.builtin:
-        return {"--builtin": str(builtin_path(args.builtin))}
-    return {"--config": args.config}
 
 
 def _check_paths(inputs: dict, outputs: dict) -> None:
@@ -63,8 +56,9 @@ def _check_paths(inputs: dict, outputs: dict) -> None:
 
 
 def _cmd_run(args) -> int:
-    _check_paths(_source(args), {"--out": args.out, "--packet-log": args.packet_log,
-                                 "--trace": args.trace})
+    _check_paths({"--config": args.config},
+                 {"--out": args.out, "--packet-log": args.packet_log,
+                  "--trace": args.trace})
     spec = _load_spec(args)
     if isinstance(spec, SweepSpec):
         raise ScenarioError(
@@ -88,7 +82,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    _check_paths(_source(args), {"--out": args.out})
+    _check_paths({"--config": args.config}, {"--out": args.out})
     spec = _load_spec(args)
     if isinstance(spec, ScenarioSpec):
         raise ScenarioError(
@@ -116,11 +110,9 @@ def _cmd_plot_data(args) -> int:
 
 def _cmd_scenarios(args) -> int:
     width = max(map(len, BUILTINS))
-    for name, description in BUILTINS.items():
-        kind = "sweep" if isinstance(load_builtin(name), SweepSpec) else "scenario"
+    for name, (description, fields) in BUILTINS.items():
+        kind = "sweep" if "axes" in fields else "scenario"
         print(f"{name:<{width}}  {kind:<8}  {description}")
-        if args.paths:
-            print(f"{'':<{width}}  {'':<8}  {builtin_path(name)}")
     return 0
 
 
@@ -178,8 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.set_defaults(func=_cmd_plot_data)
 
     p_list = sub.add_parser("scenarios", help="list packaged scenarios")
-    p_list.add_argument("--paths", action="store_true",
-                        help="also show each file's location")
     p_list.set_defaults(func=_cmd_scenarios)
     return parser
 

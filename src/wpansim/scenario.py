@@ -1,13 +1,16 @@
-"""Scenario files: single-run and sweep definitions in YAML.
+"""Scenario and sweep specs, their YAML files, and the packaged scenarios.
 
 A scenario file is a mapping that describes one simulation run.  A sweep file
 wraps a ``base`` scenario with a list of parameter ``axes`` (their cartesian
 product defines the run set) plus a replication count and a seed base.  The
-key-by-key reference lives in ``docs/scenario-schema.md``; the packaged files
-under ``wpansim/scenarios/`` double as worked examples.
+key-by-key reference lives in ``docs/scenario-schema.md``.
 
 Loading is strict: unknown keys, duplicate keys, values of the wrong type, and
 out-of-range parameters are all errors, each reported with file and line.
+
+The packaged scenarios are the ``BUILTINS`` table below, built on demand by
+``load_builtin`` without PyYAML; ``dump_scenario(load_builtin(name))`` gives
+a YAML template for any of them.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 from wpansim.csma import CsmaParams, check_range, check_types, type_error
@@ -28,7 +30,7 @@ from wpansim.superframe import SuperframeSchedule
 __all__ = [
     "ScenarioError", "ScenarioSpec", "SweepSpec",
     "load_scenario", "loads_scenario", "dump_scenario",
-    "BUILTINS", "builtin_path", "load_builtin",
+    "BUILTINS", "load_builtin",
 ]
 
 
@@ -350,31 +352,87 @@ def dump_scenario(spec: ScenarioSpec | SweepSpec) -> str:
 # ---------------------------------------------------------------------------
 # Packaged scenarios.
 
-#: name -> one-line description, in listing order.
+# The two packaged runs, less their seeds, are the bases of the studies.
+_NONBEACON = dict(quota=5000)
+_BEACON = dict(mode="beacon", interval_s=0.05, bo=7, so=6, run_time_s=1000.0)
+_DEVICE_COUNTS = ("n_devices", (2, 4, 8, 16, 32))
+_BEACON_INTERVALS = ("interval_s", (0.01, 0.05, 0.1))
+
+#: name -> (one-line description, fields), in listing order.  The fields are
+#: only those that differ from the specs' defaults, which are the packaged MAC
+#: settings; a sweep's base scenario is under "base".  Axis values are kept as
+#: written, since replication_seed hashes them: 1 and 1.0 seed differently.
 BUILTINS = {
-    "nonbeacon-defaults": "single non-beacon run with the default MAC settings",
-    "beacon-defaults": "single beacon-enabled run (8 devices, BO=7, SO=6)",
-    "s6-msdu": "non-beacon sweep: MSDU size crossed with device count",
-    "s6-interval": "non-beacon sweep: packet interval crossed with device count",
-    "s6-maxnb": "non-beacon sweep: MaxNB crossed with device count",
-    "s6-minbe": "non-beacon sweep: MinBE crossed with device count",
-    "s6-retries": "non-beacon sweep: retry limit crossed with device count",
-    "s7-maxnb": "beacon sweep: MaxNB crossed with 50%-duty (BO, SO) pairs",
-    "s7-so": "beacon sweep: SO at BO=7 crossed with packet interval",
-    "s7-bo": "beacon sweep: BO at SO=1 crossed with packet interval",
+    "nonbeacon-defaults": (
+        "single non-beacon run with the default MAC settings",
+        dict(_NONBEACON, seed=421)),
+    "beacon-defaults": (
+        "single beacon-enabled run (8 devices, BO=7, SO=6)",
+        dict(_BEACON, seed=422)),
+    "s6-msdu": (
+        "non-beacon sweep: MSDU size crossed with device count",
+        dict(base=_NONBEACON,
+             axes=(("msdu", (20, 40, 60, 80, 100)), _DEVICE_COUNTS),
+             seed_base=1001)),
+    # A deeper transmit queue than the other non-beacon sweeps, so that
+    # queueing (not just channel access) shows up in the delay metric when
+    # the offered load exceeds channel capacity.
+    "s6-interval": (
+        "non-beacon sweep: packet interval crossed with device count",
+        dict(base=dict(_NONBEACON, queue_capacity=8),
+             axes=(("interval_s", (0.01, 0.025, 0.05, 0.1, 1, 10)),
+                   _DEVICE_COUNTS),
+             seed_base=1002)),
+    "s6-maxnb": (
+        "non-beacon sweep: MaxNB crossed with device count",
+        dict(base=_NONBEACON,
+             axes=(("max_nb", (0, 1, 2, 3, 4, 5)), _DEVICE_COUNTS),
+             seed_base=1003)),
+    "s6-minbe": (
+        "non-beacon sweep: MinBE crossed with device count",
+        dict(base=_NONBEACON,
+             axes=(("min_be", (1, 2, 3, 4, 5)), _DEVICE_COUNTS),
+             seed_base=1004)),
+    "s6-retries": (
+        "non-beacon sweep: retry limit crossed with device count",
+        dict(base=_NONBEACON,
+             axes=(("max_frame_retries", (0, 1, 2, 3, 4, 5)), _DEVICE_COUNTS),
+             seed_base=1005)),
+    # Every pair keeps SO = BO - 1, a 50% duty cycle, so the series isolate
+    # superframe scale from sleep fraction.  The queue holds one inactive
+    # portion's arrivals even at BO=7, so the measurement reflects
+    # channel-access capacity rather than buffer losses accrued while the
+    # network sleeps.
+    "s7-maxnb": (
+        "beacon sweep: MaxNB crossed with 50%-duty (BO, SO) pairs",
+        dict(base=dict(_BEACON, queue_capacity=32),
+             axes=(("max_nb", (0, 1, 2, 3, 4, 5)),
+                   ("bo_so", ((1, 0), (2, 1), (3, 2), (4, 3), (5, 4), (6, 5),
+                              (7, 6)))),
+             seed_base=1006)),
+    # Duty cycle 2^(SO-7).
+    "s7-so": (
+        "beacon sweep: SO at BO=7 crossed with packet interval",
+        dict(base=_BEACON,
+             axes=(("so", (1, 2, 3, 4, 5, 6)), _BEACON_INTERVALS),
+             seed_base=1007)),
+    # Duty cycle 2^(1-BO); the axis runs from the longest beacon interval down
+    # to the shortest.
+    "s7-bo": (
+        "beacon sweep: BO at SO=1 crossed with packet interval",
+        dict(base=dict(_BEACON, so=1),
+             axes=(("bo", (7, 6, 5, 4, 3, 2)), _BEACON_INTERVALS),
+             seed_base=1008)),
 }
 
 
-def builtin_path(name: str):
-    """Filesystem path of a packaged scenario file."""
+def load_builtin(name: str) -> ScenarioSpec | SweepSpec:
+    """Build one of the packaged scenarios by name."""
     if name not in BUILTINS:
         raise ScenarioError(
             f"unknown built-in scenario {name!r}; choose from "
             f"{', '.join(BUILTINS)}")
-    return resources.files("wpansim") / "scenarios" / f"{name}.yaml"
-
-
-def load_builtin(name: str) -> ScenarioSpec | SweepSpec:
-    """Load one of the packaged scenarios by name."""
-    path = builtin_path(name)
-    return loads_scenario(path.read_text(), label=f"builtin:{name}")
+    fields = BUILTINS[name][1]
+    if "axes" not in fields:
+        return ScenarioSpec(**fields)
+    return SweepSpec(**fields | {"base": ScenarioSpec(**fields["base"])})

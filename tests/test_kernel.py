@@ -398,10 +398,11 @@ loaded = [name for name in ("multiprocessing", "concurrent.futures.process",
           if name in sys.modules]
 assert not loaded, f"a network run loaded {{loaded}}"
 assert wpansim.load_builtin("nonbeacon-defaults").n_devices == 8
-assert "yaml" in sys.modules
+assert "yaml" not in sys.modules, "a packaged scenario loaded yaml"
 from wpansim.cli import main
 assert main(["run", "--config", {str(config)!r}, "--out", {str(tmp_path / "m.csv")!r},
              "--trace", {str(tmp_path / "t.tsv")!r}]) == 0
+assert "yaml" in sys.modules
 assert "multiprocessing" not in sys.modules, "wpansim run --trace loaded multiprocessing"
 from wpansim import run_sweep
 import wpansim.experiment

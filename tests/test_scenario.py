@@ -2,14 +2,16 @@
 packaged configuration library."""
 
 import dataclasses
+import hashlib
 import re
 
 import pytest
 
 from wpansim.csma import CsmaParams, type_error
+from wpansim.experiment import replication_seed
 from wpansim.network import StarNetwork
 from wpansim.scenario import (BUILTINS, ScenarioError, ScenarioSpec,
-                              SweepSpec, builtin_path, dump_scenario,
+                              SweepSpec, dump_scenario,
                               load_builtin, load_scenario, loads_scenario)
 
 
@@ -167,16 +169,64 @@ def test_dump_round_trips_scenarios_and_sweeps(tmp_path):
     assert loads_scenario(dump_scenario(sweep)) == sweep
 
 
+# name -> SHA-256 of repr(load_builtin(name)) and of the repr of its seeds
+# (every point x replication of a sweep, in run order).  repr tells 1 from 1.0,
+# and replication_seed hashes a point's values as written, so an int axis
+# value turned float would move seeds and fail here.
+_BUILTIN_DIGESTS = {
+    "nonbeacon-defaults": (
+        "3549f7f3b27f3a14efc1b0924b181250be8e44adb43a50c76936cafeec2a9401",
+        "7c79845a6ceee07aa0976b7d02e1771bfdc570b03a5b5eb68c18b1437a8ab54b"),
+    "beacon-defaults": (
+        "44c26ea08dc433fc959c13c9e3c5277030e6eb3202462f6207695f32164ba610",
+        "d11caadc73d8719b2959b305294c915b3f4d1254d6bf8d64c52faee0a81fac20"),
+    "s6-msdu": (
+        "1ea68d5c52f88fd3a1b78455c00db417c4eff212e7b8867f30069ad37ce747fa",
+        "a11b99b1fa292c3d92a6ec024a937447a13cb92c65f47fec3486e4bdcc9b979b"),
+    "s6-interval": (
+        "4538888d9e5221729ef80492efc4f387166211970b30c9eaa8986613433cdf5e",
+        "ed21072302e9792c1b4e3375b9ca56037e8e5d95a794db159c9613966d951c0b"),
+    "s6-maxnb": (
+        "2b144d600383c2a1b0177426778284c7226d56604a931f83e2086fb23bc1bb3b",
+        "cecc2bf05b4d25ad69b48b6801a67ad01a726826ee2444a4cf27faf82080d813"),
+    "s6-minbe": (
+        "9e1da82adf55a0753a827bfaa79251386820243c76d2e1961331eda963b6459f",
+        "113f5cfd9200caf4b2432f493579e8826711a65ea021bebdfad7c3d3d7f3da63"),
+    "s6-retries": (
+        "5bd3189c79638521e37275571bc738260697e87ebe805daf5158bebcc2a2a3d9",
+        "73e25095e7fff7dc5d174b8f15e44ae3bc6dc7f3ad46ff3a21987cb336e6e80f"),
+    "s7-maxnb": (
+        "b8b5a4fb0b7470d20f7ee5939b00922a68c0a74e126b17ad785740a6b609bf38",
+        "a4b22d83d1bd01b0db80ed0fc6550a644bf44cd2b71fa689aea955fb6779efd9"),
+    "s7-so": (
+        "aa450b3c35372a665e0ca52059f1b7a6a4ac5a529686fac477a4559de51fc151",
+        "1381edd52e3618fb2fade6934f9e9f835d51ed6e22f9606b0dcec1bb5f8ad785"),
+    "s7-bo": (
+        "30a1491e9400d7de191fe3b706f35d7d849f161b44d547276f1560dd58ca2c5e",
+        "63c0aefc1d602fb9062ae1df42fb1ed664648eb22da34916964c17a8570db526"),
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_every_builtin_loads_and_round_trips():
-    assert len(BUILTINS) == 10
-    for name in BUILTINS:
+    assert list(BUILTINS) == list(_BUILTIN_DIGESTS)
+    for name, (spec_digest, seeds_digest) in _BUILTIN_DIGESTS.items():
         cfg = load_builtin(name)
         assert loads_scenario(dump_scenario(cfg)) == cfg
-        assert builtin_path(name).name == f"{name}.yaml"
+        assert _sha256(repr(cfg)) == spec_digest, name
         if isinstance(cfg, SweepSpec):
             # every point constructs a valid spec
             for point in cfg.points():
                 cfg.point_spec(point)
+            seeds = [replication_seed(cfg.seed_base, point, rep)
+                     for point in cfg.points()
+                     for rep in range(cfg.replications)]
+        else:
+            seeds = [cfg.seed]
+        assert _sha256(repr(seeds)) == seeds_digest, name
 
 
 def test_builtin_sweeps_cover_both_modes():
