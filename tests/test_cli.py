@@ -13,7 +13,7 @@ from wpansim.experiment import METRIC_COLUMNS
 from wpansim.kernel import SimulationError
 from wpansim.metrics import read_packet_log
 from wpansim.network import StarNetwork
-from wpansim.scenario import BUILTINS, SweepSpec, load_builtin
+from wpansim.scenario import BUILTINS, ScenarioSpec, SweepSpec, load_builtin
 from wpansim.trace import read_trace
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -227,6 +227,17 @@ def test_scenarios_lists_every_builtin(capsys):
         kind = ("sweep" if isinstance(load_builtin(name), SweepSpec)
                 else "scenario")
         assert re.search(rf"^{name} +{kind} ", out, re.MULTILINE), name
+
+
+def test_scenarios_listing_builds_no_spec(monkeypatch, capsys):
+    # The kind comes from the table; building the eight packaged sweeps
+    # would validate every one of their points just to print a word.
+    def refuse(self):
+        raise AssertionError("'scenarios' built a spec")
+    monkeypatch.setattr(ScenarioSpec, "__post_init__", refuse)
+    monkeypatch.setattr(SweepSpec, "__post_init__", refuse)
+    assert main(["scenarios"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == len(BUILTINS)
 
 
 def test_builtin_source_flag(capsys):

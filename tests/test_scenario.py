@@ -229,6 +229,24 @@ def test_every_builtin_loads_and_round_trips():
         assert _sha256(repr(seeds)) == seeds_digest, name
 
 
+def test_builtin_table_lists_only_fields_that_differ_from_the_defaults():
+    # The specs' defaults are the packaged MAC settings; an entry that
+    # restates one hides which settings a study actually changes.
+    run_defaults = ScenarioSpec.__dataclass_fields__
+    sweep_defaults = SweepSpec.__dataclass_fields__
+    for name, (description, fields) in BUILTINS.items():
+        assert description and "\n" not in description, name
+        if "axes" in fields:
+            run_fields = fields["base"]
+            for key, value in fields.items():
+                if key not in ("base", "axes"):
+                    assert value != sweep_defaults[key].default, (name, key)
+        else:
+            run_fields = fields
+        for key, value in run_fields.items():
+            assert value != run_defaults[key].default, (name, key)
+
+
 def test_builtin_sweeps_cover_both_modes():
     kinds = {name: type(load_builtin(name)).__name__ for name in BUILTINS}
     assert kinds["nonbeacon-defaults"] == "ScenarioSpec"
