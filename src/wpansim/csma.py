@@ -1,14 +1,14 @@
 """CSMA-CA transmit state machine and the MAC queue.
 
-The machine is a pure transition function ``(state, input) -> (state, action)``
-plus an RNG stream (a :class:`~wpansim.kernel.Pcg64`) for backoff draws:
-it owns no clock and schedules nothing.  The caller performs each emitted
-action (wait, CCA, transmit, arm a timer) and feeds the observed outcome back
-as the next input, which keeps the protocol logic unit-testable without a
-simulator.  States and actions are interned, so a transition allocates nothing.
-For fixed parameters a transition depends only on ``(state, input)``, apart
-from its backoff draw (:func:`backoff_wait`), so a caller may cache the
-answers (see ``StarNetwork._feed``).
+The machine is a pure transition function ``(state, input) -> (state, action)``:
+it owns no clock, draws no random number and schedules nothing.  The caller
+performs each emitted action (back off, CCA, transmit, arm a timer) and feeds
+the observed outcome back as the next input, which keeps the protocol logic
+unit-testable without a simulator.  A ``Wait`` says only that the device backs
+off; the caller draws its length with :func:`backoff_units`.  States and
+actions are interned, so a transition allocates nothing.  For fixed
+parameters a transition depends only on ``(state, input)``, so a caller may
+cache the answers (see ``StarNetwork._feed``).
 
 The slotted variant (contention window, CAP deference) shares this core; see
 :func:`wpansim.superframe.slotted_step`.
@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 
 from wpansim.kernel import Pcg64, SimulationError, rng_uniform_units
-from wpansim.phy import ACK_WAIT, UNIT_BACKOFF
+from wpansim.phy import ACK_WAIT
 
 MAX_BE = 8   # largest permitted macMaxBE
 
@@ -118,7 +118,7 @@ class MacInput(Enum):
 # Actions the caller must carry out.  Durations are in symbols.
 @dataclass(frozen=True, slots=True)
 class Wait:
-    duration: int
+    """Back off for a fresh draw of :func:`backoff_units` at the state's BE."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,14 +153,13 @@ class DeferToNextCap:
 
 MacAction = Wait | DoCca | Transmit | ArmAckTimeout | Success | Fail | DeferToNextCap
 
-# Actions are interned: field-less ones once, Wait per backoff length, Fail
-# per reason.  A backoff draw never exceeds 2**MAX_BE - 1 units.
+# Actions are interned: field-less ones once, Fail per reason.
+_WAIT = Wait()
 _DO_CCA = DoCca()
 _TRANSMIT = Transmit()
 _SUCCESS = Success()
 _DEFER = DeferToNextCap()
 _ARM_ACK = ArmAckTimeout(ACK_WAIT)
-_WAITS = tuple(Wait(units * UNIT_BACKOFF) for units in range(1 << MAX_BE))
 _FAIL_ACCESS = Fail(DropReason.CHANNEL_ACCESS_FAILURE)
 _FAIL_RETRIES = Fail(DropReason.RETRY_EXHAUSTED)
 
@@ -201,19 +200,14 @@ def _state(nb: int, be: int, cw: int, retries: int, phase: Phase) -> TxAttemptSt
     return state
 
 
-def backoff_wait(rng: Pcg64, be: int) -> Wait:
-    """The wait of a fresh backoff draw at exponent ``be``: the one draw the
-    step functions make, shared with callers that replay a cached ``Wait``."""
-    return _WAITS[rng_uniform_units(rng, be)]
-
-
-def _backoff(nb: int, be: int, cw: int, retries: int,
-             rng: Pcg64) -> tuple[TxAttemptState, Wait]:
-    return _state(nb, be, cw, retries, _BACKOFF), backoff_wait(rng, be)
+def backoff_units(rng: Pcg64, be: int) -> int:
+    """Backoff periods of a ``Wait`` at exponent ``be``: uniform on
+    0 .. 2**be - 1 (IEEE 802.15.4-2006 7.5.1.4)."""
+    return rng_uniform_units(rng, be)
 
 
 def _step(state: TxAttemptState, event: MacInput, params: CsmaParams,
-          rng: Pcg64, slotted: bool) -> tuple[TxAttemptState, MacAction]:
+          slotted: bool) -> tuple[TxAttemptState, MacAction]:
     phase = state.phase
 
     if phase is _CCA and event is _CCA_IDLE:
@@ -230,8 +224,8 @@ def _step(state: TxAttemptState, event: MacInput, params: CsmaParams,
         nb = state.nb + 1
         if nb > params.max_nb:
             return _state(nb, state.be, state.cw, state.retries, _FAILED), _FAIL_ACCESS
-        return _backoff(nb, min(state.be + 1, params.max_be),
-                        2 if slotted else 0, state.retries, rng)
+        return _state(nb, min(state.be + 1, params.max_be), 2 if slotted else 0,
+                      state.retries, _BACKOFF), _WAIT
 
     if phase is _BACKOFF and event is _BACKOFF_EXPIRED:
         return _state(state.nb, state.be, state.cw, state.retries, _CCA), _DO_CCA
@@ -251,24 +245,24 @@ def _step(state: TxAttemptState, event: MacInput, params: CsmaParams,
         retries = state.retries + 1
         if retries > params.max_frame_retries:
             return _state(state.nb, state.be, state.cw, retries, _FAILED), _FAIL_RETRIES
-        return _backoff(0, params.min_be, 2 if slotted else 0, retries, rng)
+        return _state(0, params.min_be, 2 if slotted else 0, retries, _BACKOFF), _WAIT
 
     if phase is _IDLE and event is _START_TX:
-        return _backoff(0, params.min_be, 2 if slotted else 0, 0, rng)
+        return _state(0, params.min_be, 2 if slotted else 0, 0, _BACKOFF), _WAIT
 
     raise SimulationError(
         f"MAC input {event.value} is not valid in phase {phase.value}")
 
 
-def unslotted_step(state: TxAttemptState, event: MacInput, params: CsmaParams,
-                   rng: Pcg64) -> tuple[TxAttemptState, MacAction]:
+def unslotted_step(state: TxAttemptState, event: MacInput,
+                   params: CsmaParams) -> tuple[TxAttemptState, MacAction]:
     """One transition of the unslotted (non-beacon) CSMA-CA machine.
 
     On busy CCA the backoff stage counter NB and the exponent BE grow until
     NB exceeds MaxNB (channel access failure); a missing acknowledgement
     restarts CSMA from scratch until retries exceed MaxFrameRetries.
     """
-    return _step(state, event, params, rng, False)
+    return _step(state, event, params, False)
 
 
 class MacQueue:

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 from wpansim.csma import (ArmAckTimeout, CsmaParams, DeferToNextCap, DoCca, DropReason,
                           Fail, IDLE_STATE, MacInput, MacQueue, Phase, Success,
-                          Transmit, TxAttemptState, Wait, backoff_wait,
+                          Transmit, TxAttemptState, Wait, backoff_units,
                           unslotted_step)
 from wpansim.kernel import (EventKind, RngManager, Scheduler, SimSummary,
                             SimulationError, StopReason, rng_exponential,
@@ -120,10 +120,9 @@ class StarNetwork:
                                        rngs.draws("traffic", node_id)))
 
         # The step functions' answers for these params, as linked rows:
-        # id(state) -> {input value: (next state, action or None for a Wait,
-        # its performer from _PERFORM, the next state's row or None after a
-        # deferral)}.  States are interned for the life of the process, so an
-        # id cannot alias.
+        # id(state) -> {input value: (next state, action, its performer from
+        # _PERFORM, the next state's row or None after a deferral)}.  States
+        # are interned for the life of the process, so an id cannot alias.
         self._transitions: dict[int, dict] = {id(IDLE_STATE): {}}
         self.log: list[PacketRecord] = []
         self._resolved = 0
@@ -191,36 +190,34 @@ class StarNetwork:
             self._ask_step(dev, event)
             return
         dev.state, action, perform, dev.row = known
-        if action is None:      # a cached Wait: draw a fresh length
-            action = backoff_wait(dev.rng, dev.state.be)
         perform(self, dev, action)
 
     def _ask_step(self, dev: Device, event: MacInput) -> None:
-        """Ask the step function and remember its answer, a Wait without its
-        length.  An invalid input raises before anything is stored."""
+        """Ask the step function and remember its answer.  An invalid input
+        raises before anything is stored."""
         if self.slotted:
-            state, action = slotted_step(dev.state, event, self.csma, dev.rng)
+            state, action = slotted_step(dev.state, event, self.csma)
         else:
-            state, action = unslotted_step(dev.state, event, self.csma, dev.rng)
+            state, action = unslotted_step(dev.state, event, self.csma)
         row = self._transitions.setdefault(id(state), {})
         perform = _PERFORM[type(action)]
         # A deferral returns to the state its CCA pair began in: linking that
         # row would close a cycle in the table, so _do_defer looks it up.
-        dev.row[event._value_] = (state, None if type(action) is Wait else action,
-                                  perform, None if type(action) is DeferToNextCap else row)
+        dev.row[event._value_] = (state, action, perform,
+                                  None if type(action) is DeferToNextCap else row)
         dev.state, dev.row = state, row
         perform(self, dev, action)
 
     def _do_wait(self, dev: Device, action: Wait) -> None:
         now = self.sched.now
-        units = action.duration // UNIT_BACKOFF
+        units = backoff_units(dev.rng, dev.state.be)
         if self.trace is not None:
             self.trace.add(now, dev.id, "backoff-start", dev.current.packet_id,
                            f"be={dev.state.be} units={units}")
         if self.slotted:
             end = self.schedule.countdown_end(now, units)
         else:
-            end = now + action.duration
+            end = now + units * UNIT_BACKOFF
         self.sched.at(end, self._on_backoff_expired, dev, kind=_EV_BACKOFF)
 
     def _do_transmit(self, dev: Device, action: Transmit) -> None:

@@ -110,9 +110,6 @@ class Medium:
                 self._hears[other].add(node_id)
         self._tx_of[node_id] = None
 
-    def in_range(self, a: int, b: int) -> bool:
-        return b in self._hears[a]
-
     def set_awake(self, node_id: int, awake: bool, now: int) -> None:
         """Sleep/wake a radio; sleeping mid-frame makes the receiver miss it.
 

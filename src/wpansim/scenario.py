@@ -138,10 +138,15 @@ class SweepSpec:
 
     def __post_init__(self):
         check_types(self)
-        if not self.axes:
+        if not self.axes or not isinstance(self.axes, (tuple, list)):
             raise ValueError("axes: a sweep needs at least one axis")
         seen = set()
-        for name, values in self.axes:
+        for axis in self.axes:
+            if (not isinstance(axis, (tuple, list)) or len(axis) != 2
+                    or not isinstance(axis[0], str)
+                    or not isinstance(axis[1], (tuple, list))):
+                raise ValueError(f"axes: each axis must be (name, values), got {axis!r}")
+            name, values = axis
             if name not in _AXIS_NAMES:
                 raise ValueError(f"axes: unknown sweep axis {name!r}")
             if name in seen:
@@ -149,6 +154,10 @@ class SweepSpec:
             seen.add(name)
             if not values:
                 raise ValueError(f"axes: sweep axis {name!r} has no values")
+            if name == "bo_so" and not all(isinstance(v, (tuple, list)) and len(v) == 2
+                                           for v in values):
+                raise ValueError(f"axes: bo_so values must be (bo, so) pairs, "
+                                 f"got {values!r}")
         check_range("replications", self.replications, 1)
         check_range("seed_base", self.seed_base, 0, 2 ** 64 - 1)
         # Every point of the cartesian product must itself be a valid scenario.

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from wpansim.csma import (CsmaParams, MacAction, MacInput, TxAttemptState, _step,
                           check_range)
-from wpansim.kernel import Pcg64
 from wpansim.phy import BASE_SUPERFRAME, BEACON_AIRTIME, MIN_CAP_LENGTH, UNIT_BACKOFF
 
 MAX_ORDER = 14
@@ -105,8 +104,8 @@ class SuperframeSchedule:
             b = start + self.cap_offset
 
 
-def slotted_step(state: TxAttemptState, event: MacInput, params: CsmaParams,
-                 rng: Pcg64) -> tuple[TxAttemptState, MacAction]:
+def slotted_step(state: TxAttemptState, event: MacInput,
+                 params: CsmaParams) -> tuple[TxAttemptState, MacAction]:
     """One transition of the slotted (beacon-mode) CSMA-CA machine.
 
     Differences from the unslotted variant: a contention window of two CCAs
@@ -118,7 +117,8 @@ def slotted_step(state: TxAttemptState, event: MacInput, params: CsmaParams,
     ``CCA_IDLE_NO_FIT`` instead of ``CCA_IDLE``, and the frame is deferred to
     the next CAP, where both CCAs are performed anew.
 
-    The caller owns all boundary alignment and the pausing of backoff
-    countdowns outside the CAP; this function only sequences the protocol.
+    The caller draws backoff lengths and owns all boundary alignment and the
+    pausing of backoff countdowns outside the CAP; this function only
+    sequences the protocol.
     """
-    return _step(state, event, params, rng, True)
+    return _step(state, event, params, True)

@@ -25,7 +25,7 @@ from wpansim.csma import (ArmAckTimeout, CsmaParams, DeferToNextCap, DoCca,
                           Fail, IDLE_STATE, MacInput, Success, Transmit,
                           Wait, unslotted_step)
 from wpansim.experiment import run_scenario_full, run_sweep, write_metrics_csv
-from wpansim.kernel import RngManager, SimulationError, seconds_to_symbols
+from wpansim.kernel import SimulationError, seconds_to_symbols
 from wpansim.phy import (ACK_AIRTIME, CCA_DURATION, TURNAROUND, UNIT_BACKOFF,
                          data_frame_airtime)
 from wpansim.scenario import ScenarioSpec, SweepSpec, load_builtin
@@ -324,7 +324,6 @@ def test_criterion_11_machine_invariants_hold_on_random_walks(data):
         max_nb=data.draw(st.integers(0, 5), label="max_nb"),
         max_frame_retries=data.draw(st.integers(0, 7), label="retries"),
         ack_enabled=data.draw(st.booleans(), label="ack"))
-    rng = RngManager(data.draw(st.integers(0, 2 ** 32), label="seed")).draws("walk")
     defers_left = data.draw(st.integers(0, 3), label="defers")
 
     def fits():
@@ -338,8 +337,8 @@ def test_criterion_11_machine_invariants_hold_on_random_walks(data):
         if slotted:
             if event is MacInput.CCA_IDLE and state.cw == 1 and not fits():
                 event = MacInput.CCA_IDLE_NO_FIT
-            return slotted_step(state, event, params, rng)
-        return unslotted_step(state, event, params, rng)
+            return slotted_step(state, event, params)
+        return unslotted_step(state, event, params)
 
     state, action = step(IDLE_STATE, MacInput.START_TX)
     transmissions = 0

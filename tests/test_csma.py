@@ -1,25 +1,28 @@
-"""Unslotted CSMA-CA machine transitions and the MAC transmit queue."""
+"""Unslotted CSMA-CA machine transitions, the backoff draw and the MAC
+transmit queue."""
 
 import pytest
 
-from wpansim.csma import (ArmAckTimeout, CsmaParams, DoCca, DropReason, Fail,
-                          IDLE_STATE, MacInput, MacQueue, Phase, Success,
-                          Transmit, TxAttemptState, Wait, unslotted_step)
-from wpansim.kernel import RngManager, SimulationError
-from wpansim.phy import ACK_WAIT, UNIT_BACKOFF
+from wpansim import csma
+from wpansim.csma import (ArmAckTimeout, CsmaParams, DeferToNextCap, DoCca,
+                          DropReason, Fail, IDLE_STATE, MacInput, MacQueue, Phase,
+                          Success, Transmit, TxAttemptState, Wait, backoff_units,
+                          unslotted_step)
+from wpansim.kernel import RngManager, SimulationError, rng_uniform_units
+from wpansim.phy import ACK_WAIT
+from wpansim.superframe import slotted_step
 
 
 def _rng(seed=1):
     return RngManager(seed).draws("backoff")
 
 
-def _drive(events, params=None, rng=None, state=IDLE_STATE):
+def _drive(events, params=None, state=IDLE_STATE):
     """Feed events in order; return (final state, list of actions)."""
     params = params or CsmaParams()
-    rng = rng or _rng()
     actions = []
     for event in events:
-        state, action = unslotted_step(state, event, params, rng)
+        state, action = unslotted_step(state, event, params)
         actions.append(action)
     return state, actions
 
@@ -28,16 +31,16 @@ def test_start_draws_a_backoff_from_min_be():
     state, (action,) = _drive([MacInput.START_TX])
     assert state.phase is Phase.BACKOFF
     assert state.be == 3 and state.nb == 0 and state.retries == 0
-    assert isinstance(action, Wait)
-    assert action.duration % UNIT_BACKOFF == 0
-    assert 0 <= action.duration <= 7 * UNIT_BACKOFF
+    assert action == Wait()
 
 
 def test_min_be_zero_gives_a_zero_length_first_backoff():
     params = CsmaParams(min_be=0)
     state, (action,) = _drive([MacInput.START_TX], params)
-    assert action == Wait(0)
+    assert action == Wait()
     assert state.be == 0
+    rng = _rng()
+    assert [backoff_units(rng, state.be) for _ in range(10)] == [0] * 10
 
 
 def test_backoff_expiry_leads_to_cca_then_transmit():
@@ -50,20 +53,17 @@ def test_backoff_expiry_leads_to_cca_then_transmit():
 
 def test_busy_cca_escalates_nb_and_be_up_to_the_cap():
     params = CsmaParams(min_be=3, max_be=5, max_nb=4)
-    rng = _rng()
-    state, _ = _drive([MacInput.START_TX], params, rng)
+    state, _ = _drive([MacInput.START_TX], params)
     seen = []
     for _ in range(4):
-        state, action = unslotted_step(state, MacInput.BACKOFF_EXPIRED,
-                                       params, rng)
-        state, action = unslotted_step(state, MacInput.CCA_BUSY, params, rng)
+        state, action = unslotted_step(state, MacInput.BACKOFF_EXPIRED, params)
+        state, action = unslotted_step(state, MacInput.CCA_BUSY, params)
         seen.append((state.nb, state.be))
-        assert isinstance(action, Wait)
-        assert action.duration <= (2 ** state.be - 1) * UNIT_BACKOFF
+        assert action == Wait()
     assert seen == [(1, 4), (2, 5), (3, 5), (4, 5)]   # BE capped at MaxBE
     # fifth busy CCA exceeds MaxNB=4
-    state, _ = unslotted_step(state, MacInput.BACKOFF_EXPIRED, params, rng)
-    state, action = unslotted_step(state, MacInput.CCA_BUSY, params, rng)
+    state, _ = unslotted_step(state, MacInput.BACKOFF_EXPIRED, params)
+    state, action = unslotted_step(state, MacInput.CCA_BUSY, params)
     assert action == Fail(DropReason.CHANNEL_ACCESS_FAILURE)
     assert state.phase is Phase.FAILED
     assert state.retries == 0     # access failure never consumes a retry
@@ -97,13 +97,12 @@ def test_unacknowledged_mode_succeeds_at_tx_done():
 
 def test_ack_timeout_restarts_csma_from_scratch():
     params = CsmaParams(min_be=3, max_be=5, max_nb=4, max_frame_retries=3)
-    rng = _rng()
     state, _ = _drive([MacInput.START_TX, MacInput.BACKOFF_EXPIRED,
                        MacInput.CCA_BUSY,              # escalate BE once
                        MacInput.BACKOFF_EXPIRED, MacInput.CCA_IDLE,
-                       MacInput.TX_DONE], params, rng)
-    state, action = unslotted_step(state, MacInput.ACK_TIMEOUT, params, rng)
-    assert isinstance(action, Wait)
+                       MacInput.TX_DONE], params)
+    state, action = unslotted_step(state, MacInput.ACK_TIMEOUT, params)
+    assert action == Wait()
     assert state.retries == 1
     assert state.nb == 0 and state.be == 3     # NB and BE reset
     assert state.phase is Phase.BACKOFF
@@ -111,15 +110,14 @@ def test_ack_timeout_restarts_csma_from_scratch():
 
 def test_retries_exhaust_after_max_frame_retries_timeouts():
     params = CsmaParams(max_frame_retries=3)
-    rng = _rng()
     state = IDLE_STATE
-    state, _ = unslotted_step(state, MacInput.START_TX, params, rng)
+    state, _ = unslotted_step(state, MacInput.START_TX, params)
     for attempt in range(4):      # original + 3 retries
-        state, _ = unslotted_step(state, MacInput.BACKOFF_EXPIRED, params, rng)
-        state, _ = unslotted_step(state, MacInput.CCA_IDLE, params, rng)
-        state, action = unslotted_step(state, MacInput.TX_DONE, params, rng)
+        state, _ = unslotted_step(state, MacInput.BACKOFF_EXPIRED, params)
+        state, _ = unslotted_step(state, MacInput.CCA_IDLE, params)
+        state, action = unslotted_step(state, MacInput.TX_DONE, params)
         assert isinstance(action, ArmAckTimeout)
-        state, action = unslotted_step(state, MacInput.ACK_TIMEOUT, params, rng)
+        state, action = unslotted_step(state, MacInput.ACK_TIMEOUT, params)
     assert action == Fail(DropReason.RETRY_EXHAUSTED)
     assert state.phase is Phase.FAILED
     assert state.retries == 4
@@ -164,23 +162,59 @@ def test_parameter_ranges_are_validated():
 
 
 def test_backoff_draws_follow_the_seeded_stream():
-    # Identical seeds walk identically; the state machine adds no hidden state.
-    events = [MacInput.START_TX, MacInput.BACKOFF_EXPIRED, MacInput.CCA_BUSY,
-              MacInput.BACKOFF_EXPIRED, MacInput.CCA_BUSY]
-    _, a = _drive(events, rng=_rng(99))
-    _, b = _drive(events, rng=_rng(99))
-    assert a == b
+    # A backoff is one uniform draw on 0 .. 2**BE - 1 from the device's
+    # stream, nothing more: identical seeds give identical lengths.
+    exponents = list(range(csma.MAX_BE + 1)) * 200
+    a, b = _rng(99), _rng(99)
+    units = [backoff_units(a, be) for be in exponents]
+    assert units == [rng_uniform_units(b, be) for be in exponents]
+    assert a.state == b.state
+    for be in range(csma.MAX_BE + 1):
+        assert set(units[be::csma.MAX_BE + 1]) <= set(range(2 ** be))
+    assert set(units[3::csma.MAX_BE + 1]) == set(range(8))
 
 
 def test_transitions_reuse_interned_states_and_actions():
     params = CsmaParams(min_be=0)
-    a, wait_a = unslotted_step(IDLE_STATE, MacInput.START_TX, params, _rng(1))
-    b, wait_b = unslotted_step(IDLE_STATE, MacInput.START_TX, params, _rng(2))
+    a, wait_a = unslotted_step(IDLE_STATE, MacInput.START_TX, params)
+    b, wait_b = unslotted_step(IDLE_STATE, MacInput.START_TX, params)
     assert a is b and wait_a is wait_b
     assert a == TxAttemptState(0, 0, 0, 0, Phase.BACKOFF)
-    c, cca = unslotted_step(a, MacInput.BACKOFF_EXPIRED, params, _rng())
-    assert unslotted_step(a, MacInput.BACKOFF_EXPIRED, params, _rng()) == (c, cca)
-    assert unslotted_step(a, MacInput.BACKOFF_EXPIRED, params, _rng())[0] is c
+    c, cca = unslotted_step(a, MacInput.BACKOFF_EXPIRED, params)
+    assert unslotted_step(a, MacInput.BACKOFF_EXPIRED, params) == (c, cca)
+    assert unslotted_step(a, MacInput.BACKOFF_EXPIRED, params)[0] is c
+
+
+@pytest.mark.parametrize("step", [unslotted_step, slotted_step])
+@pytest.mark.parametrize("params", [CsmaParams(),
+                                    CsmaParams(min_be=0, max_nb=1,
+                                               max_frame_retries=1,
+                                               ack_enabled=False)])
+def test_the_machines_draw_nothing_and_answer_each_pair_alike(step, params,
+                                                               monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a step function drew a random number")
+    monkeypatch.setattr(csma, "rng_uniform_units", no_draw)
+    seen, phases, actions = {IDLE_STATE}, set(), set()
+    todo = [IDLE_STATE]
+    while todo:     # every state reachable from IDLE under every input
+        state = todo.pop()
+        phases.add(state.phase)
+        for event in MacInput:
+            try:
+                answer = step(state, event, params)
+            except SimulationError:
+                continue
+            again = step(state, event, params)
+            assert again[0] is answer[0] and again[1] is answer[1]
+            actions.add(type(answer[1]))
+            if answer[0] not in seen:
+                seen.add(answer[0])
+                todo.append(answer[0])
+    expected = set(Phase) - ({Phase.AWAITING_ACK} if not params.ack_enabled else set())
+    assert phases == expected
+    assert Wait in actions and Fail in actions
+    assert (DeferToNextCap in actions) == (step is slotted_step)
 
 
 # ------------------------------------------------------------------ queue

@@ -40,9 +40,9 @@ def _data(src, airtime=154, pkt=1):
 
 def test_in_range_is_a_closed_disc():
     med = _medium_with((0, 0, 0), (1, 176, 0), (2, 176.01, 0), (3, 50, 0))
-    assert med.in_range(0, 1)       # exactly at the radius
-    assert not med.in_range(0, 2)
-    assert med.in_range(0, 3)
+    assert 1 in med._hears[0]       # exactly at the radius
+    assert 2 not in med._hears[0]
+    assert 3 in med._hears[0]
 
 
 def test_duplicate_node_registration_rejected():
@@ -172,7 +172,7 @@ def test_cca_idle_on_quiet_or_distant_channel():
     assert not med.cca_busy(0, 50)
     tx = med.begin_tx(_data(2), 10)     # 250 m from node 0
     assert not med.cca_busy(0, 50)
-    assert med.cca_busy(1, 50) == med.in_range(1, 2)
+    assert med.cca_busy(1, 50) == (2 in med._hears[1])
     med.end_tx(tx, 164)
 
 

@@ -196,4 +196,4 @@ def test_precomputed_audibility_equals_the_distance_test(points, comm_range):
         med.add_node(node_id, x, y)
     for a, (ax, ay) in enumerate(points):
         for b, (bx, by) in enumerate(points):
-            assert med.in_range(a, b) == (math.hypot(ax - bx, ay - by) <= comm_range)
+            assert (b in med._hears[a]) == (math.hypot(ax - bx, ay - by) <= comm_range)

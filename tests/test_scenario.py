@@ -290,6 +290,9 @@ _SWEEP = SweepSpec(ScenarioSpec(quota=1), (("msdu", (20,)),))
     ("replications", lambda: dataclasses.replace(_SWEEP, replications=1.5)),
     ("axes", lambda: dataclasses.replace(_SWEEP, axes=(("msdu", (20.5,)),))),
     ("min_be", lambda: StarNetwork(csma_params=CsmaParams(min_be=2.0), quota=1)),
+    ("axes", lambda: dataclasses.replace(_SWEEP, axes=(("bo_so", (5,)),))),
+    ("axes", lambda: dataclasses.replace(_SWEEP, axes=(("msdu", 5),))),
+    ("axes", lambda: dataclasses.replace(_SWEEP, axes=((["msdu"], (5,)),))),
 ])
 def test_library_paths_check_types_as_the_loader_does(field, build):
     with pytest.raises(ValueError) as err:

@@ -4,7 +4,7 @@ import pytest
 
 from wpansim.csma import (CsmaParams, DeferToNextCap, DoCca, IDLE_STATE,
                           MacInput, Phase, Transmit, Wait)
-from wpansim.kernel import RngManager, SimulationError
+from wpansim.kernel import SimulationError
 from wpansim.superframe import (SuperframeSchedule,
                                 beacon_interval, duty_cycle, slotted_step,
                                 superframe_duration)
@@ -146,15 +146,14 @@ def test_slot_index_annotation():
 # ------------------------------------------------- slotted contention window
 
 
-def _walk(events, fits=None, params=None, rng=None):
+def _walk(events, fits=None, params=None):
     params = params or CsmaParams()
-    rng = rng or RngManager(5).draws("backoff")
     state = IDLE_STATE
     actions = []
     for event in events:
         if event is MacInput.CCA_IDLE and state.cw == 1 and not fits():
             event = MacInput.CCA_IDLE_NO_FIT
-        state, action = slotted_step(state, event, params, rng)
+        state, action = slotted_step(state, event, params)
         actions.append(action)
     return state, actions
 
@@ -171,12 +170,11 @@ def test_two_idle_ccas_precede_a_slotted_transmit():
 
 def test_busy_cca_resets_the_contention_window():
     params = CsmaParams()
-    rng = RngManager(6).draws("backoff")
     state, _ = _walk([MacInput.START_TX, MacInput.BACKOFF_EXPIRED,
-                      MacInput.CCA_IDLE], params=params, rng=rng)
+                      MacInput.CCA_IDLE], params=params)
     assert state.cw == 1
-    state, action = slotted_step(state, MacInput.CCA_BUSY, params, rng)
-    assert isinstance(action, Wait)
+    state, action = slotted_step(state, MacInput.CCA_BUSY, params)
+    assert action == Wait()
     assert state.cw == 2                        # both CCAs start over
     assert state.nb == 1 and state.be == 4
 
@@ -201,4 +199,4 @@ def test_transaction_that_cannot_fit_defers_to_the_next_cap():
 def test_the_cap_overrun_input_is_only_valid_after_the_second_cca(before, phase):
     state, _ = _walk(before)
     with pytest.raises(SimulationError, match=f"is not valid in phase {phase}"):
-        slotted_step(state, MacInput.CCA_IDLE_NO_FIT, CsmaParams(), None)
+        slotted_step(state, MacInput.CCA_IDLE_NO_FIT, CsmaParams())

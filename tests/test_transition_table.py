@@ -2,13 +2,15 @@
 
 ``StarNetwork._feed`` answers an input it has seen in a state from the row
 of that state in its table, and asks ``unslotted_step`` / ``slotted_step``
-otherwise.  The CAP fit of a slotted second CCA is an input like the CCA
-result (``CCA_IDLE`` or ``CCA_IDLE_NO_FIT``), so every input has one entry.
-These tests hold the table to the step functions: whole runs match a
-reference ``_feed`` that asks the step function on every input (and reads
-the CAP from the schedule on every read), an invalid input still raises on a
-warm table, every cached ``Wait`` draws a fresh length from the stream, and
-an idle second CCA continues from the entry of the fit the clock gives.
+otherwise.  The step functions draw nothing, so each entry holds the action
+as they returned it; the network draws a ``Wait``'s length when it performs
+it.  The CAP fit of a slotted second CCA is an input like the CCA result
+(``CCA_IDLE`` or ``CCA_IDLE_NO_FIT``), so every input has one entry.  These
+tests hold the table to the step functions: whole runs match a reference
+``_feed`` that asks the step function on every input (and reads the CAP from
+the schedule on every read), an invalid input still raises on a warm table,
+every hit on a cached ``Wait`` draws a fresh length from the stream, and an
+idle second CCA continues from the entry of the fit the clock gives.
 """
 
 import copy
@@ -32,11 +34,9 @@ from wpansim.trace import MacTrace
 def reference_feed(self, dev, event):
     """``_feed`` without the table: the step function answers every input."""
     if self.slotted:
-        dev.state, action = network.slotted_step(dev.state, event, self.csma,
-                                                 dev.rng)
+        dev.state, action = network.slotted_step(dev.state, event, self.csma)
     else:
-        dev.state, action = network.unslotted_step(dev.state, event, self.csma,
-                                                   dev.rng)
+        dev.state, action = network.unslotted_step(dev.state, event, self.csma)
     network._PERFORM[type(action)](self, dev, action)
 
 
@@ -120,6 +120,11 @@ def test_the_table_replays_exactly_what_the_step_functions_answer(kwargs):
     assert shipped == reference
     if shipped[0]:                   # a packet arrived, so a transition was stored
         assert any(net._transitions.values())
+    # Each backoff the network drew is a legal length at a legal exponent.
+    backoffs = re.findall(r"\tbackoff-start\t.*be=(\d+) units=(\d+)", shipped[3])
+    for be, units in backoffs:
+        assert net.csma.min_be <= int(be) <= net.csma.max_be
+        assert int(units) < 2 ** int(be)
 
 
 def test_the_slotted_example_defers():
@@ -151,7 +156,8 @@ def test_each_hit_on_a_cached_wait_draws_a_fresh_length(mode, monkeypatch):
     net.run()
     row = net._transitions[id(IDLE_STATE)]
     cached_state, cached_action, perform, next_row = row[MacInput.START_TX.value]
-    assert cached_action is None                  # stored without its length
+    step = superframe.slotted_step if net.slotted else network.unslotted_step
+    assert cached_action is step(IDLE_STATE, MacInput.START_TX, net.csma)[1] == Wait()
     assert perform is network._PERFORM[Wait]
     assert next_row is net._transitions[id(cached_state)]
 
@@ -173,9 +179,9 @@ def test_each_hit_on_a_cached_wait_draws_a_fresh_length(mode, monkeypatch):
         dev.state, dev.row = IDLE_STATE, row
         net._feed(dev, MacInput.START_TX)
         assert dev.state is cached_state and dev.row is next_row
-    waits = [Wait(int(units) * UNIT_BACKOFF)
-             for units in re.findall(r"\tbackoff-start\t.*units=(\d+)", sink.getvalue())]
-    assert waits == [Wait(units * UNIT_BACKOFF) for units in expected]
+    drawn = [int(units) for units in
+             re.findall(r"\tbackoff-start\t.*units=(\d+)", sink.getvalue())]
+    assert drawn == expected
 
 
 def test_a_cap_fit_hit_continues_from_the_entry_of_its_answer(monkeypatch):
@@ -190,7 +196,7 @@ def test_a_cap_fit_hit_continues_from_the_entry_of_its_answer(monkeypatch):
     assert row[overruns.value][3] is None     # a deferral's entry links no row
     # So the table has no cycle to compare.
     assert copy.deepcopy(net._transitions) == net._transitions
-    expected = {event: superframe.slotted_step(state, event, net.csma, None)
+    expected = {event: superframe.slotted_step(state, event, net.csma)
                 for event in (fits, overruns)}
 
     def no_step(*args):
