@@ -6,9 +6,8 @@ performs each emitted action (back off, CCA, transmit, arm a timer) and feeds
 the observed outcome back as the next input, which keeps the protocol logic
 unit-testable without a simulator.  A ``Wait`` says only that the device backs
 off; the caller draws its length with :func:`backoff_units`.  States and
-actions are interned, so a transition allocates nothing.  For fixed
-parameters a transition depends only on ``(state, input)``, so a caller may
-cache the answers (see ``StarNetwork._feed``).
+actions are interned, and the network walks each machine into a table once
+per parameter set (see ``network._machine``).
 
 The slotted variant (contention window, CAP deference) shares this core; see
 :func:`wpansim.superframe.slotted_step`.
@@ -163,7 +162,7 @@ _ARM_ACK = ArmAckTimeout(ACK_WAIT)
 _FAIL_ACCESS = Fail(DropReason.CHANNEL_ACCESS_FAILURE)
 _FAIL_RETRIES = Fail(DropReason.RETRY_EXHAUSTED)
 
-# Enum class attribute lookups are slow on the hot path; bind the members once.
+# Enum class attribute lookups run in Python; bind the members once.
 _IDLE, _BACKOFF, _CCA = Phase.IDLE, Phase.BACKOFF, Phase.CCA
 _TRANSMITTING, _AWAITING_ACK = Phase.TRANSMITTING, Phase.AWAITING_ACK
 _SUCCEEDED, _FAILED = Phase.SUCCESS, Phase.FAILED

@@ -48,8 +48,10 @@ def replication_seed(seed_base: int, point: dict, replication: int) -> int:
     """
     import hashlib  # loaded on first use, as is json: a single run needs neither
     import json
-    payload = json.dumps([seed_base, sorted(point.items()), replication],
-                         separators=(",", ":"))
+    # An integral float hashes as its int: 1 and 1.0 build equal specs.
+    items = sorted((name, int(v) if isinstance(v, float) and v.is_integer() else v)
+                   for name, v in point.items())
+    payload = json.dumps([seed_base, items, replication], separators=(",", ":"))
     digest = hashlib.sha256(payload.encode()).digest()
     return int.from_bytes(digest[:8], "big")
 

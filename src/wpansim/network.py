@@ -10,6 +10,7 @@ themselves live in the pure state machines of ``csma`` and ``superframe``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -119,11 +120,8 @@ class StarNetwork:
                                        rngs.draws("backoff", node_id),
                                        rngs.draws("traffic", node_id)))
 
-        # The step functions' answers for these params, as linked rows:
-        # id(state) -> {input value: (next state, action, its performer from
-        # _PERFORM, the next state's row or None after a deferral)}.  States
-        # are interned for the life of the process, so an id cannot alias.
-        self._transitions: dict[int, dict] = {id(IDLE_STATE): {}}
+        self._step = slotted_step if self.slotted else unslotted_step
+        self._idle_row = _machine(self._step, self.csma)
         self.log: list[PacketRecord] = []
         self._resolved = 0
         self._total_quota = None if spec.quota is None else spec.quota * n_devices
@@ -181,31 +179,14 @@ class StarNetwork:
 
     def _start_attempt(self, dev: Device) -> None:
         dev.state = IDLE_STATE
-        dev.row = self._transitions[id(IDLE_STATE)]
+        dev.row = self._idle_row
         self._feed(dev, _IN_START_TX)
 
     def _feed(self, dev: Device, event: MacInput) -> None:
         known = dev.row.get(event._value_)
-        if known is None:
-            self._ask_step(dev, event)
-            return
+        if known is None:   # an invalid pair: the step function says why
+            self._step(dev.state, event, self.csma)
         dev.state, action, perform, dev.row = known
-        perform(self, dev, action)
-
-    def _ask_step(self, dev: Device, event: MacInput) -> None:
-        """Ask the step function and remember its answer.  An invalid input
-        raises before anything is stored."""
-        if self.slotted:
-            state, action = slotted_step(dev.state, event, self.csma)
-        else:
-            state, action = unslotted_step(dev.state, event, self.csma)
-        row = self._transitions.setdefault(id(state), {})
-        perform = _PERFORM[type(action)]
-        # A deferral returns to the state its CCA pair began in: linking that
-        # row would close a cycle in the table, so _do_defer looks it up.
-        dev.row[event._value_] = (state, action, perform,
-                                  None if type(action) is DeferToNextCap else row)
-        dev.state, dev.row = state, row
         perform(self, dev, action)
 
     def _do_wait(self, dev: Device, action: Wait) -> None:
@@ -254,8 +235,6 @@ class StarNetwork:
 
     def _do_defer(self, dev: Device, action: DeferToNextCap) -> None:
         now = self.sched.now
-        if dev.row is None:     # a hit on a deferral's entry, which links no row
-            dev.row = self._transitions[id(dev.state)]
         if self.trace is not None:
             self.trace.add(now, dev.id, "defer", dev.current.packet_id)
         # Both CCAs are redone at the start of the next CAP.
@@ -396,9 +375,28 @@ class StarNetwork:
             self.trace.add(now, COORDINATOR, "sleep", -1, f"k={k}")
 
 
-# Each action's performer, called as perform(network, dev, action): bound
-# methods would make each network a cycle.
+# Each action's performer, called as perform(network, dev, action): the
+# shared transition table must hold no network.
 _PERFORM = {Wait: StarNetwork._do_wait, DoCca: StarNetwork._issue_cca,
             Transmit: StarNetwork._do_transmit, ArmAckTimeout: StarNetwork._do_arm,
             Success: StarNetwork._do_success, Fail: StarNetwork._do_fail,
             DeferToNextCap: StarNetwork._do_defer}
+
+
+@functools.cache
+def _machine(step, params: CsmaParams) -> dict:
+    """IDLE's row of machine ``step`` under ``params``, walked once per process
+    and never changed.  A row maps each input ``step`` accepts to (next state,
+    action, performer, next state's row); a deferral's entry closes a cycle."""
+    rows, found = {IDLE_STATE: {}}, [IDLE_STATE]
+    for state in found:         # grows as the walk finds states
+        for event in MacInput:
+            try:
+                target, action = step(state, event, params)
+            except SimulationError:
+                continue
+            if target not in rows:
+                found.append(target)
+            rows[state][event._value_] = (target, action, _PERFORM[type(action)],
+                                          rows.setdefault(target, {}))
+    return rows[IDLE_STATE]

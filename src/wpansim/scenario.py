@@ -178,6 +178,8 @@ class SweepSpec:
         """The base scenario with one point's parameters applied."""
         changes = {}
         for name, value in point.items():
+            if name not in _AXIS_NAMES:
+                raise ValueError(f"axes: unknown sweep axis {name!r}")
             if name == "bo_so":
                 changes["bo"], changes["so"] = value
             else:
@@ -369,8 +371,7 @@ _BEACON_INTERVALS = ("interval_s", (0.01, 0.05, 0.1))
 
 #: name -> (one-line description, fields), in listing order.  The fields are
 #: only those that differ from the specs' defaults, which are the packaged MAC
-#: settings; a sweep's base scenario is under "base".  Axis values are kept as
-#: written, since replication_seed hashes them: 1 and 1.0 seed differently.
+#: settings; a sweep's base scenario is under "base".
 BUILTINS = {
     "nonbeacon-defaults": (
         "single non-beacon run with the default MAC settings",

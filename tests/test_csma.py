@@ -3,14 +3,15 @@ transmit queue."""
 
 import pytest
 
-from wpansim import csma
+from wpansim import csma, network
 from wpansim.csma import (ArmAckTimeout, CsmaParams, DeferToNextCap, DoCca,
                           DropReason, Fail, IDLE_STATE, MacInput, MacQueue, Phase,
-                          Success, Transmit, TxAttemptState, Wait, backoff_units,
-                          unslotted_step)
+                          Success, Transmit, Wait, backoff_units, unslotted_step)
 from wpansim.kernel import RngManager, SimulationError, rng_uniform_units
 from wpansim.phy import ACK_WAIT
 from wpansim.superframe import slotted_step
+
+from test_transition_table import rows_of
 
 
 def _rng(seed=1):
@@ -174,17 +175,6 @@ def test_backoff_draws_follow_the_seeded_stream():
     assert set(units[3::csma.MAX_BE + 1]) == set(range(8))
 
 
-def test_transitions_reuse_interned_states_and_actions():
-    params = CsmaParams(min_be=0)
-    a, wait_a = unslotted_step(IDLE_STATE, MacInput.START_TX, params)
-    b, wait_b = unslotted_step(IDLE_STATE, MacInput.START_TX, params)
-    assert a is b and wait_a is wait_b
-    assert a == TxAttemptState(0, 0, 0, 0, Phase.BACKOFF)
-    c, cca = unslotted_step(a, MacInput.BACKOFF_EXPIRED, params)
-    assert unslotted_step(a, MacInput.BACKOFF_EXPIRED, params) == (c, cca)
-    assert unslotted_step(a, MacInput.BACKOFF_EXPIRED, params)[0] is c
-
-
 @pytest.mark.parametrize("step", [unslotted_step, slotted_step])
 @pytest.mark.parametrize("params", [CsmaParams(),
                                     CsmaParams(min_be=0, max_nb=1,
@@ -195,24 +185,16 @@ def test_the_machines_draw_nothing_and_answer_each_pair_alike(step, params,
     def no_draw(*args):
         raise AssertionError("a step function drew a random number")
     monkeypatch.setattr(csma, "rng_uniform_units", no_draw)
-    seen, phases, actions = {IDLE_STATE}, set(), set()
-    todo = [IDLE_STATE]
-    while todo:     # every state reachable from IDLE under every input
-        state = todo.pop()
-        phases.add(state.phase)
-        for event in MacInput:
-            try:
-                answer = step(state, event, params)
-            except SimulationError:
-                continue
-            again = step(state, event, params)
-            assert again[0] is answer[0] and again[1] is answer[1]
-            actions.add(type(answer[1]))
-            if answer[0] not in seen:
-                seen.add(answer[0])
-                todo.append(answer[0])
+    # The network's table, built afresh: its walk asks every reachable pair.
+    rows = rows_of(network._machine.__wrapped__(step, params))
+    actions = set()
+    for state, row in rows.items():
+        for value, (target, action, _, _) in row.items():
+            again = step(state, MacInput(value), params)
+            assert again[0] is target and again[1] is action
+            actions.add(type(action))
     expected = set(Phase) - ({Phase.AWAITING_ACK} if not params.ack_enabled else set())
-    assert phases == expected
+    assert {state.phase for state in rows} == expected
     assert Wait in actions and Fail in actions
     assert (DeferToNextCap in actions) == (step is slotted_step)
 

@@ -30,6 +30,13 @@ def test_replication_seeds_are_stable_and_distinct():
     assert replication_seed(2, {"msdu": 20, "n_devices": 8}, 0) != a
 
 
+def test_an_integral_float_axis_value_seeds_as_its_int():
+    # interval_s 1 and 1.0 build equal specs, so they must run alike.
+    one = replication_seed(1, {"interval_s": 1}, 0)
+    assert one == replication_seed(1, {"interval_s": 1.0}, 0)
+    assert one != replication_seed(1, {"interval_s": 1.5}, 0)
+
+
 def test_run_scenario_is_deterministic_in_spec_and_seed():
     spec = ScenarioSpec(mode="nonbeacon", n_devices=4, interval_s=0.02,
                         quota=10, seed=33)

@@ -1,7 +1,6 @@
 """End-to-end star-network runs: delivery timing, drop accounting,
 stop conditions, determinism, and beacon-mode structure."""
 
-import copy
 import dataclasses
 import gc
 import hashlib
@@ -10,7 +9,7 @@ from io import StringIO
 
 import pytest
 
-from wpansim.csma import CsmaParams, DropReason
+from wpansim.csma import CsmaParams
 from wpansim.experiment import run_scenario_full, write_metrics_csv
 from wpansim.kernel import Scheduler, SimulationError, seconds_to_symbols
 from wpansim.metrics import MetricsRow, write_packet_log
@@ -316,11 +315,10 @@ def test_every_queued_event_fires_or_is_left_pending(monkeypatch):
     DEFERRING,
 ], ids=["nonbeacon", "ack-in-flight", "deferring"])
 def test_a_finished_network_is_freed_without_the_cycle_collector(kwargs):
-    # The transition rows hold plain functions, not bound methods, a
-    # deferral's entry links no row, a finished run drops its pending events
-    # and held ACK timeouts, and a transmission holds the senders of the
-    # frames it overlapped, not the frames, so neither a network nor its
-    # collided frames wait for the cycle collector.
+    # The shared transition table holds no network, a finished run drops
+    # its pending events and held ACK timeouts, and a transmission holds the
+    # senders of the frames it overlapped, not the frames, so neither a
+    # network nor its collided frames wait for the cycle collector.
     gc.collect()
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
@@ -328,11 +326,7 @@ def test_a_finished_network_is_freed_without_the_cycle_collector(kwargs):
     try:
         net = StarNetwork(**kwargs)
         log = net.run().log
-        assert any(net._transitions.values())
         assert any(rec.tx_count > 1 for rec in log)      # frames collided
-        if kwargs is DEFERRING:
-            # Deep-copying a table with a cycle would recurse without end.
-            assert copy.deepcopy(net._transitions) == net._transitions
         ref = weakref.ref(net)
         del net, log
         assert ref() is None

@@ -1,19 +1,13 @@
-"""The per-network table of CSMA-CA transitions is only a cache.
+"""Every network shares one CSMA-CA transition table per machine and params.
 
-``StarNetwork._feed`` answers an input it has seen in a state from the row
-of that state in its table, and asks ``unslotted_step`` / ``slotted_step``
-otherwise.  The step functions draw nothing, so each entry holds the action
-as they returned it; the network draws a ``Wait``'s length when it performs
-it.  The CAP fit of a slotted second CCA is an input like the CCA result
-(``CCA_IDLE`` or ``CCA_IDLE_NO_FIT``), so every input has one entry.  These
-tests hold the table to the step functions: whole runs match a reference
-``_feed`` that asks the step function on every input (and reads the CAP from
-the schedule on every read), an invalid input still raises on a warm table,
-every hit on a cached ``Wait`` draws a fresh length from the stream, and an
-idle second CCA continues from the entry of the fit the clock gives.
+``network._machine`` walks a step function from ``IDLE_STATE`` under every
+input into linked rows, once per process: a row maps each input its state
+accepts to (next state, action, performer, next state's row).  These tests
+hold the table to the step functions, entry by entry and over whole runs, and
+check that a network answers an invalid input by raising, each ``Wait`` with
+a fresh draw and an idle second CCA from the entry of the fit the clock gives.
 """
 
-import copy
 import re
 from io import StringIO
 
@@ -21,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wpansim import network, superframe
+from wpansim import network
 from wpansim.csma import IDLE_STATE, CsmaParams, MacInput, Phase, Wait
 from wpansim.kernel import RngManager, SimulationError, rng_uniform_units
 from wpansim.metrics import PacketRecord
@@ -31,12 +25,20 @@ from wpansim.phy import (ACK_AIRTIME, CCA_DURATION, TURNAROUND, UNIT_BACKOFF,
 from wpansim.trace import MacTrace
 
 
+def rows_of(idle_row):
+    """state -> row, for every state that the table links from IDLE's row."""
+    rows, todo = {IDLE_STATE: idle_row}, [idle_row]
+    while todo:
+        for state, _, _, row in todo.pop().values():
+            if state not in rows:
+                rows[state] = row
+                todo.append(row)
+    return rows
+
+
 def reference_feed(self, dev, event):
     """``_feed`` without the table: the step function answers every input."""
-    if self.slotted:
-        dev.state, action = network.slotted_step(dev.state, event, self.csma)
-    else:
-        dev.state, action = network.unslotted_step(dev.state, event, self.csma)
+    dev.state, action = self._step(dev.state, event, self.csma)
     network._PERFORM[type(action)](self, dev, action)
 
 
@@ -118,8 +120,6 @@ def test_the_table_replays_exactly_what_the_step_functions_answer(kwargs):
         mp.setattr(StarNetwork, "_on_cca_result", reference_cca_result)
         _, reference = traced_run(kwargs)
     assert shipped == reference
-    if shipped[0]:                   # a packet arrived, so a transition was stored
-        assert any(net._transitions.values())
     # Each backoff the network drew is a legal length at a legal exponent.
     backoffs = re.findall(r"\tbackoff-start\t.*be=(\d+) units=(\d+)", shipped[3])
     for be, units in backoffs:
@@ -132,53 +132,77 @@ def test_the_slotted_example_defers():
     assert "\tdefer\t" in trace
 
 
+PARAMS = {"default": CsmaParams(),
+          "widest": CsmaParams(min_be=0, max_be=8, max_nb=5, max_frame_retries=7),
+          "no-ack": CsmaParams(ack_enabled=False)}
+
+
+@pytest.mark.parametrize("step", [network.unslotted_step, network.slotted_step])
+@pytest.mark.parametrize("params", PARAMS.values(), ids=PARAMS)
+def test_every_valid_pair_has_one_entry_and_it_is_the_step_functions_answer(
+        step, params):
+    rows = rows_of(network._machine(step, params))
+    for state, row in rows.items():
+        for event in MacInput:
+            try:
+                target, action = step(state, event, params)
+            except SimulationError:
+                assert event.value not in row
+                continue
+            entry = row[event.value]
+            assert entry[0] is target and entry[1] is action
+            assert entry[2] is network._PERFORM[type(action)]
+            assert entry[3] is rows[target]
+    if params == CsmaParams():
+        pairs = {network.unslotted_step: 121, network.slotted_step: 181}[step]
+        assert sum(map(len, rows.values())) == pairs
+
+
+def test_networks_of_one_mode_and_params_share_one_table():
+    def idle_row(mode, **params):
+        return StarNetwork(**ORDERS[mode], run_time_s=1.0,
+                           csma_params=CsmaParams(**params))._idle_row
+    assert idle_row("beacon", max_nb=2) is idle_row("beacon", max_nb=2)
+    rows = [idle_row(mode, **params) for mode in ORDERS
+            for params in ({}, {"max_nb": 2}, {"ack_enabled": False})]
+    assert len(set(map(id, rows))) == len(rows) == 6
+    assert rows[0] is idle_row("nonbeacon")
+
+
 @pytest.mark.parametrize("mode", ["nonbeacon", "beacon"])
-def test_an_invalid_input_raises_on_a_warm_table(mode):
+def test_an_invalid_input_raises_and_moves_no_device(mode):
     net = StarNetwork(**ORDERS[mode], n_devices=3, msdu=60, interval_s=0.01,
                       run_time_s=0.5, seed=3)
     net.run()
-    stored = copy.deepcopy(net._transitions)
-    assert any(stored.values())
     for dev in net.devices:
         assert dev.state.cw != 1        # where CCA_IDLE_NO_FIT would be valid
+        state, row = dev.state, dev.row
         for invalid in (MacInput.TX_DONE if dev.state.phase is Phase.IDLE
                         else MacInput.START_TX, MacInput.CCA_IDLE_NO_FIT):
-            for _ in range(2):
-                with pytest.raises(SimulationError, match="is not valid in phase"):
-                    net._feed(dev, invalid)
-    assert net._transitions == stored
+            with pytest.raises(SimulationError, match="is not valid in phase"):
+                net._feed(dev, invalid)
+            assert dev.state is state and dev.row is row
 
 
 @pytest.mark.parametrize("mode", ["nonbeacon", "beacon"])
-def test_each_hit_on_a_cached_wait_draws_a_fresh_length(mode, monkeypatch):
-    net = StarNetwork(**ORDERS[mode], n_devices=2, msdu=60, interval_s=0.01,
-                      run_time_s=0.2, seed=3)
-    net.run()
-    row = net._transitions[id(IDLE_STATE)]
-    cached_state, cached_action, perform, next_row = row[MacInput.START_TX.value]
-    step = superframe.slotted_step if net.slotted else network.unslotted_step
-    assert cached_action is step(IDLE_STATE, MacInput.START_TX, net.csma)[1] == Wait()
-    assert perform is network._PERFORM[Wait]
-    assert next_row is net._transitions[id(cached_state)]
-
-    def no_step(*args):
-        raise AssertionError("a table hit must not ask the step function")
-    monkeypatch.setattr(network, "unslotted_step", no_step)
-    monkeypatch.setattr(network, "slotted_step", no_step)
+def test_each_hit_on_a_wait_draws_a_fresh_length(mode):
     sink = StringIO()
-    net.trace = MacTrace(sink)
-    net.trace.use_schedule(net.schedule)
+    net = StarNetwork(**ORDERS[mode], n_devices=2, msdu=60, interval_s=0.01,
+                      run_time_s=0.2, seed=3, trace=MacTrace(sink))
+    row = net._idle_row
+    state, action, perform, next_row = row[MacInput.START_TX.value]
+    assert action == Wait() and perform is network._PERFORM[Wait]
 
     dev = net.devices[0]
     dev.current = PacketRecord(0, dev.id, 0, 60)
     dev.rng = RngManager(11).draws("backoff", 1)
     oracle = RngManager(11).draws("backoff", 1)
-    expected = [rng_uniform_units(oracle, cached_state.be) for _ in range(2)]
+    expected = [rng_uniform_units(oracle, state.be) for _ in range(2)]
     assert expected[0] != expected[1]
     for _ in range(2):
         dev.state, dev.row = IDLE_STATE, row
         net._feed(dev, MacInput.START_TX)
-        assert dev.state is cached_state and dev.row is next_row
+        assert dev.state is state and dev.row is next_row
     drawn = [int(units) for units in
              re.findall(r"\tbackoff-start\t.*units=(\d+)", sink.getvalue())]
     assert drawn == expected
@@ -186,22 +210,11 @@ def test_each_hit_on_a_cached_wait_draws_a_fresh_length(mode, monkeypatch):
 
 def test_a_cap_fit_hit_continues_from_the_entry_of_its_answer(monkeypatch):
     net = StarNetwork(**DEFERRING)
-    net.run()
     fits, overruns = MacInput.CCA_IDLE, MacInput.CCA_IDLE_NO_FIT
-    states = {id(entry[0]): entry[0]
-              for row in net._transitions.values() for entry in row.values()}
-    state = next(s for key, s in states.items()
-                 if {fits.value, overruns.value} <= net._transitions[key].keys())
-    row = net._transitions[id(state)]
-    assert row[overruns.value][3] is None     # a deferral's entry links no row
-    # So the table has no cycle to compare.
-    assert copy.deepcopy(net._transitions) == net._transitions
-    expected = {event: superframe.slotted_step(state, event, net.csma)
-                for event in (fits, overruns)}
-
-    def no_step(*args):
-        raise AssertionError("a table hit must not ask the step function")
-    monkeypatch.setattr(network, "slotted_step", no_step)
+    rows = rows_of(net._idle_row)
+    state = next(s for s, row in rows.items()
+                 if {fits.value, overruns.value} <= row.keys())
+    row = rows[state]
     monkeypatch.setattr(Medium, "cca_busy", lambda *args: False)
     scheduled = []
     monkeypatch.setattr(net.sched, "at",
@@ -209,15 +222,14 @@ def test_a_cap_fit_hit_continues_from_the_entry_of_its_answer(monkeypatch):
     dev = net.devices[0]
     dev.current = PacketRecord(0, dev.id, 0, DEFERRING["msdu"])
     span = UNIT_BACKOFF - CCA_DURATION + transaction(DEFERRING["msdu"], net.csma)
-    _, cap_end = net.schedule.cap_bounds(net.schedule.index_at(net.sched.now) + 1)
+    _, cap_end = net.schedule.cap_bounds(1)
     for event, performed in ((fits, "_begin_data_tx"), (overruns, "_issue_cca")):
         # The transaction would end on the CAP end, or one symbol after it.
         net.sched.now = cap_end - span + (event is overruns)
         dev.state, dev.row = state, row
         drawn = dev.rng.state
         net._on_cca_result(dev)
-        next_state, _ = expected[event]
-        assert dev.state is next_state is row[event.value][0]
-        assert dev.row is net._transitions[id(next_state)]
+        next_state, _, _, next_row = row[event.value]
+        assert dev.state is next_state and dev.row is next_row
         assert dev.rng.state == drawn
         assert scheduled.pop() == performed
