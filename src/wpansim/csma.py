@@ -162,7 +162,7 @@ _ARM_ACK = ArmAckTimeout(ACK_WAIT)
 _FAIL_ACCESS = Fail(DropReason.CHANNEL_ACCESS_FAILURE)
 _FAIL_RETRIES = Fail(DropReason.RETRY_EXHAUSTED)
 
-# Enum class attribute lookups run in Python; bind the members once.
+# Enum class attribute lookups are slow on the hot path; bind the members once.
 _IDLE, _BACKOFF, _CCA = Phase.IDLE, Phase.BACKOFF, Phase.CCA
 _TRANSMITTING, _AWAITING_ACK = Phase.TRANSMITTING, Phase.AWAITING_ACK
 _SUCCEEDED, _FAILED = Phase.SUCCESS, Phase.FAILED

@@ -43,12 +43,11 @@ METRIC_COLUMNS = [
 def replication_seed(seed_base: int, point: dict, replication: int) -> int:
     """Stable 64-bit seed for one replication of one sweep point.
 
-    Hashes the point's parameters by name, so the seed survives reordering of
-    axes and is insensitive to the position of the point within the sweep.
+    Hashes the point's parameters by name, an integral float as its int (1 and
+    1.0 build equal specs), so neither axis order nor the point's place matters.
     """
     import hashlib  # loaded on first use, as is json: a single run needs neither
     import json
-    # An integral float hashes as its int: 1 and 1.0 build equal specs.
     items = sorted((name, int(v) if isinstance(v, float) and v.is_integer() else v)
                    for name, v in point.items())
     payload = json.dumps([seed_base, items, replication], separators=(",", ":"))

@@ -117,7 +117,8 @@ def slotted_step(state: TxAttemptState, event: MacInput,
     ``CCA_IDLE_NO_FIT`` instead of ``CCA_IDLE``, and the frame is deferred to
     the next CAP, where both CCAs are performed anew.
 
-    The caller draws backoff lengths, aligns them to the backoff grid and
-    pauses countdowns outside the CAP; this function only sequences the protocol.
+    The caller draws backoff lengths and owns all boundary alignment and the
+    pausing of backoff countdowns outside the CAP; this function only
+    sequences the protocol.
     """
     return _step(state, event, params, True)

@@ -3,15 +3,12 @@ transmit queue."""
 
 import pytest
 
-from wpansim import csma, network
-from wpansim.csma import (ArmAckTimeout, CsmaParams, DeferToNextCap, DoCca,
-                          DropReason, Fail, IDLE_STATE, MacInput, MacQueue, Phase,
-                          Success, Transmit, Wait, backoff_units, unslotted_step)
+from wpansim import csma
+from wpansim.csma import (ArmAckTimeout, CsmaParams, DoCca, DropReason, Fail,
+                          IDLE_STATE, MacInput, MacQueue, Phase, Success, Transmit,
+                          Wait, backoff_units, unslotted_step)
 from wpansim.kernel import RngManager, SimulationError, rng_uniform_units
 from wpansim.phy import ACK_WAIT
-from wpansim.superframe import slotted_step
-
-from test_transition_table import rows_of
 
 
 def _rng(seed=1):
@@ -173,30 +170,6 @@ def test_backoff_draws_follow_the_seeded_stream():
     for be in range(csma.MAX_BE + 1):
         assert set(units[be::csma.MAX_BE + 1]) <= set(range(2 ** be))
     assert set(units[3::csma.MAX_BE + 1]) == set(range(8))
-
-
-@pytest.mark.parametrize("step", [unslotted_step, slotted_step])
-@pytest.mark.parametrize("params", [CsmaParams(),
-                                    CsmaParams(min_be=0, max_nb=1,
-                                               max_frame_retries=1,
-                                               ack_enabled=False)])
-def test_the_machines_draw_nothing_and_answer_each_pair_alike(step, params,
-                                                               monkeypatch):
-    def no_draw(*args):
-        raise AssertionError("a step function drew a random number")
-    monkeypatch.setattr(csma, "rng_uniform_units", no_draw)
-    # The network's table, built afresh: its walk asks every reachable pair.
-    rows = rows_of(network._machine.__wrapped__(step, params))
-    actions = set()
-    for state, row in rows.items():
-        for value, (target, action, _, _) in row.items():
-            again = step(state, MacInput(value), params)
-            assert again[0] is target and again[1] is action
-            actions.add(type(action))
-    expected = set(Phase) - ({Phase.AWAITING_ACK} if not params.ack_enabled else set())
-    assert {state.phase for state in rows} == expected
-    assert Wait in actions and Fail in actions
-    assert (DeferToNextCap in actions) == (step is slotted_step)
 
 
 # ------------------------------------------------------------------ queue

@@ -4,8 +4,9 @@
 input into linked rows, once per process: a row maps each input its state
 accepts to (next state, action, performer, next state's row).  These tests
 hold the table to the step functions, entry by entry and over whole runs, and
-check that a network answers an invalid input by raising, each ``Wait`` with
-a fresh draw and an idle second CCA from the entry of the fit the clock gives.
+check that a network answers an invalid input by raising, and a valid one
+from its row alone: each ``Wait`` with a fresh draw and an idle second CCA
+from the entry of the fit the clock gives.
 """
 
 import re
@@ -15,8 +16,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wpansim import network
-from wpansim.csma import IDLE_STATE, CsmaParams, MacInput, Phase, Wait
+from wpansim import csma, network
+from wpansim.csma import (IDLE_STATE, CsmaParams, DeferToNextCap, Fail, MacInput,
+                          Phase, Wait)
 from wpansim.kernel import RngManager, SimulationError, rng_uniform_units
 from wpansim.metrics import PacketRecord
 from wpansim.network import StarNetwork
@@ -40,6 +42,10 @@ def reference_feed(self, dev, event):
     """``_feed`` without the table: the step function answers every input."""
     dev.state, action = self._step(dev.state, event, self.csma)
     network._PERFORM[type(action)](self, dev, action)
+
+
+def no_step(*args):
+    raise AssertionError("a table hit must not ask the step function")
 
 
 def transaction(msdu, params):
@@ -134,14 +140,21 @@ def test_the_slotted_example_defers():
 
 PARAMS = {"default": CsmaParams(),
           "widest": CsmaParams(min_be=0, max_be=8, max_nb=5, max_frame_retries=7),
-          "no-ack": CsmaParams(ack_enabled=False)}
+          "no-ack": CsmaParams(ack_enabled=False),
+          "narrow-no-ack": CsmaParams(min_be=0, max_nb=1, max_frame_retries=1,
+                                      ack_enabled=False)}
 
 
 @pytest.mark.parametrize("step", [network.unslotted_step, network.slotted_step])
 @pytest.mark.parametrize("params", PARAMS.values(), ids=PARAMS)
 def test_every_valid_pair_has_one_entry_and_it_is_the_step_functions_answer(
-        step, params):
-    rows = rows_of(network._machine(step, params))
+        step, params, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a step function drew a random number")
+    monkeypatch.setattr(csma, "rng_uniform_units", no_draw)
+    # Built afresh, so that the whole walk runs without a draw.
+    rows = rows_of(network._machine.__wrapped__(step, params))
+    actions = set()
     for state, row in rows.items():
         for event in MacInput:
             try:
@@ -153,6 +166,11 @@ def test_every_valid_pair_has_one_entry_and_it_is_the_step_functions_answer(
             assert entry[0] is target and entry[1] is action
             assert entry[2] is network._PERFORM[type(action)]
             assert entry[3] is rows[target]
+            actions.add(type(action))
+    expected = set(Phase) - ({Phase.AWAITING_ACK} if not params.ack_enabled else set())
+    assert {state.phase for state in rows} == expected
+    assert Wait in actions and Fail in actions
+    assert (DeferToNextCap in actions) == (step is network.slotted_step)
     if params == CsmaParams():
         pairs = {network.unslotted_step: 121, network.slotted_step: 181}[step]
         assert sum(map(len, rows.values())) == pairs
@@ -185,7 +203,7 @@ def test_an_invalid_input_raises_and_moves_no_device(mode):
 
 
 @pytest.mark.parametrize("mode", ["nonbeacon", "beacon"])
-def test_each_hit_on_a_wait_draws_a_fresh_length(mode):
+def test_each_hit_on_a_wait_draws_a_fresh_length(mode, monkeypatch):
     sink = StringIO()
     net = StarNetwork(**ORDERS[mode], n_devices=2, msdu=60, interval_s=0.01,
                       run_time_s=0.2, seed=3, trace=MacTrace(sink))
@@ -193,6 +211,7 @@ def test_each_hit_on_a_wait_draws_a_fresh_length(mode):
     state, action, perform, next_row = row[MacInput.START_TX.value]
     assert action == Wait() and perform is network._PERFORM[Wait]
 
+    monkeypatch.setattr(net, "_step", no_step)
     dev = net.devices[0]
     dev.current = PacketRecord(0, dev.id, 0, 60)
     dev.rng = RngManager(11).draws("backoff", 1)
@@ -215,6 +234,7 @@ def test_a_cap_fit_hit_continues_from_the_entry_of_its_answer(monkeypatch):
     state = next(s for s, row in rows.items()
                  if {fits.value, overruns.value} <= row.keys())
     row = rows[state]
+    monkeypatch.setattr(net, "_step", no_step)
     monkeypatch.setattr(Medium, "cca_busy", lambda *args: False)
     scheduled = []
     monkeypatch.setattr(net.sched, "at",
