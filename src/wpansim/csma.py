@@ -250,7 +250,7 @@ def _step(state: TxAttemptState, event: MacInput, params: CsmaParams,
         return _state(0, params.min_be, 2 if slotted else 0, 0, _BACKOFF), _WAIT
 
     raise SimulationError(
-        f"MAC input {event.value} is not valid in phase {phase.value}")
+        f"MAC input {event._value_} is not valid in phase {phase._value_}")
 
 
 def unslotted_step(state: TxAttemptState, event: MacInput,

@@ -11,6 +11,7 @@ without executing the rest of the sweep.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, fields
 from io import StringIO
 from typing import TYPE_CHECKING
@@ -123,10 +124,39 @@ class ResultsTable:
 
 
 def _mean_stddev(values: list) -> tuple:
-    """The aggregate rule: mean of one or more values, stddev of two or more."""
-    import statistics
-    return (statistics.fmean(values) if values else None,
-            statistics.stdev(values) if len(values) >= 2 else None)
+    """The aggregate rule: mean of one or more values, stddev of two or more.
+
+    They are the values Python 3.11's ``statistics.fmean`` and
+    ``statistics.stdev`` return, without Fractions: the sample variance is
+    exact over the values' integer ratios, whose denominators are powers of
+    two, and its square root is correctly rounded.
+    """
+    n = len(values)
+    if not n:
+        return None, None
+    mean = math.fsum(values) / n
+    if n == 1:
+        return mean, None
+    ratios = [value.as_integer_ratio() for value in values]
+    den = max(d for _, d in ratios)
+    nums = [num * (den // d) for num, d in ratios]
+    total = sum(nums)
+    # variance = (n * sum(x**2) - sum(x)**2) / (n * (n - 1)), each x = num / den
+    return mean, _sqrt_of_ratio(n * sum(x * x for x in nums) - total * total,
+                                n * (n - 1) * den * den)
+
+
+def _sqrt_of_ratio(n: int, m: int) -> float:
+    """``sqrt(n / m)`` correctly rounded: an integer root of at least 54
+    bits, rounded to odd, then to the nearest float."""
+    q = (n.bit_length() - m.bit_length() - 109) // 2
+    if q >= 0:
+        m <<= 2 * q
+    else:
+        n <<= -2 * q
+    root = math.isqrt(n // m)
+    root |= root * root * m != n
+    return float(root << q) if q >= 0 else root / (1 << -q)
 
 
 def _run_job(job):

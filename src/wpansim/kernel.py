@@ -156,42 +156,69 @@ _PURPOSE_SALT = 0x802154
 _M32, _M53, _M64, _M128 = 2**32 - 1, 2**53 - 1, 2**64 - 1, 2**128 - 1
 
 
-def _seed_words(entropy: list[int]) -> list[int]:
-    """numpy's ``SeedSequence(entropy).generate_state(4, uint64)``."""
+# numpy's SeedSequence hash constants depend only on how many hashes came
+# before, so each is computed once: hash i of the entropy xors _HASH_A[i] and
+# multiplies by _HASH_A[i + 1], output word i likewise uses _HASH_B[i : i + 2].
+_HASH_A = [0x43B0D7E5]
+_HASH_B = [0x8B51F9DD * pow(0x58F38DED, i, 2**32) & _M32 for i in range(9)]
+
+
+def _hash_a(n: int) -> list[int]:
+    """The hash_a table, grown to hold at least ``n + 1`` constants."""
+    while len(_HASH_A) <= n:
+        _HASH_A.append(_HASH_A[-1] * 0x931E8875 & _M32)
+    return _HASH_A
+
+
+def _entropy_words(entropy: list[int]) -> list[int]:
+    """Little-endian 32-bit words of each integer; 0 gives one word."""
     words = []
-    for n in entropy:     # little-endian 32-bit words; 0 gives one word
+    for n in entropy:
         words.append(n & _M32)
         while n > _M32:
             n >>= 32
             words.append(n & _M32)
-    hash_a = 0x43B0D7E5
+    return words
 
-    def hashmix(value):
-        nonlocal hash_a
-        value ^= hash_a
-        hash_a = hash_a * 0x931E8875 & _M32
-        value = value * hash_a & _M32
-        return value ^ value >> 16
 
-    def mix(x, y):
-        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
-        return r ^ r >> 16
-
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+def _crossed_pool(words: list[int]) -> list[int]:
+    """SeedSequence's pool after hashing in the first four words (zeros pad
+    fewer) and mixing each pool word into the others: 16 hashes."""
+    a = _hash_a(16)
+    pool = []
+    for i in range(4):
+        value = ((words[i] if i < len(words) else 0) ^ a[i]) * a[i + 1] & _M32
+        pool.append(value ^ value >> 16)
+    i = 4
     for src in range(4):
         for dst in range(4):
             if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
+                value = (pool[src] ^ a[i]) * a[i + 1] & _M32
+                r = (0xCA01F9DD * pool[dst] - 0x4973F715 * (value ^ value >> 16)) & _M32
+                pool[dst] = r ^ r >> 16
+                i += 1
+    return pool
+
+
+def _seed_state(pool: list[int], words: list[int]) -> tuple[int, int, int, int]:
+    """``generate_state(4, uint64)`` once ``words``, the entropy past the
+    first four, are mixed into a copy of the crossed ``pool``."""
+    pool = pool.copy()
+    a = _hash_a(16 + 4 * len(words))
+    i = 16
+    for word in words:
         for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    hash_b, out = 0x8B51F9DD, []
-    for i in range(8):
-        value = pool[i % 4] ^ hash_b
-        hash_b = hash_b * 0x58F38DED & _M32
-        value = value * hash_b & _M32
+            value = (word ^ a[i]) * a[i + 1] & _M32
+            r = (0xCA01F9DD * pool[dst] - 0x4973F715 * (value ^ value >> 16)) & _M32
+            pool[dst] = r ^ r >> 16
+            i += 1
+    b = _HASH_B
+    out = []
+    for j in range(8):
+        value = (pool[j & 3] ^ b[j]) * b[j + 1] & _M32
         out.append(value ^ value >> 16)
-    return [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
+    return (out[0] | out[1] << 32, out[2] | out[3] << 32,
+            out[4] | out[5] << 32, out[6] | out[7] << 32)
 
 
 # numpy's 256-level exponential ziggurat (Marsaglia & Tsang 2000): the
@@ -218,7 +245,13 @@ class Pcg64:
     __slots__ = ("_state", "_inc", "_half")
 
     def __init__(self, entropy: list[int]):
-        w0, w1, w2, w3 = _seed_words(entropy)
+        """numpy's ``SeedSequence(entropy)`` seeding."""
+        words = _entropy_words(entropy)
+        self._start(_seed_state(_crossed_pool(words), words[4:]))
+
+    def _start(self, seed_state: tuple[int, int, int, int]) -> None:
+        """Seed from ``generate_state(4, uint64)``, as numpy's PCG64 does."""
+        w0, w1, w2, w3 = seed_state
         self._inc = (w2 << 64 | w3) << 1 & _M128 | 1
         self._state = ((self._inc + (w0 << 64 | w1)) * _PCG_MULT + self._inc) & _M128
         self._half = None
@@ -275,11 +308,25 @@ class RngManager:
 
     def __init__(self, master_seed: int):
         self.master_seed = int(master_seed) & _M64
+        self._pools: dict[str, list[int]] = {}
 
     def draws(self, purpose: str, key: int = 0) -> Pcg64:
-        """The stream ``(purpose, key)``."""
-        tag = zlib.crc32(purpose.encode("ascii"))
-        return Pcg64([self.master_seed, _PURPOSE_SALT, tag, key])
+        """The stream ``(purpose, key)``: ``Pcg64([master_seed, salt, tag, key])``.
+
+        A master seed above 32 bits fills the first four entropy words with
+        the master, salt and purpose tag, so their crossed pool is derived
+        once per purpose and each stream mixes in only its key.
+        """
+        pool = self._pools.get(purpose)
+        if pool is None:
+            tag = zlib.crc32(purpose.encode("ascii"))
+            if self.master_seed <= _M32:
+                return Pcg64([self.master_seed, _PURPOSE_SALT, tag, key])
+            pool = self._pools[purpose] = _crossed_pool(
+                _entropy_words([self.master_seed, _PURPOSE_SALT, tag]))
+        draws = Pcg64.__new__(Pcg64)
+        draws._start(_seed_state(pool, _entropy_words([key])))
+        return draws
 
 
 def rng_uniform_units(draws: Pcg64, be: int) -> int:

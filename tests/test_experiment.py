@@ -1,6 +1,10 @@
 """Sweep execution: seeding, row layout, aggregates, failure handling,
 the results CSV round-trip, and plot-data extraction."""
 
+import random
+import statistics
+import sys
+
 import pytest
 
 import wpansim.experiment as experiment
@@ -119,6 +123,35 @@ def test_sweep_aggregates_average_the_samples():
     assert mean["effective_data_rate_bps"] == pytest.approx(sum(rates) / 3)
     assert stddev["effective_data_rate_bps"] >= 0.0
     assert mean["replication"] is None and mean["seed"] is None
+
+
+def _aggregate_samples() -> list[list]:
+    rnd = random.Random(22)
+    lists = [[rnd.randrange(10**12) for _ in range(rnd.randrange(2, 9))]
+             for _ in range(40)]
+    for _ in range(40):
+        base, scale = rnd.uniform(-1e6, 1e6), 10.0 ** rnd.randrange(-12, 4)
+        lists.append([base + rnd.uniform(-scale, scale)
+                      for _ in range(rnd.randrange(2, 9))])
+    pool = [0.1, 1e-300, 1e300, 5e-324, 3, 2**60 + 1, -7.5]
+    lists += [rnd.choices(pool, k=rnd.randrange(2, 6)) for _ in range(40)]
+    return lists
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="statistics.stdev is correctly rounded from 3.11")
+def test_aggregate_equals_statistics_fmean_and_stdev():
+    for values in _aggregate_samples():
+        mean, stddev = experiment._mean_stddev(values)
+        assert (mean, stddev) == (statistics.fmean(values), statistics.stdev(values))
+        assert type(mean) is float and type(stddev) is float
+
+
+def test_aggregate_pins_its_degenerate_cases():
+    assert experiment._mean_stddev([0.3] * 5) == (0.3, 0.0)
+    assert experiment._mean_stddev([4, 4]) == (4.0, 0.0)
+    assert experiment._mean_stddev([7]) == (7.0, None)
+    assert experiment._mean_stddev([]) == (None, None)
 
 
 def test_failed_runs_are_rows_not_crashes(monkeypatch):

@@ -271,6 +271,25 @@ def test_seeding_and_raw_words_match_numpy(seed, key):
         oracle.bit_generator.random_raw(1000).tolist())
 
 
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1])
+def test_one_manager_derives_interleaved_streams_as_numpy_does(seed):
+    # Above 32 bits a master shares one pool per purpose across its keys;
+    # interleaving purposes must keep each key's stream its own.
+    mgr = RngManager(seed)
+    for key in (0, 1, 9, 33, 2**32 + 3):
+        for purpose in ("backoff", "traffic", "placement"):
+            state = _numpy_stream(seed, purpose, key).bit_generator.state["state"]
+            expected = (state["state"], state["inc"], None)
+            assert mgr.draws(purpose, key).state == expected
+            assert RngManager(seed).draws(purpose, key).state == expected
+
+
+def test_long_entropy_seeds_as_numpy_does():
+    entropy = [2**200 + 17, 0, 5, 2**64 - 1, 12, 2**33]     # 14 words
+    state = np.random.PCG64(np.random.SeedSequence(entropy)).state["state"]
+    assert Pcg64(entropy).state == (state["state"], state["inc"], None)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_32_bit_halves_match_numpy_across_word_boundaries(seed):
     oracle = _numpy_stream(seed, "backoff", 2)
@@ -374,6 +393,20 @@ for name in ("numpy", "hashlib", "json", "statistics"):
 """
     _run_fresh(script)
     assert (tmp_path / "p.csv").read_text().count("\n") == 1 + 4 * 5
+
+
+def test_a_sweep_and_its_plot_data_load_neither_statistics_nor_fractions():
+    script = """
+import sys
+from wpansim import ScenarioSpec, SweepSpec, emit_plot_data, run_sweep
+base = ScenarioSpec(mode="nonbeacon", n_devices=2, msdu=60, interval_s=0.05, quota=3)
+sweep = SweepSpec(base=base, axes=(("msdu", (20, 60)),), replications=2, seed_base=5)
+table = run_sweep(sweep, jobs=2)
+assert "NA" not in emit_plot_data(table, "msdu", "mean_delay_s")
+loaded = [name for name in ("statistics", "fractions") if name in sys.modules]
+assert not loaded, f"a sweep loaded {loaded}"
+"""
+    _run_fresh(script)
 
 
 def _run_fresh(script: str) -> None:
