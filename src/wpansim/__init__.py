@@ -1,8 +1,7 @@
 """One-hop IEEE 802.15.4 star-network simulator and QoS sweep harness."""
 
 from wpansim.csma import CsmaParams, DropReason
-from wpansim.kernel import (SYMBOL_RATE, Scheduler, SimulationError,
-                            seconds_to_symbols, symbols_to_seconds)
+from wpansim.kernel import SYMBOL_RATE, Scheduler, SimulationError, seconds_to_symbols
 from wpansim.metrics import MetricsRow, PacketRecord
 from wpansim.network import RunResult, StarNetwork
 from wpansim.scenario import (BUILTINS, ScenarioError, ScenarioSpec, SweepSpec,
@@ -34,7 +33,6 @@ __all__ = [
     "run_scenario_full",
     "run_sweep",
     "seconds_to_symbols",
-    "symbols_to_seconds",
     "__version__",
 ]
 

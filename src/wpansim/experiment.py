@@ -271,6 +271,9 @@ def emit_plot_data(results: ResultsTable, x_axis: str, metric: str,
         if not isinstance(value, (int, float)):
             raise ValueError(f"column {metric!r} is not numeric: "
                              f"found {value!r}")
+        if not math.isfinite(value):
+            raise ValueError(f"column {metric!r} holds a non-finite value: "
+                             f"found {value!r}")
         values.append(value)
 
     header = "x\tmean\tstddev\tn\n"

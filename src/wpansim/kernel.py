@@ -18,10 +18,6 @@ from pathlib import Path
 SYMBOL_RATE = 62_500  # symbols per second: 250 kbps O-QPSK, 4 bits/symbol
 
 
-def symbols_to_seconds(symbols: int) -> float:
-    return symbols / SYMBOL_RATE
-
-
 def seconds_to_symbols(seconds: float) -> int:
     """Convert seconds to the nearest whole symbol count."""
     return round(seconds * SYMBOL_RATE)

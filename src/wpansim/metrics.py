@@ -31,16 +31,6 @@ class PacketRecord:
     drop_reason: DropReason | None = None
     tx_count: int = 0
 
-    @property
-    def delivered(self) -> bool:
-        return self.rx_time is not None
-
-    @property
-    def delay_symbols(self) -> int:
-        if self.rx_time is None:
-            raise ValueError(f"packet {self.packet_id} was not delivered")
-        return self.rx_time - self.gen_time
-
 
 @dataclass(frozen=True, slots=True)
 class MetricsRow:

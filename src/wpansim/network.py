@@ -347,8 +347,7 @@ class StarNetwork:
         if self.quota is not None and not self.sched.pending():
             return
         now = self.sched.now
-        for node_id in range(len(self.devices) + 1):
-            self.medium.set_awake(node_id, True, now)
+        self.medium.set_awake(True, now)
         beacon = Frame(FrameKind.BEACON, COORDINATOR, BEACON_AIRTIME)
         btx = self.medium.begin_tx(beacon, now)
         if self.trace is not None:
@@ -369,8 +368,7 @@ class StarNetwork:
 
     def _on_inactive_start(self, k: int) -> None:
         now = self.sched.now
-        for node_id in range(len(self.devices) + 1):
-            self.medium.set_awake(node_id, False, now)
+        self.medium.set_awake(False, now)
         if self.trace is not None:
             self.trace.add(now, COORDINATOR, "sleep", -1, f"k={k}")
 

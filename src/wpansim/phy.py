@@ -3,8 +3,10 @@
 The channel is an ideal binary disc: a frame is heard at full fidelity inside
 the communication range and not at all outside it.  Propagation delay is zero.
 Any temporal overlap between two frames audible at a receiver corrupts both;
-there is no capture effect.  A receiver must also be awake and not itself
-transmitting for the whole frame, otherwise the frame is missed.
+there is no capture effect.  A receiver transmitting during a frame misses it
+(half-duplex): it is among the frame's overlappers, and every node hears
+itself.  Sleep is PAN-wide, as in a beacon-enabled PAN's inactive portion:
+every radio sleeps and wakes at once, never with a frame on the air.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ class Frame:
 
 
 class Transmission:
-    __slots__ = ("frame", "start", "end", "overlappers", "deaf")
+    __slots__ = ("frame", "start", "end", "overlappers")
 
     def __init__(self, frame: Frame, start: int, end: int):
         self.frame = frame
@@ -76,8 +78,6 @@ class Transmission:
         # Senders of the frames that overlapped this one in time at any point;
         # holding the frames themselves would tie overlapping ones in cycles.
         self.overlappers: list[int] = []
-        # Receivers that slept or transmitted during the frame and so missed it.
-        self.deaf: set[int] = set()
 
 
 class Medium:
@@ -88,13 +88,11 @@ class Medium:
     evaluated at close, by which time every overlap has been recorded.
     """
 
-    def __init__(self, comm_range_m: float = COMM_RANGE_M):
-        self.comm_range_m = comm_range_m
+    def __init__(self):
         self._pos: dict[int, tuple[float, float]] = {}
         # Nodes within range of each node, itself included; geometry is static.
         self._hears: dict[int, set[int]] = {}
-        self._asleep: set[int] = set()
-        self._tx_of: dict[int, Transmission | None] = {}
+        self._awake = True
         # Frames in start order, on the air or ended less than CCA_DURATION
         # ago; end_tx drops older ones, and each reader tests ``end`` itself.
         self._air: list[Transmission] = []
@@ -105,67 +103,54 @@ class Medium:
         self._pos[node_id] = (x, y)
         self._hears[node_id] = set()
         for other, (ox, oy) in self._pos.items():
-            if math.hypot(x - ox, y - oy) <= self.comm_range_m:
+            if math.hypot(x - ox, y - oy) <= COMM_RANGE_M:
                 self._hears[node_id].add(other)
                 self._hears[other].add(node_id)
-        self._tx_of[node_id] = None
 
-    def set_awake(self, node_id: int, awake: bool, now: int) -> None:
-        """Sleep/wake a radio; sleeping mid-frame makes the receiver miss it.
+    def set_awake(self, awake: bool, now: int) -> None:
+        """Wake or sleep every radio of the PAN at once.
 
-        A frame ending exactly at the sleep instant was fully heard (and a
-        transmission ending exactly now has finished), so only strictly
-        later-ending frames are affected.
+        No frame may be on the air when the PAN falls asleep; a frame ending
+        exactly now has finished and was fully heard.
         """
-        if awake:
-            self._asleep.discard(node_id)
-            return
-        own = self._tx_of[node_id]
-        if own is not None and own.end > now:
-            raise SimulationError(f"node {node_id} put to sleep while transmitting")
-        self._asleep.add(node_id)
-        for tx in self._air:
-            if tx.end > now and tx.frame.src != node_id:
-                tx.deaf.add(node_id)
+        if not awake:
+            for tx in self._air:
+                if tx.end > now:
+                    raise SimulationError(
+                        f"PAN put to sleep while node {tx.frame.src} transmits")
+        self._awake = awake
 
     def begin_tx(self, frame: Frame, now: int) -> Transmission:
         src = frame.src
-        own = self._tx_of[src]
-        # Its own frame ending exactly now has finished, as in set_awake.
-        if own is not None and own.end > now:
-            raise SimulationError(f"node {src} began a frame while already transmitting")
-        if src in self._asleep:
+        if not self._awake:
             raise SimulationError(f"node {src} began a frame while asleep")
         tx = Transmission(frame, now, now + frame.airtime)
         for other in self._air:
             # A transmission ending exactly now does not overlap [now, end).
             if other.end > now:
+                if other.frame.src == src:
+                    raise SimulationError(
+                        f"node {src} began a frame while already transmitting")
                 tx.overlappers.append(other.frame.src)
                 other.overlappers.append(src)
-                other.deaf.add(src)
-                tx.deaf.add(other.frame.src)   # busy sending its own frame
-        if self._asleep:
-            tx.deaf.update(self._asleep)
         self._air.append(tx)
-        self._tx_of[src] = tx
         return tx
 
     def end_tx(self, tx: Transmission, now: int) -> None:
         if tx.end != now:
             raise SimulationError(f"transmission closed at {now}, expected {tx.end}")
-        if self._tx_of[tx.frame.src] is tx:     # not yet replaced by a later frame
-            self._tx_of[tx.frame.src] = None
         cutoff = now - CCA_DURATION
         self._air = [other for other in self._air if other.end > cutoff]
 
     def heard_intact(self, tx: Transmission, node_id: int) -> bool:
         """Whether ``node_id`` received the whole frame uncorrupted."""
         src = tx.frame.src
-        if node_id == src or node_id in tx.deaf:
+        if node_id == src:
             return False
         hears = self._hears[node_id]
         if src not in hears:
             return False
+        # A node that sent during the frame is an overlapper and hears itself.
         return hears.isdisjoint(tx.overlappers)
 
     def cca_busy(self, node_id: int, now: int) -> bool:
@@ -174,7 +159,7 @@ class Medium:
         Busy when any foreign transmission audible at the node overlaps the
         window; both window and transmissions are half-open intervals.
         """
-        if node_id in self._asleep:
+        if not self._awake:
             raise SimulationError(f"sleeping node {node_id} performed a CCA")
         hears = self._hears[node_id]
         w_start = now - CCA_DURATION

@@ -1,5 +1,6 @@
 """Command-line behaviour: outputs, flag validation, and diagnostics."""
 
+import csv
 import os
 import re
 import subprocess
@@ -218,6 +219,22 @@ def test_plot_data_on_the_wrong_input_is_a_diagnostic_not_a_traceback(
     assert done.returncode == 1
     assert "wpansim: error:" in done.stderr and needle in done.stderr
     assert "Traceback" not in done.stdout + done.stderr
+
+
+@pytest.mark.parametrize("cell", ["inf", "nan"])
+def test_plot_data_names_a_non_finite_metric_cell(results_csv, capsys, cell):
+    with open(results_csv, newline="") as f:
+        rows = list(csv.DictReader(f))
+    rows[0]["mean_delay_s"] = cell
+    with open(results_csv, "w", newline="") as f:
+        writer = csv.DictWriter(f, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    capsys.readouterr()
+    assert main(["plot-data", "--results", str(results_csv), "--x", "msdu",
+                 "--metric", "mean_delay_s"]) == 1
+    assert capsys.readouterr().err == ("wpansim: error: column 'mean_delay_s' "
+                                       f"holds a non-finite value: found {cell}\n")
 
 
 def test_scenarios_lists_every_builtin(capsys):

@@ -14,7 +14,7 @@ import pytest
 from wpansim import kernel
 from wpansim.kernel import (SYMBOL_RATE, EventKind, Pcg64, RngManager, Scheduler,
                             SimulationError, StopReason, rng_exponential,
-                            rng_uniform_units, seconds_to_symbols, symbols_to_seconds)
+                            rng_uniform_units, seconds_to_symbols)
 
 
 def test_symbol_conversions():
@@ -22,8 +22,6 @@ def test_symbol_conversions():
     assert seconds_to_symbols(1.0) == 62_500
     assert seconds_to_symbols(0.05) == 3125
     assert seconds_to_symbols(1000.0) == 62_500_000
-    assert symbols_to_seconds(62_500) == 1.0
-    assert symbols_to_seconds(154) == pytest.approx(0.002464)
 
 
 def test_events_fire_in_time_order():

@@ -92,26 +92,17 @@ def test_out_of_range_transmitters_do_not_collide():
     assert not med.heard_intact(tx1, 3)      # out of range entirely
 
 
-def test_sleeping_receiver_misses_the_frame():
+def test_sleeping_with_a_frame_on_the_air_raises():
     med = _medium_with((0, 0, 0), (1, 50, 0))
-    med.set_awake(0, False, 0)
-    tx = med.begin_tx(_data(1), 10)
-    med.end_tx(tx, 164)
-    assert not med.heard_intact(tx, 0)
-
-
-def test_falling_asleep_mid_frame_misses_it():
-    med = _medium_with((0, 0, 0), (1, 50, 0))
-    tx = med.begin_tx(_data(1), 0)
-    med.set_awake(0, False, 100)
-    med.end_tx(tx, 154)
-    assert not med.heard_intact(tx, 0)
+    med.begin_tx(_data(1), 0)
+    with pytest.raises(SimulationError):
+        med.set_awake(False, 100)
 
 
 def test_sleeping_exactly_at_frame_end_still_hears_it():
     med = _medium_with((0, 0, 0), (1, 50, 0))
     tx = med.begin_tx(_data(1), 0)
-    med.set_awake(0, False, 154)
+    med.set_awake(False, 154)
     med.end_tx(tx, 154)
     assert med.heard_intact(tx, 0)
 
@@ -131,15 +122,21 @@ def test_protocol_violations_raise():
     with pytest.raises(SimulationError):
         med.begin_tx(_data(1, pkt=2), 50)      # already transmitting
     with pytest.raises(SimulationError):
-        med.set_awake(1, False, 50)            # asleep mid-own-frame
-    with pytest.raises(SimulationError):
         med.end_tx(tx, 100)                    # wrong end time
     med.end_tx(tx, 154)
-    med.set_awake(0, False, 200)
+    med.set_awake(False, 200)
     with pytest.raises(SimulationError):
         med.begin_tx(_data(0, pkt=3), 200)     # transmitting while asleep
     with pytest.raises(SimulationError):
         med.cca_busy(0, 300)                   # sensing while asleep
+
+
+def test_a_sender_whose_collided_frame_is_on_the_air_cannot_start_another():
+    med = _medium_with((0, 0, 0), (1, 50, 0))
+    med.begin_tx(_data(0, pkt=1), 0)
+    med.begin_tx(_data(1, pkt=2), 50)          # overlaps node 0's frame
+    with pytest.raises(SimulationError):
+        med.begin_tx(_data(1, pkt=3), 100)
 
 
 def test_a_sender_may_start_a_frame_as_its_last_one_ends():
