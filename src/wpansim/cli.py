@@ -149,7 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--replications", type=int, metavar="N",
                          help="override the sweep's replication count")
     p_sweep.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="parallel worker processes, at most one per run "
+                         help="forked worker processes, at most one per run; "
+                              "above 1 needs os.fork (Linux, macOS) "
                               "(default: 1)")
     p_sweep.add_argument("--out", metavar="PATH",
                          help="results CSV destination (default: stdout)")

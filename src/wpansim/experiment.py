@@ -1,6 +1,6 @@
 """Sweep execution: replicated scenario runs and plot-ready summaries.
 
-A sweep's cartesian points run (optionally in parallel worker processes) and
+A sweep's cartesian points run (optionally on forked worker processes) and
 land in a :class:`ResultsTable` whose row order — point index, then
 replication, then per-point aggregate rows — never depends on worker
 completion order.  Each (point, replication) pair derives its own seed from
@@ -11,10 +11,12 @@ without executing the rest of the sweep.
 from __future__ import annotations
 
 import csv
+import marshal
 import math
+import os
 from dataclasses import dataclass, fields
 from io import StringIO
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from wpansim.csma import type_error
 from wpansim.kernel import SYMBOL_RATE
@@ -159,26 +161,109 @@ def _sqrt_of_ratio(n: int, m: int) -> float:
     return float(root << q) if q >= 0 else root / (1 << -q)
 
 
-def _run_job(job):
+def _run_job(job) -> tuple[dict, str | None]:
+    """One run's metric cells and error: plain ints, floats, strings and
+    None, so ``marshal`` carries them from a worker bit for bit."""
     spec, seed = job
     try:
-        return run_scenario(spec, seed), None
+        return _metric_values(run_scenario(spec, seed)), None
     except Exception as exc:  # a failed run is a result, not a crash
-        return None, f"{type(exc).__name__}: {exc}"
+        return _metric_values(None), f"{type(exc).__name__}: {exc}"
+
+
+def _work(jobs_list: list, index_in, index_out, out) -> NoReturn:
+    """A forked worker's whole life: take job indices until the index pipe
+    ends, then send ``{index: outcome}`` and exit, 0 only once it is sent."""
+    status = 1
+    try:
+        index_out.close()             # else the index pipe never ends
+        done = {}
+        while record := index_in.read(4):
+            index = int.from_bytes(record, "little")
+            done[index] = _run_job(jobs_list[index])
+        out.write(marshal.dumps(done))
+        out.flush()
+        status = 0
+    finally:
+        os._exit(status)              # never unwind into the parent's code
+
+
+def _run_forked(jobs_list: list, workers: int) -> list:
+    """``_run_job`` over ``jobs_list`` on ``workers`` forked processes, in
+    job order.
+
+    Each worker inherits the job list and reads the next job index, a 4-byte
+    record, from one pipe that all of them share.  The parent writes whole
+    records at most ``select.PIPE_BUF`` bytes at a time, so each write is
+    atomic and each 4-byte read takes one whole record.  A worker that dies
+    loses its outcomes, so this raises ``ChildProcessError`` with its exit
+    status.  Every worker is reaped before this returns, and killed first if
+    it raises.  Forking is safe only while this process runs no other thread.
+    """
+    import select
+    import signal
+
+    pids, results = [], []
+    read_end, write_end = os.pipe()
+    index_in = open(read_end, "rb", buffering=0)
+    index_out = open(write_end, "wb", buffering=0)
+    try:
+        with index_in, index_out:
+            for _ in range(workers):
+                reader, writer = os.pipe()
+                results.append(open(reader, "rb"))
+                with open(writer, "wb") as out:
+                    pid = os.fork()
+                    if pid == 0:
+                        _work(jobs_list, index_in, index_out, out)
+                pids.append(pid)
+            index_in.close()
+            records = b"".join(i.to_bytes(4, "little")
+                               for i in range(len(jobs_list)))
+            size = select.PIPE_BUF - select.PIPE_BUF % 4
+            try:
+                for start in range(0, len(records), size):
+                    index_out.write(records[start:start + size])
+            except BrokenPipeError:
+                pass                  # no worker is left; its status says why
+        payloads = [f.read() for f in results]
+        outcomes = {}
+        for pid, payload in zip(pids, payloads):
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code or not payload:
+                how = (f"was killed by signal {-code}" if code < 0
+                       else f"exited with status {code}")
+                raise ChildProcessError(
+                    f"sweep worker {pid} {how} before reporting its runs")
+            outcomes.update(marshal.loads(payload))
+        return [outcomes[index] for index in range(len(jobs_list))]
+    finally:
+        for f in results:
+            f.close()
+        for pid in pids:
+            try:
+                if os.waitpid(pid, os.WNOHANG) == (0, 0):   # still running
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+            except ChildProcessError:
+                pass                  # reaped already
 
 
 def run_sweep(sweep: SweepSpec, jobs: int = 1) -> ResultsTable:
     """Run every (point, replication) pair of a sweep.
 
     Failed runs keep their row (status ``failed`` with the error message) and
-    are excluded from the aggregate rows.  Both ``map`` and the pool's
-    ``map`` yield outcomes in job order, so output bytes depend only on the
+    are excluded from the aggregate rows.  With ``jobs`` above 1 the runs go
+    to at most that many forked workers (``os.fork`` is required), and their
+    outcomes are put back in job order, so output bytes depend only on the
     sweep and its seeds, never on scheduling.
     """
     if error := type_error("jobs", jobs, "int"):
         raise ValueError(error)
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
+    if jobs > 1 and not hasattr(os, "fork"):
+        raise ValueError("jobs above 1 need os.fork, which this platform lacks")
     points = sweep.points()
     axis_names = [name for name, _ in sweep.axes]
     columns = (["point", "replication", "kind"] + axis_names + ["seed"]
@@ -189,23 +274,20 @@ def run_sweep(sweep: SweepSpec, jobs: int = 1) -> ResultsTable:
     jobs_list = [(spec, seed) for spec, point_seeds in zip(specs, seeds)
                  for seed in point_seeds]
 
-    # A pool starts all its workers at once, so never ask for idle ones.
-    workers = min(jobs, len(jobs_list))
+    workers = min(jobs, len(jobs_list))   # never fork an idle worker
     if workers <= 1:
         outcomes = map(_run_job, jobs_list)
     else:
-        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = iter(list(pool.map(_run_job, jobs_list, chunksize=1)))
+        outcomes = iter(_run_forked(jobs_list, workers))
 
     rows = []
     for index, (point, point_seeds) in enumerate(zip(points, seeds)):
         axis_cells = {name: _fmt_axis_value(point[name]) for name in axis_names}
         ok = []
         for rep, seed in enumerate(point_seeds):
-            metrics, error = next(outcomes)
+            values, error = next(outcomes)
             row = {"point": index, "replication": rep, "kind": "sample",
-                   **axis_cells, "seed": seed, **_metric_values(metrics),
+                   **axis_cells, "seed": seed, **values,
                    "status": "ok" if error is None else "failed", "error": error}
             rows.append(row)
             if error is None:
@@ -243,6 +325,13 @@ def read_results(path) -> ResultsTable:
     return ResultsTable(columns=columns, rows=rows)
 
 
+def _finite(column: str, value):
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"column {column!r} holds a non-finite value: "
+                         f"found {value!r}")
+    return value
+
+
 def emit_plot_data(results: ResultsTable, x_axis: str, metric: str,
                    series_key: str | None = None) -> str:
     """Summarize sample rows into plot-ready text.
@@ -250,6 +339,7 @@ def emit_plot_data(results: ResultsTable, x_axis: str, metric: str,
     One block per value of ``series_key`` (a single block when it is None),
     each holding tab-separated columns ``x mean stddev n`` with x ascending.
     Any plotting tool that reads whitespace-separated columns can consume it.
+    A ``nan`` or ``inf`` cell in any of the three columns is a ValueError.
     """
     for name in (x_axis, metric) + ((series_key,) if series_key else ()):
         if name not in results.columns:
@@ -263,18 +353,18 @@ def emit_plot_data(results: ResultsTable, x_axis: str, metric: str,
     for row in results.samples():
         if row.get("status") != "ok":
             continue
-        series = None if series_key is None else row[series_key]
-        values = groups.setdefault(series, {}).setdefault(row[x_axis], [])
+        # A nan cell would be a group of its own and would not sort.
+        series = None if series_key is None else _finite(series_key,
+                                                          row[series_key])
+        x = _finite(x_axis, row[x_axis])
+        values = groups.setdefault(series, {}).setdefault(x, [])
         value = row[metric]
         if value is None:
             continue
         if not isinstance(value, (int, float)):
             raise ValueError(f"column {metric!r} is not numeric: "
                              f"found {value!r}")
-        if not math.isfinite(value):
-            raise ValueError(f"column {metric!r} holds a non-finite value: "
-                             f"found {value!r}")
-        values.append(value)
+        values.append(_finite(metric, value))
 
     header = "x\tmean\tstddev\tn\n"
     blocks = []

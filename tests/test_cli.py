@@ -221,20 +221,42 @@ def test_plot_data_on_the_wrong_input_is_a_diagnostic_not_a_traceback(
     assert "Traceback" not in done.stdout + done.stderr
 
 
-@pytest.mark.parametrize("cell", ["inf", "nan"])
-def test_plot_data_names_a_non_finite_metric_cell(results_csv, capsys, cell):
+def _set_cell(results_csv, index: int, column: str, text: str) -> None:
     with open(results_csv, newline="") as f:
         rows = list(csv.DictReader(f))
-    rows[0]["mean_delay_s"] = cell
+    rows[index][column] = text
     with open(results_csv, "w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
+
+
+@pytest.mark.parametrize("cell", ["inf", "nan"])
+def test_plot_data_names_a_non_finite_metric_cell(results_csv, capsys, cell):
+    _set_cell(results_csv, 0, "mean_delay_s", cell)
     capsys.readouterr()
     assert main(["plot-data", "--results", str(results_csv), "--x", "msdu",
                  "--metric", "mean_delay_s"]) == 1
     assert capsys.readouterr().err == ("wpansim: error: column 'mean_delay_s' "
                                        f"holds a non-finite value: found {cell}\n")
+
+
+def test_plot_data_names_a_non_finite_x_cell(results_csv, capsys):
+    _set_cell(results_csv, 1, "msdu", "nan")
+    capsys.readouterr()
+    assert main(["plot-data", "--results", str(results_csv), "--x", "msdu",
+                 "--metric", "mean_delay_s"]) == 1
+    assert capsys.readouterr().err == ("wpansim: error: column 'msdu' holds a "
+                                       "non-finite value: found nan\n")
+
+
+def test_a_sweep_worker_that_dies_is_a_diagnostic(tiny_sweep, monkeypatch,
+                                                  capsys):
+    monkeypatch.setattr("wpansim.experiment.run_scenario",
+                        lambda spec, seed=None: os._exit(3))
+    assert main(["sweep", "--config", str(tiny_sweep), "--jobs", "2"]) == 1
+    assert re.fullmatch(r"wpansim: error: sweep worker \d+ exited with status 3 "
+                        r"before reporting its runs\n", capsys.readouterr().err)
 
 
 def test_scenarios_lists_every_builtin(capsys):

@@ -1,9 +1,13 @@
 """Sweep execution: seeding, row layout, aggregates, failure handling,
 the results CSV round-trip, and plot-data extraction."""
 
+import os
 import random
+import select
+import signal
 import statistics
 import sys
+import time
 
 import pytest
 
@@ -21,6 +25,47 @@ def _tiny_sweep(**kwargs):
                     replications=3, seed_base=17)
     defaults.update(kwargs)
     return SweepSpec(**defaults)
+
+
+def _children() -> set[int]:
+    """Pids whose parent is this process, zombies included (read from /proc)."""
+    me, pids = os.getpid(), set()
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat") as f:
+                stat = f.read()
+        except OSError:                       # not a pid, or gone meanwhile
+            continue
+        if int(stat.rpartition(")")[2].split()[1]) == me:
+            pids.add(int(entry))
+    return pids
+
+
+@pytest.fixture
+def no_stray_workers():
+    """Fail the test if a process it forked outlives it.  Children that were
+    already there (a spawn pool's resource tracker) do not count."""
+    before = _children()
+    yield
+    assert _children() == before
+
+
+@pytest.fixture
+def deadline():
+    """Raise TimeoutError in this process after ``seconds``, so that a test
+    whose sweep hangs fails instead; the SIGALRM handler is restored after."""
+    def on_alarm(signum, frame):
+        raise TimeoutError("the sweep did not return in time")
+
+    def arm(seconds):
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    try:
+        yield arm
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_replication_seeds_are_stable_and_distinct():
@@ -72,12 +117,15 @@ def test_sweep_rows_follow_point_then_replication_order():
     assert samples[0]["seed"] == replication_seed(17, {"msdu": 20}, 0)
 
 
-def test_sweep_output_is_independent_of_worker_count():
+def test_sweep_output_is_independent_of_worker_count(no_stray_workers):
     sweep = _tiny_sweep()
-    assert run_sweep(sweep, jobs=1).to_csv() == run_sweep(sweep, jobs=2).to_csv()
+    expected = run_sweep(sweep, jobs=1).to_csv()
+    assert run_sweep(sweep, jobs=2).to_csv() == expected
+    assert run_sweep(sweep, jobs=64).to_csv() == expected   # forks 6
 
 
-def test_sweep_rows_stay_in_job_order_when_the_first_job_finishes_last():
+def test_sweep_rows_stay_in_job_order_when_the_first_job_finishes_last(
+        no_stray_workers):
     # The first point offers ten times the packets of each other point, so on
     # two workers the other three finish while it is still running.
     sweep = _tiny_sweep(axes=(("quota", (1500, 150, 151, 152)),),
@@ -88,29 +136,58 @@ def test_sweep_rows_stay_in_job_order_when_the_first_job_finishes_last():
 def test_sweep_starts_no_more_workers_than_runs(monkeypatch):
     sizes = []
 
-    class InProcessPool:
-        """Records the requested size; starts no process."""
+    def in_process(jobs_list, workers):
+        """Records the worker count; forks nothing."""
+        sizes.append(workers)
+        return [experiment._run_job(job) for job in jobs_list]
 
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
-
-    # run_sweep imports the pool class when it needs one, from here.
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(experiment, "_run_forked", in_process)
     sweep = _tiny_sweep()                     # 2 points x 3 replications
     expected = run_sweep(sweep).to_csv()
     assert run_sweep(sweep, jobs=64).to_csv() == expected
     assert run_sweep(sweep, jobs=4).to_csv() == expected
     run_sweep(_tiny_sweep(axes=(("msdu", (20,)),), replications=1), jobs=8)
     assert sizes == [6, 4]                    # the one-run sweep ran in-process
+
+
+def test_a_sweep_longer_than_one_index_write_runs_every_job(no_stray_workers):
+    base = ScenarioSpec(mode="nonbeacon", n_devices=1, msdu=20,
+                        interval_s=0.05, quota=1)
+    sweep = SweepSpec(base=base, axes=(("msdu", tuple(range(20, 31))),),
+                      replications=100, seed_base=4)
+    assert 4 * 11 * 100 > select.PIPE_BUF     # the indices take two writes
+    table = run_sweep(sweep, jobs=2)
+    assert table.to_csv() == run_sweep(sweep, jobs=1).to_csv()
+    assert [r["status"] for r in table.samples()] == ["ok"] * 1100
+
+
+def test_a_worker_that_dies_is_an_error_naming_its_status(
+        monkeypatch, no_stray_workers, deadline):
+    real = experiment.run_scenario
+    fatal_seed = replication_seed(17, {"msdu": 60}, 1)
+
+    def fatal(spec, seed=None):
+        if seed == fatal_seed:
+            os._exit(3)                       # the whole worker ends here
+        return real(spec, seed)
+
+    monkeypatch.setattr(experiment, "run_scenario", fatal)
+    deadline(30)
+    with pytest.raises(ChildProcessError,
+                       match=r"^sweep worker \d+ exited with status 3 before "
+                             r"reporting its runs$"):
+        run_sweep(_tiny_sweep(), jobs=2)
+
+
+def test_an_interrupted_sweep_kills_and_reaps_its_workers(
+        monkeypatch, no_stray_workers, deadline):
+    monkeypatch.setattr(experiment, "run_scenario",
+                        lambda spec, seed=None: time.sleep(60))
+    deadline(0.5)                             # lands while both workers sleep
+    start = time.monotonic()
+    with pytest.raises(TimeoutError):
+        run_sweep(_tiny_sweep(), jobs=2)
+    assert time.monotonic() - start < 10
 
 
 def test_sweep_aggregates_average_the_samples():
@@ -154,7 +231,7 @@ def test_aggregate_pins_its_degenerate_cases():
     assert experiment._mean_stddev([]) == (None, None)
 
 
-def test_failed_runs_are_rows_not_crashes(monkeypatch):
+def test_failed_runs_are_rows_not_crashes(monkeypatch, no_stray_workers):
     real = experiment.run_scenario
 
     def flaky(spec, seed=None):
@@ -164,6 +241,8 @@ def test_failed_runs_are_rows_not_crashes(monkeypatch):
 
     monkeypatch.setattr(experiment, "run_scenario", flaky)
     table = run_sweep(_tiny_sweep())          # jobs=1 runs in-process
+    # Forked workers inherit the patch, and send the same rows back.
+    assert run_sweep(_tiny_sweep(), jobs=2).to_csv() == table.to_csv()
     failed = [r for r in table.rows if r["status"] == "failed"]
     assert len(failed) == 3
     assert all(r["error"] == "RuntimeError: injected fault" for r in failed)
@@ -232,6 +311,21 @@ def test_plot_data_without_series_is_one_block():
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("cell", [float("nan"), float("inf")])
+@pytest.mark.parametrize("column", ["x", "series"])
+def test_plot_data_names_a_non_finite_x_or_series_cell(column, cell):
+    # Each nan cell would be a group of its own, and x would not sort.
+    table = run_sweep(_tiny_sweep(axes=(("interval_s", (0.04, 0.05, 0.06)),),
+                                  replications=2))
+    for row, x in zip(table.samples(), [2.0, cell, 1.0, cell, 2.0, 1.0]):
+        row["interval_s"] = x
+    columns = dict(x_axis="interval_s") if column == "x" else dict(
+        x_axis="point", series_key="interval_s")
+    with pytest.raises(ValueError, match=r"^column 'interval_s' holds a "
+                                         rf"non-finite value: found {cell}$"):
+        emit_plot_data(table, metric="mean_delay_s", **columns)
+
+
 def test_plot_data_rejects_unknown_columns():
     table = run_sweep(_tiny_sweep(replications=2))
     with pytest.raises(ValueError):
@@ -257,4 +351,7 @@ def test_run_sweep_validates_jobs(monkeypatch):
     for jobs in (True, 2.5, "2"):
         with pytest.raises(ValueError, match="^jobs must be an integer, got "):
             run_sweep(_tiny_sweep(), jobs=jobs)
+    monkeypatch.delattr(os, "fork")           # as on Windows
+    with pytest.raises(ValueError, match="^jobs above 1 need os.fork, "):
+        run_sweep(_tiny_sweep(), jobs=2)
     assert ran == []                          # rejected before any job ran

@@ -443,6 +443,20 @@ assert run_sweep is wpansim.experiment.run_sweep
     assert (tmp_path / "t.tsv").is_file()
 
 
+def test_a_parallel_sweep_loads_neither_multiprocessing_nor_concurrent_futures():
+    script = """
+import sys
+from wpansim import ScenarioSpec, SweepSpec, run_sweep
+base = ScenarioSpec(mode="nonbeacon", n_devices=2, msdu=60, interval_s=0.05, quota=3)
+sweep = SweepSpec(base=base, axes=(("msdu", (20, 60)),), replications=2, seed_base=5)
+assert run_sweep(sweep, jobs=2).to_csv() == run_sweep(sweep).to_csv()
+loaded = [name for name in ("multiprocessing", "concurrent.futures", "pickle")
+          if name in sys.modules]
+assert not loaded, f"a parallel sweep loaded {loaded}"
+"""
+    _run_fresh(script)
+
+
 def test_the_package_binds_every_public_name():
     import wpansim
     import wpansim.experiment
