@@ -3,7 +3,7 @@
 from wpansim.csma import CsmaParams, DropReason
 from wpansim.kernel import SYMBOL_RATE, Scheduler, SimulationError, seconds_to_symbols
 from wpansim.metrics import MetricsRow, PacketRecord
-from wpansim.network import RunResult, StarNetwork
+from wpansim.network import RunResult, StarNetwork, run_scenario_full
 from wpansim.scenario import (BUILTINS, ScenarioError, ScenarioSpec, SweepSpec,
                               load_builtin, load_scenario)
 from wpansim.superframe import SuperframeSchedule

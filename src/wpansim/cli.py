@@ -18,10 +18,9 @@ import sys
 from io import StringIO
 from pathlib import Path
 
-from wpansim.experiment import (emit_plot_data, read_results, run_scenario_full,
-                                run_sweep, write_metrics_csv)
 from wpansim.kernel import SimulationError
-from wpansim.metrics import write_packet_log
+from wpansim.metrics import write_metrics_csv, write_packet_log
+from wpansim.network import run_scenario_full
 from wpansim.scenario import (BUILTINS, ScenarioError, ScenarioSpec, SweepSpec,
                               load_builtin, load_scenario)
 from wpansim.trace import MacTrace
@@ -94,6 +93,7 @@ def _cmd_sweep(args) -> int:
         changes["replications"] = args.replications
     if changes:
         spec = dataclasses.replace(spec, **changes)
+    from wpansim.experiment import run_sweep   # a single run never loads it
     table = run_sweep(spec, jobs=args.jobs)
     _write_text(args.out, table.to_csv())
     return 0
@@ -101,6 +101,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_plot_data(args) -> int:
     _check_paths({"--results": args.results}, {"--out": args.out})
+    from wpansim.experiment import emit_plot_data, read_results
     results = read_results(args.results)
     text = emit_plot_data(results, x_axis=args.x, metric=args.metric,
                           series_key=args.series)

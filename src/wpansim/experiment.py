@@ -14,32 +14,21 @@ import csv
 import marshal
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from io import StringIO
-from typing import TYPE_CHECKING, NoReturn
+from typing import NoReturn
 
 from wpansim.csma import type_error
-from wpansim.kernel import SYMBOL_RATE
-from wpansim.metrics import MetricsRow
-from wpansim.network import RunResult, StarNetwork
+# The single-run names live with the run and its CSV; they are re-exported.
+from wpansim.metrics import (METRIC_COLUMNS, MetricsRow, _fmt_cell, _metric_values,
+                             write_metrics_csv)
+from wpansim.network import run_scenario_full
 from wpansim.scenario import ScenarioSpec, SweepSpec
-
-if TYPE_CHECKING:
-    from wpansim.trace import MacTrace
 
 __all__ = [
     "replication_seed", "run_scenario", "run_scenario_full",
     "ResultsTable", "run_sweep", "read_results", "emit_plot_data",
-    "METRIC_COLUMNS",
-]
-
-#: Per-run output columns, in CSV order.  Times appear in symbols and seconds.
-METRIC_COLUMNS = [
-    "generated", "delivered", "dropped_queue_overflow",
-    "dropped_channel_access", "dropped_retry_exhausted", "unresolved",
-    "t_start_symbols", "t_end_symbols", "duration_s",
-    "effective_data_rate_bps", "packet_loss_rate",
-    "mean_delay_symbols", "mean_delay_s",
+    "METRIC_COLUMNS", "write_metrics_csv",
 ]
 
 
@@ -58,32 +47,10 @@ def replication_seed(seed_base: int, point: dict, replication: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def run_scenario_full(spec: ScenarioSpec, seed: int | None = None,
-                      trace: MacTrace | None = None) -> RunResult:
-    """Run one scenario to its stop condition; ``seed`` overrides the scenario's."""
-    net = StarNetwork(
-        mode=spec.mode, n_devices=spec.n_devices, msdu=spec.msdu,
-        interval_s=spec.interval_s, distribution=spec.distribution,
-        csma_params=spec.csma_params(), bo=spec.bo, so=spec.so,
-        queue_capacity=spec.queue_capacity, quota=spec.quota,
-        run_time_s=spec.run_time_s,
-        seed=spec.seed if seed is None else seed,
-        placement=spec.placement, trace=trace)
-    return net.run()
-
-
 def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsRow:
     """Run one scenario and return its metrics row; deterministic in
     (spec, seed)."""
     return run_scenario_full(spec, seed).metrics
-
-
-def _metric_values(row: MetricsRow | None) -> dict:
-    if row is None:
-        return {name: None for name in METRIC_COLUMNS}
-    values = {f.name: getattr(row, f.name) for f in fields(MetricsRow)}
-    values["duration_s"] = (row.t_end_symbols - row.t_start_symbols) / SYMBOL_RATE
-    return values
 
 
 def _fmt_axis_value(value) -> object:
@@ -92,14 +59,6 @@ def _fmt_axis_value(value) -> object:
     if isinstance(value, tuple):
         return "-".join(str(v) for v in value)
     return value
-
-
-def _fmt_cell(value) -> str:
-    if value is None:
-        return "NA"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 @dataclass
@@ -321,7 +280,15 @@ def read_results(path) -> ResultsTable:
             columns = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty results file") from None
-        rows = [dict(zip(columns, map(_parse_cell, row))) for row in reader]
+        for name in columns:
+            if columns.count(name) > 1:
+                raise ValueError(f"{path}:1: column {name!r} appears twice")
+        rows = []
+        for row in reader:
+            if len(row) != len(columns):
+                raise ValueError(f"{path}:{reader.line_num}: {len(row)} cells "
+                                 f"where the header has {len(columns)}")
+            rows.append(dict(zip(columns, map(_parse_cell, row))))
     return ResultsTable(columns=columns, rows=rows)
 
 
@@ -379,8 +346,3 @@ def emit_plot_data(results: ResultsTable, x_axis: str, metric: str,
                       f"{_fmt_cell(stddev)}\t{len(xs[x])}\n")
         blocks.append(block)
     return "\n".join(blocks) or header
-
-
-def write_metrics_csv(rows: list[MetricsRow], f) -> None:
-    """Write standalone metrics rows (the single-run CSV shape)."""
-    ResultsTable(METRIC_COLUMNS, [_metric_values(r) for r in rows]).write_csv(f)

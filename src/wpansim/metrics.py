@@ -13,7 +13,7 @@ exact same numbers offline.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from wpansim.csma import DropReason
 from wpansim.kernel import SYMBOL_RATE
@@ -117,20 +117,38 @@ def write_packet_log(path, log: list[PacketRecord]) -> None:
                      f"{rec.packet_id},{rec.tx_count}\r\n")
 
 
-def read_packet_log(path) -> list[PacketRecord]:
-    log: list[PacketRecord] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != PACKET_LOG_COLUMNS:
-            raise ValueError(f"unrecognized packet-log header: {header}")
-        for row in reader:
-            node, gen_time, msdu_len, outcome, detail, packet_id, tx_count = row
-            rec = PacketRecord(int(packet_id), int(node), int(gen_time),
-                               int(msdu_len), tx_count=int(tx_count))
-            if outcome == "delivered":
-                rec.rx_time = int(detail)
-            else:
-                rec.drop_reason = DropReason(detail)
-            log.append(rec)
-    return log
+#: Per-run output columns, in CSV order.  Times appear in symbols and seconds.
+METRIC_COLUMNS = [
+    "generated", "delivered", "dropped_queue_overflow",
+    "dropped_channel_access", "dropped_retry_exhausted", "unresolved",
+    "t_start_symbols", "t_end_symbols", "duration_s",
+    "effective_data_rate_bps", "packet_loss_rate",
+    "mean_delay_symbols", "mean_delay_s",
+]
+
+
+def _metric_values(row: MetricsRow | None) -> dict:
+    if row is None:
+        return {name: None for name in METRIC_COLUMNS}
+    values = {f.name: getattr(row, f.name) for f in fields(MetricsRow)}
+    values["duration_s"] = (row.t_end_symbols - row.t_start_symbols) / SYMBOL_RATE
+    return values
+
+
+def _fmt_cell(value) -> str:
+    """The one cell rule of every results and metrics CSV: None is NA, a
+    float its repr."""
+    if value is None:
+        return "NA"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def write_metrics_csv(rows: list[MetricsRow], f) -> None:
+    """Write standalone metrics rows (the single-run CSV shape)."""
+    writer = csv.writer(f, lineterminator="\n")
+    writer.writerow(METRIC_COLUMNS)
+    for row in rows:
+        values = _metric_values(row)
+        writer.writerow([_fmt_cell(values[col]) for col in METRIC_COLUMNS])

@@ -385,16 +385,34 @@ _PERFORM = {Wait: StarNetwork._do_wait, DoCca: StarNetwork._issue_cca,
 def _machine(step, params: CsmaParams) -> dict:
     """IDLE's row of machine ``step`` under ``params``, walked once per process
     and never changed.  A row maps each input ``step`` accepts to (next state,
-    action, performer, next state's row); a deferral's entry closes a cycle."""
+    action, performer, next state's row); a deferral's entry closes a cycle.
+    Every entry to one state holds the same object, so a run moves its devices
+    among one object per state rather than one per transition."""
     rows, found = {IDLE_STATE: {}}, [IDLE_STATE]
+    same = {IDLE_STATE: IDLE_STATE}
     for state in found:         # grows as the walk finds states
         for event in MacInput:
             try:
                 target, action = step(state, event, params)
             except SimulationError:
                 continue
+            target = same.setdefault(target, target)
             if target not in rows:
                 found.append(target)
             rows[state][event._value_] = (target, action, _PERFORM[type(action)],
                                           rows.setdefault(target, {}))
     return rows[IDLE_STATE]
+
+
+def run_scenario_full(spec: ScenarioSpec, seed: int | None = None,
+                      trace: MacTrace | None = None) -> RunResult:
+    """Run one scenario to its stop condition; ``seed`` overrides the scenario's."""
+    net = StarNetwork(
+        mode=spec.mode, n_devices=spec.n_devices, msdu=spec.msdu,
+        interval_s=spec.interval_s, distribution=spec.distribution,
+        csma_params=spec.csma_params(), bo=spec.bo, so=spec.so,
+        queue_capacity=spec.queue_capacity, quota=spec.quota,
+        run_time_s=spec.run_time_s,
+        seed=spec.seed if seed is None else seed,
+        placement=spec.placement, trace=trace)
+    return net.run()

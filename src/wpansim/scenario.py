@@ -195,9 +195,15 @@ _SCENARIO_KEYS = {f.name: f.type for f in dataclasses.fields(ScenarioSpec)}
 _SWEEP_KEYS = {f.name for f in dataclasses.fields(SweepSpec)}
 
 
-def _collect_lines(node, prefix: tuple, lines: dict, label: str) -> None:
-    """Map every key/item path in the YAML document to its 1-based line."""
+def _collect_lines(node, prefix: tuple, lines: dict, label: str,
+                   enclosing: tuple = ()) -> None:
+    """Map every key/item path in the YAML document to its 1-based line.
+    ``enclosing`` holds the nodes around ``node``: an alias to one of them
+    would make the walk, and the document, endless."""
     import yaml
+    if any(node is outer for outer in enclosing):
+        raise ScenarioError(f"{label}:{lines[prefix]}: recursive alias")
+    enclosing += (node,)
     if isinstance(node, yaml.MappingNode):
         seen = set()
         for key_node, value_node in node.value:
@@ -209,11 +215,11 @@ def _collect_lines(node, prefix: tuple, lines: dict, label: str) -> None:
                 raise ScenarioError(f"{label}:{line}: duplicate key {key!r}")
             seen.add(key)
             lines[prefix + (key,)] = line
-            _collect_lines(value_node, prefix + (key,), lines, label)
+            _collect_lines(value_node, prefix + (key,), lines, label, enclosing)
     elif isinstance(node, yaml.SequenceNode):
         for i, item in enumerate(node.value):
             lines[prefix + (i,)] = item.start_mark.line + 1
-            _collect_lines(item, prefix + (i,), lines, label)
+            _collect_lines(item, prefix + (i,), lines, label, enclosing)
 
 
 class _Reader:

@@ -2,12 +2,14 @@
 
 Each QoS metric is computed on its own, straight from its definition, with
 the same float operations as the simulator, so results compare with ``==``.
+:func:`read_packet_log` reads an exported packet log back into records.
 """
 
+import csv
 from collections import Counter
 
 from wpansim.csma import DropReason
-from wpansim.metrics import PacketRecord
+from wpansim.metrics import PACKET_LOG_COLUMNS, PacketRecord
 
 SYMBOL_RATE = 62_500   # 250 kbps O-QPSK at 4 bits per symbol
 DROPS = (DropReason.QUEUE_OVERFLOW, DropReason.CHANNEL_ACCESS_FAILURE,
@@ -42,3 +44,22 @@ def mean_end_to_end_delay(log: list[PacketRecord]) -> float | None:
     if not delays:
         return None
     return sum(delays) / len(delays) / SYMBOL_RATE
+
+
+def read_packet_log(path) -> list[PacketRecord]:
+    log: list[PacketRecord] = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if header != PACKET_LOG_COLUMNS:
+            raise ValueError(f"unrecognized packet-log header: {header}")
+        for row in reader:
+            node, gen_time, msdu_len, outcome, detail, packet_id, tx_count = row
+            rec = PacketRecord(int(packet_id), int(node), int(gen_time),
+                               int(msdu_len), tx_count=int(tx_count))
+            if outcome == "delivered":
+                rec.rx_time = int(detail)
+            else:
+                rec.drop_reason = DropReason(detail)
+            log.append(rec)
+    return log

@@ -12,10 +12,11 @@ import pytest
 from wpansim.cli import main
 from wpansim.experiment import METRIC_COLUMNS
 from wpansim.kernel import SimulationError
-from wpansim.metrics import read_packet_log
 from wpansim.network import StarNetwork
 from wpansim.scenario import BUILTINS, ScenarioSpec, SweepSpec, load_builtin
 from wpansim.trace import read_trace
+
+from metrics_oracle import read_packet_log
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -298,6 +299,52 @@ def test_infinite_interval_is_a_diagnostic_not_a_traceback(tmp_path, capsys):
     assert main(["run", "--config", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "wpansim: error:" in err and "inf.yaml:3" in err
+
+
+@pytest.mark.parametrize("text", ["n_devices: &x [*x]\n", "a: &x [*x]\n"])
+def test_a_recursive_alias_is_a_diagnostic_not_a_traceback(tmp_path, capsys, text):
+    bad = tmp_path / "loop.yaml"
+    bad.write_text(text)
+    assert main(["run", "--config", str(bad)]) == 1
+    assert capsys.readouterr().err == f"wpansim: error: {bad}:1: recursive alias\n"
+
+
+def _plot_data_error(results_csv, capsys, x="msdu") -> str:
+    capsys.readouterr()
+    assert main(["plot-data", "--results", str(results_csv), "--x", x,
+                 "--metric", "delivered"]) == 1
+    return capsys.readouterr().err
+
+
+def test_plot_data_rejects_a_row_with_a_missing_cell(results_csv, capsys):
+    lines = results_csv.read_text().splitlines(keepends=True)
+    columns = len(lines[0].split(","))
+    lines[2] = lines[2].rstrip("\n").rpartition(",")[0] + "\n"
+    results_csv.write_text("".join(lines))
+    assert _plot_data_error(results_csv, capsys) == (
+        f"wpansim: error: {results_csv}:3: {columns - 1} cells where the header "
+        f"has {columns}\n")
+
+
+def test_plot_data_rejects_a_file_cut_mid_row(results_csv, capsys):
+    text = results_csv.read_text()
+    lines = text.splitlines()
+    columns = len(lines[0].split(","))
+    cut = text[:-len(lines[-1]) // 2]
+    results_csv.write_text(cut)
+    cells = len(cut.splitlines()[-1].split(","))
+    assert cells < columns
+    assert _plot_data_error(results_csv, capsys) == (
+        f"wpansim: error: {results_csv}:{len(lines)}: {cells} cells where the "
+        f"header has {columns}\n")
+
+
+def test_plot_data_rejects_a_repeated_column(results_csv, capsys):
+    # With the last name winning, --x msdu would group by seed values.
+    text = results_csv.read_text()
+    results_csv.write_text(text.replace(",seed,", ",msdu,", 1))
+    assert _plot_data_error(results_csv, capsys) == (
+        f"wpansim: error: {results_csv}:1: column 'msdu' appears twice\n")
 
 
 def test_missing_file_is_a_diagnostic_not_a_traceback(capsys):

@@ -435,6 +435,7 @@ assert main(["run", "--config", {str(config)!r}, "--out", {str(tmp_path / "m.csv
              "--trace", {str(tmp_path / "t.tsv")!r}]) == 0
 assert "yaml" in sys.modules
 assert "multiprocessing" not in sys.modules, "wpansim run --trace loaded multiprocessing"
+assert "wpansim.experiment" not in sys.modules, "wpansim run loaded the sweep layer"
 from wpansim import run_sweep
 import wpansim.experiment
 assert run_sweep is wpansim.experiment.run_sweep

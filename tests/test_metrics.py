@@ -6,9 +6,11 @@ import pytest
 
 from wpansim.csma import DropReason
 from wpansim.metrics import (PACKET_LOG_COLUMNS, MetricsRow, PacketRecord,
-                             build_metrics, read_packet_log, write_packet_log)
+                             build_metrics, write_packet_log)
 from wpansim.superframe import SuperframeSchedule
 from wpansim.trace import MacTrace, read_trace
+
+from metrics_oracle import read_packet_log
 
 
 def _delivered(pid, gen, rx, msdu=60, node=1):

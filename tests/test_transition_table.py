@@ -163,7 +163,7 @@ def test_every_valid_pair_has_one_entry_and_it_is_the_step_functions_answer(
                 assert event.value not in row
                 continue
             entry = row[event.value]
-            assert entry[0] is target and entry[1] is action
+            assert entry[0] == target and entry[1] is action
             assert entry[2] is network._PERFORM[type(action)]
             assert entry[3] is rows[target]
             actions.add(type(action))
@@ -174,6 +174,15 @@ def test_every_valid_pair_has_one_entry_and_it_is_the_step_functions_answer(
     if params == CsmaParams():
         pairs = {network.unslotted_step: 121, network.slotted_step: 181}[step]
         assert sum(map(len, rows.values())) == pairs
+
+
+@pytest.mark.parametrize("step", [network.unslotted_step, network.slotted_step])
+@pytest.mark.parametrize("params", PARAMS.values(), ids=PARAMS)
+def test_every_entry_to_one_state_holds_the_same_object(step, params):
+    # The step functions build a fresh state on each call; the table keeps one.
+    rows = rows_of(network._machine.__wrapped__(step, params))
+    targets = [entry[0] for row in rows.values() for entry in row.values()]
+    assert len({id(target) for target in targets}) == len(set(targets))
 
 
 def test_networks_of_one_mode_and_params_share_one_table():
