@@ -15,6 +15,7 @@ The slotted variant (contention window, CAP deference) shares this core; see
 
 from __future__ import annotations
 
+import reprlib
 from collections import deque
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -35,6 +36,13 @@ def check_range(name: str, value, lo, hi=None) -> None:
         raise ValueError(f"{name} must be <= {hi}, got {value}")
 
 
+# A diagnostic echoes a value two levels deep at most, so that one whose YAML
+# aliases expand it to millions of items still shows in a few dozen characters.
+_BRIEF = reprlib.Repr()
+_BRIEF.maxlevel = 2
+brief_repr = _BRIEF.repr
+
+
 _TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
           "bool": (bool, "true or false")}
 
@@ -51,7 +59,7 @@ def type_error(name: str, value, annotation: str) -> str | None:
     types, expected = _TYPES[kind]
     # bool is a subclass of int: true/false is neither integer nor number.
     if isinstance(value, bool) != (kind == "bool") or not isinstance(value, types):
-        return f"{name} must be {expected}, got {value!r}"
+        return f"{name} must be {expected}, got {brief_repr(value)}"
     return None
 
 
@@ -65,7 +73,11 @@ def check_types(spec) -> None:
         if error:
             raise ValueError(error)
         if value is not None and field.type.startswith("float"):
-            object.__setattr__(spec, field.name, float(value))
+            try:
+                object.__setattr__(spec, field.name, float(value))
+            except OverflowError:   # an int past the largest float
+                raise ValueError(f"{field.name} must be a finite number, "
+                                 f"got {brief_repr(value)}") from None
 
 
 @dataclass(frozen=True, slots=True)

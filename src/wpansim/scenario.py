@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from wpansim.csma import CsmaParams, check_range, check_types, type_error
+from wpansim.csma import CsmaParams, brief_repr, check_range, check_types, type_error
 from wpansim.kernel import SYMBOL_RATE
 from wpansim.phy import MAX_MSDU_BYTES
 from wpansim.superframe import SuperframeSchedule
@@ -72,7 +72,8 @@ class ScenarioSpec:
     def __post_init__(self):
         check_types(self)
         if self.mode not in ("nonbeacon", "beacon"):
-            raise ValueError(f"mode must be nonbeacon or beacon, got {self.mode!r}")
+            raise ValueError(
+                f"mode must be nonbeacon or beacon, got {brief_repr(self.mode)}")
         check_range("n_devices", self.n_devices, 1)
         check_range("msdu", self.msdu, 1, MAX_MSDU_BYTES)
         if not 0 < self.interval_s < math.inf:
@@ -80,10 +81,10 @@ class ScenarioSpec:
                 f"interval_s must be finite and > 0, got {self.interval_s}")
         if self.distribution not in ("exponential", "periodic"):
             raise ValueError("distribution must be exponential or periodic, "
-                             f"got {self.distribution!r}")
+                             f"got {brief_repr(self.distribution)}")
         if self.placement not in ("equal", "random"):
-            raise ValueError(
-                f"placement must be equal or random, got {self.placement!r}")
+            raise ValueError("placement must be equal or random, "
+                             f"got {brief_repr(self.placement)}")
         self.csma_params()  # range-checks min_be, max_be, max_nb, max_frame_retries
         if self.mode == "beacon":
             if self.bo is None or self.so is None:
@@ -113,11 +114,11 @@ class ScenarioSpec:
                           ack_enabled=self.ack_enabled)
 
 
+# Field name -> type annotation (a string under PEP 563), for axis values.
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ScenarioSpec)}
 # Scenario fields a sweep axis may vary, plus the compound (bo, so) axis used
 # for equal-duty-cycle sweeps.
-_AXIS_NAMES = frozenset(
-    f.name for f in dataclasses.fields(ScenarioSpec) if f.name != "seed"
-) | {"bo_so"}
+_AXIS_NAMES = (_FIELD_TYPES.keys() - {"seed"}) | {"bo_so"}
 
 
 @dataclass(frozen=True)
@@ -139,25 +140,35 @@ class SweepSpec:
     def __post_init__(self):
         check_types(self)
         if not self.axes or not isinstance(self.axes, (tuple, list)):
-            raise ValueError("axes: a sweep needs at least one axis")
+            raise ValueError("axes: a sweep needs a non-empty 'axes' list")
         seen = set()
-        for axis in self.axes:
-            if (not isinstance(axis, (tuple, list)) or len(axis) != 2
-                    or not isinstance(axis[0], str)
-                    or not isinstance(axis[1], (tuple, list))):
-                raise ValueError(f"axes: each axis must be (name, values), got {axis!r}")
+        for i, axis in enumerate(self.axes):
+            at = f"axes[{i}]: "
+            if not (isinstance(axis, (tuple, list)) and len(axis) == 2
+                    and isinstance(axis[0], str) and isinstance(axis[1], (tuple, list))):
+                raise ValueError(f"{at}an axis must be a name and a list of "
+                                 f"values, got {brief_repr(axis)}")
             name, values = axis
             if name not in _AXIS_NAMES:
-                raise ValueError(f"axes: unknown sweep axis {name!r}")
+                raise ValueError(f"{at}unknown sweep axis {brief_repr(name)}")
             if name in seen:
-                raise ValueError(f"axes: sweep axis {name!r} appears twice")
+                raise ValueError(f"{at}sweep axis {name!r} appears twice")
             seen.add(name)
             if not values:
-                raise ValueError(f"axes: sweep axis {name!r} has no values")
-            if name == "bo_so" and not all(isinstance(v, (tuple, list)) and len(v) == 2
-                                           for v in values):
-                raise ValueError(f"axes: bo_so values must be (bo, so) pairs, "
-                                 f"got {values!r}")
+                raise ValueError(f"{at}sweep axis {name!r} has no values")
+            for value in values:
+                if name != "bo_so":
+                    if error := type_error(name, value, _FIELD_TYPES[name]):
+                        raise ValueError(at + error)
+                elif (not isinstance(value, (tuple, list)) or len(value) != 2
+                      or any(type_error(name, x, "int") for x in value)):
+                    raise ValueError(f"{at}bo_so values must be (bo, so) pairs "
+                                     f"of integers, got {brief_repr(value)}")
+        # Lists become tuples, so that a sweep read from YAML equals the same
+        # sweep written in Python.
+        object.__setattr__(self, "axes", tuple(
+            (name, tuple(tuple(v) if name == "bo_so" else v for v in values))
+            for name, values in self.axes))
         check_range("replications", self.replications, 1)
         check_range("seed_base", self.seed_base, 0, 2 ** 64 - 1)
         # Every point of the cartesian product must itself be a valid scenario.
@@ -165,8 +176,8 @@ class SweepSpec:
             try:
                 self.point_spec(point)
             except ValueError as exc:
-                raise ValueError(
-                    f"axes: invalid sweep point {point}: {exc}") from exc
+                shown = ", ".join(f"{n!r}: {brief_repr(v)}" for n, v in point.items())
+                raise ValueError(f"axes: invalid sweep point {{{shown}}}: {exc}") from exc
 
     def points(self) -> list[dict]:
         """All axis-value combinations, first axis slowest."""
@@ -179,7 +190,7 @@ class SweepSpec:
         changes = {}
         for name, value in point.items():
             if name not in _AXIS_NAMES:
-                raise ValueError(f"axes: unknown sweep axis {name!r}")
+                raise ValueError(f"axes: unknown sweep axis {brief_repr(name)}")
             if name == "bo_so":
                 changes["bo"], changes["so"] = value
             else:
@@ -188,22 +199,22 @@ class SweepSpec:
 
 
 # ---------------------------------------------------------------------------
-# YAML loading with file/line diagnostics.
-
-# Field name -> type annotation (a string under PEP 563), for axis values.
-_SCENARIO_KEYS = {f.name: f.type for f in dataclasses.fields(ScenarioSpec)}
-_SWEEP_KEYS = {f.name for f in dataclasses.fields(SweepSpec)}
-
+# YAML loading.  The specs check every value; the loader parses and places
+# each error at its line.
 
 def _collect_lines(node, prefix: tuple, lines: dict, label: str,
-                   enclosing: tuple = ()) -> None:
+                   walking: dict) -> None:
     """Map every key/item path in the YAML document to its 1-based line.
-    ``enclosing`` holds the nodes around ``node``: an alias to one of them
-    would make the walk, and the document, endless."""
+    ``walking`` maps each node met so far to whether its walk is under way.
+    An alias to a node under way would make the document endless; one to a
+    node walked already adds no lines, or aliases of aliases would make the
+    walk exponentially long."""
     import yaml
-    if any(node is outer for outer in enclosing):
-        raise ScenarioError(f"{label}:{lines[prefix]}: recursive alias")
-    enclosing += (node,)
+    if node in walking:
+        if walking[node]:
+            raise ScenarioError(f"{label}:{lines[prefix]}: recursive alias")
+        return
+    walking[node] = True
     if isinstance(node, yaml.MappingNode):
         seen = set()
         for key_node, value_node in node.value:
@@ -215,115 +226,67 @@ def _collect_lines(node, prefix: tuple, lines: dict, label: str,
                 raise ScenarioError(f"{label}:{line}: duplicate key {key!r}")
             seen.add(key)
             lines[prefix + (key,)] = line
-            _collect_lines(value_node, prefix + (key,), lines, label, enclosing)
+            _collect_lines(value_node, prefix + (key,), lines, label, walking)
     elif isinstance(node, yaml.SequenceNode):
         for i, item in enumerate(node.value):
             lines[prefix + (i,)] = item.start_mark.line + 1
-            _collect_lines(item, prefix + (i,), lines, label, enclosing)
+            _collect_lines(item, prefix + (i,), lines, label, walking)
+    walking[node] = False
 
 
-class _Reader:
-    """One mapping of a parsed file, for error messages that point at the
-    offending line.  Types and ranges are the specs' to check."""
+def _build(cls, raw: dict, label: str, lines: dict, prefix: tuple = ()):
+    """``cls`` from one mapping of a parsed file, whose key paths start with
+    ``prefix``.  A ``ValueError`` from the spec is reported at the line of
+    the key its message starts with (for ``axes[i]: ``, of entry ``i``), or
+    else at the mapping's."""
+    def fail(path: tuple, message: str):
+        line = lines.get(prefix + path) or lines.get(prefix, 1)
+        raise ScenarioError(f"{label}:{line}: {message}")
 
-    def __init__(self, label: str, lines: dict, raw: dict, prefix: tuple = ()):
-        self.label = label
-        self.lines = lines
-        self.raw = raw
-        self.prefix = prefix
-
-    def line(self, key=None) -> int:
-        if key is not None:
-            found = self.lines.get(self.prefix + (key,))
-            if found is not None:
-                return found
-        return self.lines.get(self.prefix, 1)
-
-    def fail(self, key, message: str):
-        raise ScenarioError(f"{self.label}:{self.line(key)}: {message}")
-
-    def reject_unknown(self, allowed) -> None:
-        for key in self.raw:
-            if key not in allowed:
-                self.fail(key, f"unknown key {key!r}")
-
-    def construct(self, cls, **fields):
-        """``cls(**fields)``; a ``ValueError`` is reported at the line of the
-        key its message starts with, or else at this mapping's line."""
-        try:
-            return cls(**fields)
-        except ValueError as exc:
-            message = str(exc)
-            self.fail(re.match(r"\w*", message)[0], message)
-
-
-def _build_scenario(reader: _Reader) -> ScenarioSpec:
-    reader.reject_unknown(_SCENARIO_KEYS)
-    return reader.construct(ScenarioSpec, **reader.raw)
-
-
-def _build_sweep(reader: _Reader) -> SweepSpec:
-    reader.reject_unknown(_SWEEP_KEYS)
-    raw = reader.raw
-    if "base" not in raw or not isinstance(raw["base"], dict):
-        reader.fail("base", "a sweep needs a 'base' scenario mapping")
-    base = _build_scenario(_Reader(reader.label, reader.lines, raw["base"],
-                                   reader.prefix + ("base",)))
-
-    axes_raw = raw.get("axes")
-    if not isinstance(axes_raw, list):
-        reader.fail("axes", "a sweep needs a non-empty 'axes' list")
-    axes = []
-    for i, entry in enumerate(axes_raw):
-        line = reader.lines.get(reader.prefix + ("axes", i), reader.line("axes"))
-        if (not isinstance(entry, list) or len(entry) != 2
-                or not isinstance(entry[0], str) or not isinstance(entry[1], list)):
-            raise ScenarioError(
-                f"{reader.label}:{line}: each axis must be [name, [values...]]")
-        name, values = entry
-        if name == "bo_so":
-            for v in values:
-                if (not isinstance(v, list) or len(v) != 2
-                        or any(type_error(name, x, "int") for x in v)):
-                    raise ScenarioError(
-                        f"{reader.label}:{line}: bo_so values must be [bo, so] pairs")
-            values = [tuple(v) for v in values]
-        elif name in _SCENARIO_KEYS:
-            for value in values:
-                error = type_error(name, value, _SCENARIO_KEYS[name])
-                if error:
-                    raise ScenarioError(f"{reader.label}:{line}: {error}")
-        axes.append((name, tuple(values)))
-
-    counts = {key: raw[key] for key in ("replications", "seed_base") if key in raw}
-    return reader.construct(SweepSpec, base=base, axes=tuple(axes), **counts)
+    names = {f.name for f in dataclasses.fields(cls)}
+    for key in raw:
+        if key not in names:
+            fail((key,), f"unknown key {brief_repr(key)}")
+    if cls is SweepSpec:
+        if not isinstance(raw.get("base"), dict):
+            fail(("base",), "a sweep needs a 'base' scenario mapping")
+        raw = {"axes": (), **raw, "base": _build(ScenarioSpec, raw["base"], label,
+                                                lines, prefix + ("base",))}
+    try:
+        return cls(**raw)
+    except ValueError as exc:
+        message = str(exc)
+        key, index = re.match(r"(\w*)(?:\[(\d+)\]: )?", message).groups()
+        if index is None:
+            fail((key,), message)
+        fail((key, int(index)), message.partition(": ")[2])
 
 
 def loads_scenario(text: str, label: str = "<string>") -> ScenarioSpec | SweepSpec:
     """Parse scenario or sweep YAML from a string; ``label`` names it in errors."""
     import yaml     # loaded on first use: a process that only runs networks skips it
-    loader = yaml.SafeLoader(text)
     lines: dict = {}
     try:
+        loader = yaml.SafeLoader(text)      # rejects a character YAML never allows
         node = loader.get_single_node()
         if node is None:
             raise ScenarioError(f"{label}: file is empty")
         if not isinstance(node, yaml.MappingNode):
             raise ScenarioError(f"{label}:1: top level must be a mapping")
-        _collect_lines(node, (), lines, label)
+        _collect_lines(node, (), lines, label, {})
         raw = loader.construct_document(node)
     except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        if mark is None:
-            raise ScenarioError(f"{label}: {exc}") from exc
-        what = ", ".join(filter(None, (exc.context, exc.problem)))
-        raise ScenarioError(f"{label}:{mark.line + 1}: {what}") from exc
-    finally:
-        loader.dispose()
-    reader = _Reader(label, lines, raw)
-    if "axes" in raw or "base" in raw:
-        return _build_sweep(reader)
-    return _build_scenario(reader)
+        if isinstance(exc, yaml.reader.ReaderError):
+            line = text.count("\n", 0, exc.position) + 1
+            what = str(exc).partition("\n")[0]
+        else:
+            line = exc.problem_mark.line + 1
+            what = ", ".join(filter(None, (exc.context, exc.problem)))
+        raise ScenarioError(f"{label}:{line}: {what}") from exc
+    except RecursionError:
+        raise ScenarioError(f"{label}: values are nested too deeply") from None
+    return _build(SweepSpec if "axes" in raw or "base" in raw else ScenarioSpec,
+                  raw, label, lines)
 
 
 def load_scenario(path) -> ScenarioSpec | SweepSpec:

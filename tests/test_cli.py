@@ -18,6 +18,29 @@ from wpansim.trace import read_trace
 
 from metrics_oracle import read_packet_log
 
+def test_a_value_that_aliases_expand_is_echoed_briefly(tmp_path, monkeypatch, capsys):
+    # Sixteen anchors, each listing the one before twice: 65,536 items once
+    # expanded, from a file of about 300 bytes.
+    anchors = ", ".join(["&a0 [1, 1]"] + [f"&a{i} [*a{i - 1}, *a{i - 1}]"
+                                         for i in range(1, 16)])
+    (tmp_path / "alias.yaml").write_text(
+        f"mode: nonbeacon\nquota: 5\nn_devices: [{anchors}]\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", "alias.yaml"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and len(lines[0].encode()) < 200, lines[0][:300]
+    assert lines[0].startswith("wpansim: error: alias.yaml:3: n_devices must be an integer")
+
+
+def test_deep_nesting_is_a_diagnostic_not_a_traceback(tmp_path, capsys):
+    bad = tmp_path / "deep.yaml"
+    bad.write_text("mode: nonbeacon\nquota: 5\nn_devices: " + "[" * 1200 + "]" * 1200 + "\n")
+    assert main(["run", "--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"wpansim: error: {bad}: values are nested too deeply\n"
+    assert "Traceback" not in err
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 TINY = """\

@@ -6,7 +6,10 @@ import hashlib
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wpansim import scenario
 from wpansim.csma import CsmaParams, type_error
 from wpansim.experiment import replication_seed
 from wpansim.network import StarNetwork
@@ -61,6 +64,8 @@ def test_spec_validation_mirrors_the_loader():
     ("mode: warp\nquota: 5\n", "mode"),
     ("mode: nonbeacon\nquota: 5\nn_devices: !custom 3\n",
      "f.yaml:3: could not determine a constructor for the tag '!custom'"),
+    ("mode: nonbeacon\nquota: 5\nn_devices: 2\x00\n",
+     "f.yaml:3: unacceptable character #x0000"),
 ])
 def test_scenario_diagnostics_carry_file_and_line(text, needle):
     with pytest.raises(ScenarioError) as err:
@@ -90,6 +95,9 @@ SWEEP_HEAD = "base: {mode: nonbeacon, quota: 5}\naxes:\n  - [msdu, [10]]\n"
     ("mode: nonbeacon\nquota: 5\ninterval_s: .nan\n", 3, "interval_s"),
     ("mode: nonbeacon\nseed: 4\nrun_time_s: .inf\n", 3, "run_time_s"),
     ("mode: nonbeacon\nseed: 4\nrun_time_s: .nan\n", 3, "run_time_s"),
+    # An int past the largest float.
+    ("mode: nonbeacon\nquota: 5\ninterval_s: 1" + "0" * 400 + "\n", 3,
+     "interval_s"),
 ])
 def test_each_range_checked_key_is_reported_at_its_line(text, line, key):
     with pytest.raises(ScenarioError) as err:
@@ -120,6 +128,15 @@ def test_each_range_checked_key_is_reported_at_its_line(text, line, key):
      "f.yaml:3: msdu must be an integer, got True"),
     ("base: {mode: nonbeacon, quota: 5}\naxes:\n  - [interval_s, [.1, x]]\n",
      "f.yaml:3: interval_s must be a number, got 'x'"),
+    # Each axis rule is placed at the line of the entry it rejects.
+    (SWEEP_HEAD + "  - [msdu, [30]]\n", "f.yaml:4: sweep axis 'msdu' appears twice"),
+    (SWEEP_HEAD + "  - [n_devices, []]\n",
+     "f.yaml:4: sweep axis 'n_devices' has no values"),
+    (SWEEP_HEAD + "  - [seed, [1, 2]]\n", "f.yaml:4: unknown sweep axis 'seed'"),
+    (SWEEP_HEAD + "  - [n_devices, 2]\n",
+     "f.yaml:4: an axis must be a name and a list of values"),
+    (SWEEP_HEAD + "  - n_devices\n",
+     "f.yaml:4: an axis must be a name and a list of values, got 'n_devices'"),
 ])
 def test_sweep_diagnostics(text, needle):
     with pytest.raises(ScenarioError) as err:
@@ -300,6 +317,13 @@ def test_library_paths_check_types_as_the_loader_does(field, build):
     assert re.match(r"\w+", str(err.value))[0] == field
 
 
+def test_library_axis_errors_name_their_entry():
+    with pytest.raises(ValueError, match=r"^axes\[1\]: sweep axis 'msdu' appears twice"):
+        dataclasses.replace(_SWEEP, axes=(("msdu", (20,)), ("msdu", (30,))))
+    with pytest.raises(ValueError, match=r"^axes\[0\]: bo_so values must be"):
+        dataclasses.replace(_SWEEP, axes=(("bo_so", ((1, 0.5),)),))
+
+
 def test_int_in_a_float_field_becomes_a_float():
     spec = ScenarioSpec(interval_s=1, run_time_s=2)
     assert type(spec.interval_s) is float and type(spec.run_time_s) is float
@@ -321,3 +345,69 @@ def test_every_spec_field_is_type_checked_or_exempt():
             if f.name not in exempt:
                 assert f.type in checked, (cls.__name__, f.name, f.type)
                 assert type_error(f.name, "x", f.type), (cls.__name__, f.name)
+
+
+# Loader property: every text is read as a spec or rejected with one line
+# that names the file.  The texts are the packaged scenarios' YAML, cut at any
+# byte or with one value replaced by a drawn YAML fragment.
+_TEMPLATES = [dump_scenario(load_builtin(name)) for name in BUILTINS]
+# A scalar value: after a space or "[", before ",", "]" or the line's end.
+_VALUE = re.compile(r"(?<=[ \[])[^\s\[\],:]+(?=[,\]]|$)", re.M)
+
+
+def _doubling_aliases(n: int) -> str:
+    # Anchor i lists anchor i - 1 twice: 2**n items once expanded.
+    return "[&a0 [1, 1]" + "".join(f", &a{i} [*a{i - 1}, *a{i - 1}]"
+                                   for i in range(1, n)) + "]"
+
+
+_SCALARS = st.one_of(
+    st.integers().map(str), st.floats().map(str), st.text(max_size=4),
+    st.sampled_from(["true", "null", "~", "''", ".inf", ".nan", "beacon",
+                     "1" + "0" * 400, "!custom 3"]))
+_ALIASES = st.one_of(st.sampled_from(["*nowhere", "&x [*x]", "&x {k: *x}"]),
+                     st.integers(1, 24).map(_doubling_aliases))
+_FRAGMENTS = st.recursive(
+    _SCALARS | _ALIASES,
+    lambda inner: st.lists(inner, max_size=3).map(
+        lambda items: "[" + ", ".join(items) + "]")
+    | st.lists(inner, max_size=2).map(
+        lambda items: "{" + ", ".join(f"k{i}: {item}"
+                                      for i, item in enumerate(items)) + "}"),
+    max_leaves=6)
+
+
+def _loads_or_rejects_in_one_line(text: str) -> None:
+    try:
+        spec = loads_scenario(text, label="f.yaml")
+    except ScenarioError as exc:
+        assert str(exc).startswith("f.yaml") and "\n" not in str(exc), str(exc)
+    else:
+        assert isinstance(spec, (ScenarioSpec, SweepSpec))
+
+
+def test_aliases_of_aliases_are_walked_once(monkeypatch):
+    # Twenty anchors expand to 2**20 items; the line map visits each YAML node
+    # once, so the walk stays as short as the file.
+    walk, calls = scenario._collect_lines, []
+    monkeypatch.setattr(scenario, "_collect_lines",
+                        lambda *args: calls.append(args) or walk(*args))
+    with pytest.raises(ScenarioError, match="^f.yaml:3: n_devices must be an integer"):
+        loads_scenario("mode: nonbeacon\nquota: 5\nn_devices: "
+                       + _doubling_aliases(20) + "\n", label="f.yaml")
+    assert len(calls) < 100
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_TEMPLATES), st.integers(0, 1000))
+def test_a_builtin_cut_at_any_byte_loads_or_is_rejected_in_one_line(text, cut):
+    _loads_or_rejects_in_one_line(text[:cut])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_builtin_with_one_value_replaced_loads_or_is_rejected_in_one_line(data):
+    text = data.draw(st.sampled_from(_TEMPLATES))
+    start, end = data.draw(st.sampled_from(
+        [match.span() for match in _VALUE.finditer(text)]))
+    _loads_or_rejects_in_one_line(text[:start] + data.draw(_FRAGMENTS) + text[end:])
