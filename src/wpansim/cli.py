@@ -15,11 +15,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from contextlib import ExitStack
 from io import StringIO
 from pathlib import Path
 
 from wpansim.kernel import SimulationError
-from wpansim.metrics import write_metrics_csv, write_packet_log
+from wpansim.metrics import discard, write_metrics_csv, write_packet_log
 from wpansim.network import run_scenario_full
 from wpansim.scenario import (BUILTINS, ScenarioError, ScenarioSpec, SweepSpec,
                               load_builtin, load_scenario)
@@ -64,19 +65,20 @@ def _cmd_run(args) -> int:
             "this is a sweep definition; use the 'sweep' subcommand")
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
-    if args.trace:
-        # The trace streams into its file as the run goes; a run that fails
-        # leaves the lines written so far.
-        with open(args.trace, "w") as fh:
-            result = run_scenario_full(spec, trace=MacTrace(fh))
-    else:
-        result = run_scenario_full(spec)
+    # The trace and the packet log stream into their files as the run goes;
+    # a run that fails leaves the lines written so far.
+    with ExitStack() as files:
+        trace, packets = None, discard
+        if args.trace:
+            trace = MacTrace(files.enter_context(open(args.trace, "w")))
+        if args.packet_log:
+            packets = write_packet_log(
+                files.enter_context(open(args.packet_log, "w", newline="")))
+        result = run_scenario_full(spec, trace=trace, packets=packets)
 
     buf = StringIO()
     write_metrics_csv([result.metrics], buf)
     _write_text(args.out, buf.getvalue())
-    if args.packet_log:
-        write_packet_log(args.packet_log, result.log)
     return 0
 
 

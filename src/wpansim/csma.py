@@ -104,6 +104,10 @@ class DropReason(Enum):
     RETRY_EXHAUSTED = "retry_exhausted"
     UNRESOLVED_AT_END = "unresolved_at_end"
 
+    # Members are singletons compared by identity, so the identity hash is
+    # consistent and runs in C, where Enum's hashes the name in Python.
+    __hash__ = object.__hash__
+
 
 class Phase(Enum):
     IDLE = "idle"
@@ -113,6 +117,8 @@ class Phase(Enum):
     AWAITING_ACK = "awaiting_ack"
     SUCCESS = "success"
     FAILED = "failed"
+
+    __hash__ = object.__hash__      # as DropReason's
 
 
 class MacInput(Enum):
@@ -291,4 +297,5 @@ class MacQueue:
         return True
 
     def pop(self):
-        return self._items.popleft()
+        """The oldest waiting item, or None when none waits."""
+        return self._items.popleft() if self._items else None

@@ -21,7 +21,7 @@ from typing import NoReturn
 from wpansim.csma import type_error
 # The single-run names live with the run and its CSV; they are re-exported.
 from wpansim.metrics import (METRIC_COLUMNS, MetricsRow, _fmt_cell, _metric_values,
-                             write_metrics_csv)
+                             discard, write_metrics_csv)
 from wpansim.network import run_scenario_full
 from wpansim.scenario import ScenarioSpec, SweepSpec
 
@@ -49,8 +49,8 @@ def replication_seed(seed_base: int, point: dict, replication: int) -> int:
 
 def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> MetricsRow:
     """Run one scenario and return its metrics row; deterministic in
-    (spec, seed)."""
-    return run_scenario_full(spec, seed).metrics
+    (spec, seed).  The run keeps no packet records."""
+    return run_scenario_full(spec, seed, packets=discard).metrics
 
 
 def _fmt_axis_value(value) -> object:

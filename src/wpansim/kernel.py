@@ -348,4 +348,5 @@ def rng_exponential(draws: Pcg64, mean_seconds: float) -> int:
     """
     if mean_seconds <= 0:
         raise ValueError(f"mean interval must be positive, got {mean_seconds}")
-    return max(1, round(draws.standard_exponential() * mean_seconds * SYMBOL_RATE))
+    gap = round(draws.standard_exponential() * mean_seconds * SYMBOL_RATE)
+    return gap if gap > 1 else 1

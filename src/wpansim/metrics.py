@@ -1,4 +1,4 @@
-"""QoS metrics computed from the packet lifecycle log.
+"""QoS metrics from the packet lifecycle records.
 
 Every generated MSDU leaves exactly one :class:`PacketRecord` with exactly one
 outcome: delivered at a known time, or dropped with a reason.  Packets still
@@ -6,13 +6,17 @@ queued or mid-transaction when a run stops are closed with the reason
 ``unresolved_at_end``; those are excluded from the loss-rate numerator and
 denominator.
 
-All metrics are pure functions of the log, so an exported log re-yields the
-exact same numbers offline.
+A run's :class:`PacketTally` hands each record on, in ``packet_id`` order,
+once it and every earlier record have their outcomes, and adds it to the
+integers the metrics are made of.  So the metrics are pure functions of the
+records; ``tests/metrics_oracle.py`` recomputes a row from an exported log
+and gets the exact same numbers.
 """
 
 from __future__ import annotations
 
 import csv
+from collections import deque
 from dataclasses import dataclass, fields
 
 from wpansim.csma import DropReason
@@ -51,8 +55,73 @@ class MetricsRow:
     mean_delay_s: float | None
 
 
-def build_metrics(log: list[PacketRecord], t_start: int, t_end: int) -> MetricsRow:
-    """Every metric of the log, from one pass over it.
+class PacketTally:
+    """The records of one run from its oldest open one on, and the integers
+    summed over the records handed on: counts by outcome, delivered payload
+    bits and summed delivery delay.
+
+    ``sink`` receives each record once it and every earlier one have their
+    outcomes, so in ``packet_id`` order; a record is handed on at most once.
+    """
+
+    __slots__ = ("window", "sink", "generated", "first_gen", "delivered", "bits",
+                 "delay_sum", "dropped")
+
+    def __init__(self, sink):
+        self.window: deque[PacketRecord] = deque()
+        self.sink = sink
+        self.generated = 0
+        self.first_gen = 0          # the first record's generation time
+        self.delivered = self.bits = self.delay_sum = 0
+        self.dropped = dict.fromkeys(DropReason, 0)
+
+    def open(self, node: int, gen_time: int, msdu_len: int) -> PacketRecord:
+        """A new record, with the next ``packet_id``, still without outcome."""
+        rec = PacketRecord(self.generated, node, gen_time, msdu_len)
+        if not self.generated:
+            self.first_gen = gen_time
+        self.generated += 1
+        self.window.append(rec)
+        return rec
+
+    def settle(self, rec: PacketRecord) -> None:
+        """Note that ``rec`` now has its outcome.  When it is the oldest open
+        record, it and the resolved records after it, up to the next open
+        one, are counted and handed on; a record with two outcomes is a
+        ``ValueError``, also when the record was handed on already."""
+        window = self.window
+        head = window[0] if window else None
+        if rec is not head:
+            if head is None or rec.packet_id < head.packet_id:
+                raise ValueError(f"packet {rec.packet_id} has two outcomes")
+            return
+        while window:
+            rec = window[0]
+            if rec.rx_time is not None:
+                if rec.drop_reason is not None:
+                    raise ValueError(f"packet {rec.packet_id} has two outcomes")
+                self.delivered += 1
+                self.bits += rec.msdu_len * 8
+                self.delay_sum += rec.rx_time - rec.gen_time
+            elif rec.drop_reason is not None:
+                self.dropped[rec.drop_reason] += 1
+            else:
+                return
+            window.popleft()
+            self.sink(rec)
+
+    def close(self) -> None:
+        """Close every record still open as ``unresolved_at_end`` and hand
+        all of them on."""
+        for rec in self.window:
+            if rec.rx_time is None and rec.drop_reason is None:
+                rec.drop_reason = UNRESOLVED
+        if self.window:
+            self.settle(self.window[0])
+
+
+def build_metrics(tally: PacketTally, t_start: int, t_end: int) -> MetricsRow:
+    """Every metric of the records ``tally`` has handed on.
 
     The effective data rate is delivered MSDU payload bits per second over
     [t_start, t_end] symbols: headers never count, and a retransmitted packet
@@ -62,26 +131,14 @@ def build_metrics(log: list[PacketRecord], t_start: int, t_end: int) -> MetricsR
     delivered packets only; None when nothing was delivered (rows must show a
     not-a-value marker).
     """
-    delivered = bits = delay_sum = 0
-    dropped = dict.fromkeys(DropReason, 0)
-    for rec in log:
-        if rec.rx_time is not None:
-            if rec.drop_reason is not None:
-                raise ValueError(f"packet {rec.packet_id} has two outcomes")
-            delivered += 1
-            bits += rec.msdu_len * 8
-            delay_sum += rec.rx_time - rec.gen_time
-        elif rec.drop_reason is not None:
-            dropped[rec.drop_reason] += 1
-        else:
-            raise ValueError(f"packet {rec.packet_id} has no outcome")
     if t_end <= t_start:
         raise ValueError(f"empty measurement window: [{t_start}, {t_end}]")
+    delivered, dropped = tally.delivered, tally.dropped
     unresolved = dropped[UNRESOLVED]
-    resolved = len(log) - unresolved
-    delay_s = delay_sum / delivered / SYMBOL_RATE if delivered else None
+    resolved = tally.generated - unresolved
+    delay_s = tally.delay_sum / delivered / SYMBOL_RATE if delivered else None
     return MetricsRow(
-        generated=len(log),
+        generated=tally.generated,
         delivered=delivered,
         dropped_queue_overflow=dropped[DropReason.QUEUE_OVERFLOW],
         dropped_channel_access=dropped[DropReason.CHANNEL_ACCESS_FAILURE],
@@ -89,11 +146,15 @@ def build_metrics(log: list[PacketRecord], t_start: int, t_end: int) -> MetricsR
         unresolved=unresolved,
         t_start_symbols=t_start,
         t_end_symbols=t_end,
-        effective_data_rate_bps=bits * SYMBOL_RATE / (t_end - t_start),
+        effective_data_rate_bps=tally.bits * SYMBOL_RATE / (t_end - t_start),
         packet_loss_rate=(resolved - delivered) / resolved if resolved else None,
         mean_delay_symbols=None if delay_s is None else delay_s * SYMBOL_RATE,
         mean_delay_s=delay_s,
     )
+
+
+def discard(rec: PacketRecord) -> None:
+    """The packet sink of a run that keeps no records."""
 
 
 # Packet-log files: one CSV row per packet, documented column order below;
@@ -103,18 +164,25 @@ PACKET_LOG_COLUMNS = ["node", "gen_time_symbols", "msdu_len", "outcome",
                       "rx_time_symbols_or_reason", "packet_id", "tx_count"]
 
 
-def write_packet_log(path, log: list[PacketRecord]) -> None:
+def write_packet_log(fh, records=()):
+    """Write the header and ``records`` to ``fh``, a text file opened with
+    ``newline=""``, and return the writer of one more row."""
     # The bytes csv.writer would write, "\r\n" line ends included: no field
     # needs quoting, since each is an integer or a fixed word.
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(PACKET_LOG_COLUMNS) + "\r\n")
-        for rec in log:
-            if rec.rx_time is not None:
-                outcome, detail = "delivered", rec.rx_time
-            else:
-                outcome, detail = "dropped", rec.drop_reason.value
-            fh.write(f"{rec.node},{rec.gen_time},{rec.msdu_len},{outcome},{detail},"
-                     f"{rec.packet_id},{rec.tx_count}\r\n")
+    write = fh.write
+    write(",".join(PACKET_LOG_COLUMNS) + "\r\n")
+
+    def write_row(rec: PacketRecord) -> None:
+        if rec.rx_time is not None:
+            outcome, detail = "delivered", rec.rx_time
+        else:
+            outcome, detail = "dropped", rec.drop_reason.value
+        write(f"{rec.node},{rec.gen_time},{rec.msdu_len},{outcome},{detail},"
+              f"{rec.packet_id},{rec.tx_count}\r\n")
+
+    for rec in records:
+        write_row(rec)
+    return write_row
 
 
 #: Per-run output columns, in CSV order.  Times appear in symbols and seconds.

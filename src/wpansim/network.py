@@ -22,7 +22,7 @@ from wpansim.csma import (ArmAckTimeout, CsmaParams, DeferToNextCap, DoCca, Drop
 from wpansim.kernel import (EventKind, RngManager, Scheduler, SimSummary,
                             SimulationError, StopReason, rng_exponential,
                             seconds_to_symbols)
-from wpansim.metrics import MetricsRow, PacketRecord, build_metrics
+from wpansim.metrics import MetricsRow, PacketRecord, PacketTally, build_metrics
 from wpansim.phy import (ACK_AIRTIME, BEACON_AIRTIME, CCA_DURATION, Frame,
                          FrameKind, Medium, TURNAROUND, UNIT_BACKOFF,
                          data_frame_airtime)
@@ -44,6 +44,7 @@ _IN_CCA_IDLE, _IN_CCA_BUSY, _IN_TX_DONE = (MacInput.CCA_IDLE, MacInput.CCA_BUSY,
                                            MacInput.TX_DONE)
 _IN_ACK_RECEIVED, _IN_ACK_TIMEOUT = MacInput.ACK_RECEIVED, MacInput.ACK_TIMEOUT
 _AWAITING_ACK = Phase.AWAITING_ACK
+_INPUTS = tuple(MacInput)      # iterating an Enum class runs Python code each time
 
 
 class Device:
@@ -71,15 +72,16 @@ class Device:
 class RunResult:
     metrics: MetricsRow
     summary: SimSummary
-    log: list[PacketRecord]
+    log: list[PacketRecord]     # every record, in packet_id order; [] with a sink
 
 
 class StarNetwork:
     def __init__(self, *, csma_params: CsmaParams | None = None,
                  circle_radius_m: float = 50.0, trace: MacTrace | None = None,
-                 **scenario):
+                 packets=None, **scenario):
         """``scenario`` takes the fields of :class:`ScenarioSpec`, with its
-        defaults and checks, except the MAC ones, which ``csma_params`` sets."""
+        defaults and checks, except the MAC ones, which ``csma_params`` sets.
+        ``packets`` is the records' sink (see PacketTally); None keeps them all."""
         self.csma = csma_params or CsmaParams()
         spec = ScenarioSpec(**scenario, **dataclasses.asdict(self.csma))
         n_devices = spec.n_devices
@@ -87,7 +89,7 @@ class StarNetwork:
         self.slotted = spec.mode == "beacon"
         self.msdu = spec.msdu
         self.interval_s = spec.interval_s
-        self.distribution = spec.distribution
+        self._exponential = spec.distribution == "exponential"
         self.quota = spec.quota
         self.run_time_s = spec.run_time_s
         self.schedule = SuperframeSchedule(spec.bo, spec.so) if self.slotted else None
@@ -122,7 +124,8 @@ class StarNetwork:
 
         self._step = slotted_step if self.slotted else unslotted_step
         self._idle_row = _machine(self._step, self.csma)
-        self.log: list[PacketRecord] = []
+        self._log: list[PacketRecord] = []
+        self.packets = PacketTally(self._log.append if packets is None else packets)
         self._resolved = 0
         self._total_quota = None if spec.quota is None else spec.quota * n_devices
         self._period_symbols = max(1, seconds_to_symbols(spec.interval_s))
@@ -145,15 +148,12 @@ class StarNetwork:
         self.sched._heap.clear()
         for dev in self.devices:
             dev.ack_timer = None
-        for rec in self.log:
-            if rec.rx_time is None and rec.drop_reason is None:
-                rec.drop_reason = DropReason.UNRESOLVED_AT_END
-        start = self.log[0].gen_time if self.log else 0
-        metrics = build_metrics(self.log, start, summary.end_time)
-        return RunResult(metrics, summary, self.log)
+        self.packets.close()
+        metrics = build_metrics(self.packets, self.packets.first_gen, summary.end_time)
+        return RunResult(metrics, summary, self._log)
 
     def _schedule_arrival(self, dev: Device) -> None:
-        if self.distribution == "exponential":
+        if self._exponential:
             gap = rng_exponential(dev.traffic_rng, self.interval_s)
         else:
             gap = self._period_symbols
@@ -161,8 +161,7 @@ class StarNetwork:
 
     def _on_arrival(self, dev: Device) -> None:
         now = self.sched.now
-        rec = PacketRecord(len(self.log), dev.id, now, self.msdu)
-        self.log.append(rec)
+        rec = self.packets.open(dev.id, now, self.msdu)
         dev.generated += 1
         if self.quota is None or dev.generated < self.quota:
             self._schedule_arrival(dev)
@@ -224,7 +223,7 @@ class StarNetwork:
             rec.rx_time = now = self.sched.now
             if self.trace is not None:
                 self.trace.add(now, dev.id, "delivered", rec.packet_id)
-            self._count_resolution()
+            self._count_resolution(rec)
         else:
             self._resolve_drop(rec, DropReason.RETRY_EXHAUSTED)
         self._next_frame(dev)
@@ -329,15 +328,16 @@ class StarNetwork:
         if self.trace is not None:
             self.trace.add(self.sched.now, rec.node, "drop", rec.packet_id,
                            reason.value)
-        self._count_resolution()
+        self._count_resolution(rec)
 
-    def _count_resolution(self) -> None:
+    def _count_resolution(self, rec: PacketRecord) -> None:
+        self.packets.settle(rec)
         self._resolved += 1
         if self._resolved == self._total_quota:
             self.sched.request_stop()
 
     def _next_frame(self, dev: Device) -> None:
-        dev.current = dev.queue.pop() if len(dev.queue) else None
+        dev.current = dev.queue.pop()
         if dev.current is not None:
             self._start_attempt(dev)
 
@@ -388,24 +388,24 @@ def _machine(step, params: CsmaParams) -> dict:
     action, performer, next state's row); a deferral's entry closes a cycle.
     Every entry to one state holds the same object, so a run moves its devices
     among one object per state rather than one per transition."""
-    rows, found = {IDLE_STATE: {}}, [IDLE_STATE]
-    same = {IDLE_STATE: IDLE_STATE}
-    for state in found:         # grows as the walk finds states
-        for event in MacInput:
+    found = [(IDLE_STATE, {})]      # (state, its row); grows as the walk finds states
+    rows = {IDLE_STATE: found[0]}
+    for state, row in found:
+        for event in _INPUTS:
             try:
                 target, action = step(state, event, params)
             except SimulationError:
                 continue
-            target = same.setdefault(target, target)
-            if target not in rows:
-                found.append(target)
-            rows[state][event._value_] = (target, action, _PERFORM[type(action)],
-                                          rows.setdefault(target, {}))
-    return rows[IDLE_STATE]
+            entry = rows.get(target)
+            if entry is None:
+                entry = rows[target] = (target, {})
+                found.append(entry)
+            row[event._value_] = (entry[0], action, _PERFORM[type(action)], entry[1])
+    return found[0][1]
 
 
 def run_scenario_full(spec: ScenarioSpec, seed: int | None = None,
-                      trace: MacTrace | None = None) -> RunResult:
+                      trace: MacTrace | None = None, packets=None) -> RunResult:
     """Run one scenario to its stop condition; ``seed`` overrides the scenario's."""
     net = StarNetwork(
         mode=spec.mode, n_devices=spec.n_devices, msdu=spec.msdu,
@@ -414,5 +414,5 @@ def run_scenario_full(spec: ScenarioSpec, seed: int | None = None,
         queue_capacity=spec.queue_capacity, quota=spec.quota,
         run_time_s=spec.run_time_s,
         seed=spec.seed if seed is None else seed,
-        placement=spec.placement, trace=trace)
+        placement=spec.placement, trace=trace, packets=packets)
     return net.run()

@@ -16,6 +16,7 @@ a YAML template for any of them.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 import re
@@ -262,12 +263,31 @@ def _build(cls, raw: dict, label: str, lines: dict, prefix: tuple = ()):
         fail((key, int(index)), message.partition(": ")[2])
 
 
+@functools.cache
+def _loader():
+    """PyYAML's safe loader, except that a value its constructors reject with
+    a plain ``ValueError`` (an int past Python's digit limit, a date with no
+    such day) is a YAML error at that value's line."""
+    import yaml
+
+    class Loader(yaml.SafeLoader):
+        def construct_object(self, node, deep=False):
+            try:
+                return super().construct_object(node, deep)
+            except ValueError as exc:
+                # The advice after ";" is meant for Python code, not files.
+                what = str(exc).partition(";")[0]
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"invalid value: {what}", node.start_mark) from exc
+    return Loader
+
+
 def loads_scenario(text: str, label: str = "<string>") -> ScenarioSpec | SweepSpec:
     """Parse scenario or sweep YAML from a string; ``label`` names it in errors."""
     import yaml     # loaded on first use: a process that only runs networks skips it
     lines: dict = {}
     try:
-        loader = yaml.SafeLoader(text)      # rejects a character YAML never allows
+        loader = _loader()(text)            # rejects a character YAML never allows
         node = loader.get_single_node()
         if node is None:
             raise ScenarioError(f"{label}: file is empty")

@@ -41,6 +41,21 @@ def test_deep_nesting_is_a_diagnostic_not_a_traceback(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("text, line", [
+    # Python refuses to convert a string of more than 4,300 digits to an int.
+    ("n_devices: 1" + "0" * 4400 + "\nmode: nonbeacon\nquota: 5\n", 1),
+    ("mode: nonbeacon\nquota: 5\nseed: 2024-02-30\n", 3)])
+def test_a_value_pyyaml_cannot_build_is_placed_at_its_line(tmp_path, capsys, text, line):
+    # Both are a plain ValueError from inside PyYAML's constructors.
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text)
+    assert main(["run", "--config", str(bad)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"wpansim: error: {bad}:{line}: invalid value: ")
+    assert "set_int_max_str_digits" not in lines[0]
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 TINY = """\

@@ -1,6 +1,7 @@
 """Sweep execution: seeding, row layout, aggregates, failure handling,
 the results CSV round-trip, and plot-data extraction."""
 
+import dataclasses
 import os
 import random
 import select
@@ -8,6 +9,7 @@ import signal
 import statistics
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -15,7 +17,7 @@ import wpansim.experiment as experiment
 from wpansim.experiment import (METRIC_COLUMNS, ResultsTable, emit_plot_data,
                                 read_results, replication_seed, run_scenario,
                                 run_scenario_full, run_sweep)
-from wpansim.scenario import ScenarioSpec, SweepSpec
+from wpansim.scenario import ScenarioSpec, SweepSpec, load_builtin
 
 
 def _tiny_sweep(**kwargs):
@@ -97,6 +99,21 @@ def test_run_scenario_is_deterministic_in_spec_and_seed():
     result = run_scenario_full(spec)
     assert result.metrics == run_scenario(spec)
     assert len(result.log) == result.metrics.generated
+
+
+def test_run_scenario_keeps_no_packet_records():
+    # Memory follows the packets in flight, not the length of the run: a
+    # kept log would raise the peak by about 27 KB per simulated second.
+    def peak(seconds):
+        tracemalloc.start()
+        try:
+            run_scenario(dataclasses.replace(spec, run_time_s=seconds))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    spec = load_builtin("beacon-defaults")
+    peak(1.0)                  # the transition table is walked once per process
+    assert abs(peak(40.0) - peak(10.0)) < 16 * 1024
 
 
 def test_sweep_rows_follow_point_then_replication_order():

@@ -88,7 +88,8 @@ def run_digests(name: str, out_dir: Path) -> dict[str, str]:
     result = run_scenario_full(spec, seed, trace=trace)
     buf = StringIO()
     write_metrics_csv([result.metrics], buf)
-    write_packet_log(out_dir / "packets.csv", result.log)
+    with open(out_dir / "packets.csv", "w", newline="") as fh:
+        write_packet_log(fh, result.log)
     trace.write(out_dir / "trace.tsv")
     return {"metrics": _sha256(buf.getvalue().encode()),
             "packet_log": _sha256((out_dir / "packets.csv").read_bytes()),

@@ -6,11 +6,11 @@ import pytest
 
 from wpansim.csma import DropReason
 from wpansim.metrics import (PACKET_LOG_COLUMNS, MetricsRow, PacketRecord,
-                             build_metrics, write_packet_log)
+                             PacketTally, build_metrics, discard, write_packet_log)
 from wpansim.superframe import SuperframeSchedule
 from wpansim.trace import MacTrace, read_trace
 
-from metrics_oracle import read_packet_log
+from metrics_oracle import metrics_row, read_packet_log, tallied
 
 
 def _delivered(pid, gen, rx, msdu=60, node=1):
@@ -21,8 +21,21 @@ def _dropped(pid, gen, reason, msdu=60, node=1):
     return PacketRecord(pid, node, gen, msdu, drop_reason=reason)
 
 
+def _row(log, t_start, t_end):
+    """The row of ``log`` tallied as a run tallies it, which the one-walk
+    oracle must equal."""
+    row = build_metrics(tallied(log), t_start, t_end)
+    assert row == metrics_row(log, t_start, t_end)
+    return row
+
+
+def _write(path, log):
+    with open(path, "w", newline="") as fh:
+        write_packet_log(fh, log)
+
+
 def _rate(log, t_start, t_end):
-    return build_metrics(log, t_start, t_end).effective_data_rate_bps
+    return _row(log, t_start, t_end).effective_data_rate_bps
 
 
 def test_effective_data_rate_counts_payload_bits_only():
@@ -33,7 +46,7 @@ def test_effective_data_rate_counts_payload_bits_only():
         rec.tx_count = 3          # retries must not multiply the numerator
     assert _rate(log, 0, 62500) == pytest.approx(19200.0)
     # Dropped packets contribute nothing.
-    log.append(_dropped(99, 50, DropReason.QUEUE_OVERFLOW))
+    log.append(_dropped(40, 50, DropReason.QUEUE_OVERFLOW))
     assert _rate(log, 0, 62500) == pytest.approx(19200.0)
     # Halving the window doubles the rate.
     assert _rate(log, 0, 31250) == pytest.approx(38400.0)
@@ -41,9 +54,9 @@ def test_effective_data_rate_counts_payload_bits_only():
 
 def test_empty_measurement_window_rejected():
     with pytest.raises(ValueError):
-        build_metrics([], 100, 100)
+        build_metrics(PacketTally(discard), 100, 100)
     with pytest.raises(ValueError):
-        build_metrics([], 200, 100)
+        build_metrics(PacketTally(discard), 200, 100)
 
 
 def test_loss_rate_is_drops_over_resolved():
@@ -53,22 +66,22 @@ def test_loss_rate_is_drops_over_resolved():
               _dropped(8, 0, DropReason.UNRESOLVED_AT_END),
               _dropped(9, 0, DropReason.UNRESOLVED_AT_END)])
     # 2 drops / 8 resolved; the two tail packets sit out.
-    assert build_metrics(log, 0, 1).packet_loss_rate == pytest.approx(0.25)
+    assert _row(log, 0, 1).packet_loss_rate == pytest.approx(0.25)
 
 
 def test_loss_rate_undefined_without_data():
-    assert build_metrics([], 0, 1).packet_loss_rate is None
+    assert _row([], 0, 1).packet_loss_rate is None
     only_tail = [_dropped(0, 0, DropReason.UNRESOLVED_AT_END)]
-    assert build_metrics(only_tail, 0, 1).packet_loss_rate is None
+    assert _row(only_tail, 0, 1).packet_loss_rate is None
 
 
 def test_mean_delay_averages_delivered_packets_only():
     log = [_delivered(0, 1000, 1266), _delivered(1, 5000, 5532),
            _dropped(2, 0, DropReason.RETRY_EXHAUSTED)]
     # (266 + 532) / 2 symbols = 399 symbols = 6.384 ms
-    assert build_metrics(log, 0, 1).mean_delay_s == pytest.approx(399 / 62500)
-    assert build_metrics([log[2]], 0, 1).mean_delay_s is None
-    assert build_metrics([], 0, 1).mean_delay_s is None
+    assert _row(log, 0, 1).mean_delay_s == pytest.approx(399 / 62500)
+    assert _row([_dropped(0, 0, DropReason.RETRY_EXHAUSTED)], 0, 1).mean_delay_s is None
+    assert _row([], 0, 1).mean_delay_s is None
 
 
 def test_outcome_counting_partitions_the_log():
@@ -77,7 +90,7 @@ def test_outcome_counting_partitions_the_log():
               _dropped(4, 0, DropReason.QUEUE_OVERFLOW),
               _dropped(5, 0, DropReason.CHANNEL_ACCESS_FAILURE),
               _dropped(6, 0, DropReason.UNRESOLVED_AT_END)])
-    row = build_metrics(log, 0, 1)
+    row = _row(log, 0, 1)
     assert row.generated == 7
     assert row.delivered == 3
     assert row.dropped_queue_overflow == 2
@@ -90,20 +103,58 @@ def test_outcome_counting_partitions_the_log():
     assert row.delivered + dropped + row.unresolved == 7
 
 
-def test_double_and_missing_outcomes_are_rejected():
+def test_a_record_with_two_outcomes_is_rejected():
     confused = PacketRecord(0, 1, 0, 60, rx_time=300,
                             drop_reason=DropReason.RETRY_EXHAUSTED)
-    with pytest.raises(ValueError):
-        build_metrics([confused], 0, 1)
-    open_ended = PacketRecord(1, 1, 0, 60)
-    with pytest.raises(ValueError):
-        build_metrics([open_ended], 0, 1)
+    with pytest.raises(ValueError, match="packet 0 has two outcomes"):
+        tallied([confused])
+    with pytest.raises(ValueError, match="packet 1 has two outcomes"):
+        tallied([_delivered(0, 0, 300), PacketRecord(1, 1, 0, 60, rx_time=300,
+                                                     drop_reason=DropReason.QUEUE_OVERFLOW)])
+    with pytest.raises(ValueError, match="no outcome"):
+        metrics_row([PacketRecord(0, 1, 0, 60)], 0, 1)
+
+
+@pytest.mark.parametrize("still_open", [False, True])
+def test_a_second_outcome_after_the_record_was_handed_on_is_rejected(still_open):
+    handed = []
+    tally = PacketTally(handed.append)
+    rec = tally.open(1, 10, 60)
+    if still_open:
+        tally.open(1, 20, 60)           # keeps the window non-empty
+    rec.rx_time = 300
+    tally.settle(rec)
+    assert handed == [rec]
+    rec.drop_reason = DropReason.RETRY_EXHAUSTED
+    with pytest.raises(ValueError, match="packet 0 has two outcomes"):
+        tally.settle(rec)
+
+
+def test_the_tally_hands_on_records_in_order_once_every_earlier_one_resolves():
+    handed = []
+    tally = PacketTally(handed.append)
+    a, b, c = (tally.open(1, t, 60) for t in (10, 20, 30))
+    assert tally.first_gen == 10
+    c.drop_reason = DropReason.QUEUE_OVERFLOW
+    tally.settle(c)
+    b.rx_time = 300
+    tally.settle(b)
+    assert handed == [] and list(tally.window) == [a, b, c]
+    a.rx_time = 400
+    tally.settle(a)
+    assert handed == [a, b, c] and not tally.window
+    d = tally.open(2, 40, 60)          # still open when the run ends
+    tally.close()
+    assert handed == [a, b, c, d] and d.drop_reason is DropReason.UNRESOLVED_AT_END
+    row = build_metrics(tally, tally.first_gen, 1000)
+    assert row == metrics_row(handed, 10, 1000)
+    assert (row.generated, row.delivered, row.unresolved) == (4, 2, 1)
 
 
 def test_build_metrics_assembles_a_full_row():
     log = [_delivered(0, 0, 266), _delivered(1, 100, 466),
            _dropped(2, 200, DropReason.RETRY_EXHAUSTED)]
-    row = build_metrics(log, 0, 62500)
+    row = _row(log, 0, 62500)
     assert isinstance(row, MetricsRow)
     assert row.generated == 3 and row.delivered == 2
     assert row.dropped_retry_exhausted == 1
@@ -115,7 +166,7 @@ def test_build_metrics_assembles_a_full_row():
 
 def test_build_metrics_marks_undefined_values_as_none():
     log = [_dropped(0, 0, DropReason.UNRESOLVED_AT_END)]
-    row = build_metrics(log, 0, 1000)
+    row = _row(log, 0, 1000)
     assert row.packet_loss_rate is None
     assert row.mean_delay_s is None
     assert row.effective_data_rate_bps == 0.0
@@ -129,7 +180,7 @@ def test_packet_log_round_trips_through_csv(tmp_path):
            _dropped(5, 500, DropReason.UNRESOLVED_AT_END)]
     log[0].tx_count = 2
     path = tmp_path / "packets.csv"
-    write_packet_log(path, log)
+    _write(path, log)
     assert read_packet_log(path) == log
 
 
@@ -151,11 +202,15 @@ def test_packet_log_bytes_are_what_csv_writer_writes(tmp_path):
                              "delivered" if delivered else "dropped", detail,
                              rec.packet_id, rec.tx_count])
     path = tmp_path / "packets.csv"
-    write_packet_log(path, log)
+    _write(path, log)
     assert path.read_bytes() == oracle.read_bytes()
     assert path.read_bytes().count(b"\r\n") == len(log) + 1
-    write_packet_log(path, [])
-    assert path.read_bytes() == oracle.read_bytes().split(b"\r\n")[0] + b"\r\n"
+    # The returned writer appends rows one by one, as a run hands them on.
+    with open(path, "w", newline="") as fh:
+        write_row = write_packet_log(fh)
+        for rec in log:
+            write_row(rec)
+    assert path.read_bytes() == oracle.read_bytes()
 
 
 def test_packet_log_reader_rejects_foreign_headers(tmp_path):
@@ -170,9 +225,8 @@ def test_reloaded_log_yields_identical_metrics(tmp_path):
     log += [_dropped(20 + i, 900, DropReason.CHANNEL_ACCESS_FAILURE)
             for i in range(5)]
     path = tmp_path / "packets.csv"
-    write_packet_log(path, log)
-    assert build_metrics(read_packet_log(path), 0, 62500) == \
-        build_metrics(log, 0, 62500)
+    _write(path, log)
+    assert _row(read_packet_log(path), 0, 62500) == _row(log, 0, 62500)
 
 
 def test_mac_trace_round_trips(tmp_path):

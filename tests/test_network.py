@@ -8,8 +8,10 @@ import weakref
 from io import StringIO
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from wpansim.csma import CsmaParams
+from wpansim.csma import CsmaParams, DropReason
 from wpansim.experiment import run_scenario_full, write_metrics_csv
 from wpansim.kernel import Scheduler, SimulationError, seconds_to_symbols
 from wpansim.metrics import MetricsRow, write_packet_log
@@ -20,7 +22,8 @@ from wpansim.scenario import ScenarioSpec, load_builtin
 from wpansim.superframe import SuperframeSchedule
 from wpansim.trace import MacTrace
 
-from test_transition_table import DEFERRING
+from metrics_oracle import metrics_row
+from test_transition_table import DEFERRING, small_networks
 
 # A lone device with acknowledgements completes one transaction in
 # CCA (8) + data frame for 60 B (154) + turnaround (12) + ACK (22) symbols
@@ -280,7 +283,8 @@ def test_random_placement_outputs_are_pinned(tmp_path):
     result = net.run()
     buf = StringIO()
     write_metrics_csv([result.metrics], buf)
-    write_packet_log(tmp_path / "packets.csv", result.log)
+    with open(tmp_path / "packets.csv", "w", newline="") as fh:
+        write_packet_log(fh, result.log)
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
         "11a9393bce8210be9dd7a41509f56741185d4ec7fa51ca28f749f5954d1221cb")
     assert hashlib.sha256((tmp_path / "packets.csv").read_bytes()).hexdigest() == (
@@ -338,3 +342,49 @@ def test_a_finished_network_is_freed_without_the_cycle_collector(kwargs):
         gc.set_debug(0)
         gc.garbage.clear()
         gc.enable()
+
+
+@st.composite
+def quota_or_timed_networks(draw):
+    kwargs = draw(small_networks())
+    if draw(st.booleans()):
+        kwargs.update(run_time_s=None, quota=draw(st.integers(1, 6)))
+    return kwargs
+
+
+@settings(max_examples=30, deadline=None)
+@given(quota_or_timed_networks())
+@example(dict(n_devices=4, msdu=60, interval_s=0.004, queue_capacity=3, quota=6, seed=3))
+@example(dict(n_devices=4, msdu=60, interval_s=0.004, queue_capacity=3,
+              run_time_s=0.3, seed=3))
+@example(dict(DEFERRING, run_time_s=None, quota=5))
+@example(DEFERRING)
+def test_a_sink_gets_the_kept_log_in_order_as_the_records_resolve(kwargs):
+    kept = StarNetwork(**kwargs).run()
+    handed, at = [], []
+    net = StarNetwork(**kwargs, packets=lambda rec: (handed.append(rec),
+                                                     at.append(net.sched.now)))
+    streamed = net.run()
+    assert streamed.log == [] and handed == kept.log
+    assert [rec.packet_id for rec in handed] == list(range(len(handed)))
+    assert streamed.metrics == kept.metrics
+    t_start = kept.log[0].gen_time if kept.log else 0
+    assert kept.metrics == metrics_row(kept.log, t_start, kept.summary.end_time)
+    # Each record is handed on the moment it and every earlier one have
+    # resolved.  A delivery resolves at its rx time, an overflow on arrival
+    # and an unresolved packet at the end; other drops leave no time.
+    end = streamed.summary.end_time
+    latest = 0
+    for rec, when in zip(handed, at):
+        if rec.rx_time is not None:
+            latest = max(latest, rec.rx_time)
+        elif rec.drop_reason is DropReason.QUEUE_OVERFLOW:
+            latest = max(latest, rec.gen_time)
+        elif rec.drop_reason is DropReason.UNRESOLVED_AT_END:
+            latest = end
+        else:
+            latest = None
+        if latest is None:
+            break
+        assert when == latest
+    assert at == sorted(at) and all(when <= end for when in at)

@@ -13,7 +13,7 @@ from wpansim.phy import CCA_DURATION, COMM_RANGE_M, Medium
 from wpansim.superframe import SuperframeSchedule
 
 from metrics_oracle import (DROPS, effective_data_rate, mean_end_to_end_delay,
-                            outcome_counts, packet_loss_rate)
+                            outcome_counts, packet_loss_rate, tallied)
 
 UNIT = 20
 
@@ -44,7 +44,7 @@ def test_queue_tracks_a_reference_deque(ops, capacity):
             if model:
                 assert q.pop() == model.popleft()
             else:
-                assert len(q) == 0
+                assert len(q) == 0 and q.pop() is None
         else:
             accepted = q.offer(op)
             if capacity is None or len(model) < capacity:
@@ -156,7 +156,7 @@ def test_outcome_counts_partition_any_log(outcomes):
             log.append(PacketRecord(i, 0, i * 10, 60, rx_time=i * 10 + 266))
         else:
             log.append(PacketRecord(i, 0, i * 10, 60, drop_reason=outcome))
-    row = build_metrics(log, 0, 1)
+    row = build_metrics(tallied(log), 0, 1)
     dropped = (row.dropped_queue_overflow, row.dropped_channel_access,
                row.dropped_retry_exhausted)
     assert row.generated == len(log)
@@ -178,7 +178,7 @@ def test_one_pass_metrics_equal_the_single_metric_functions(packets, window):
             log.append(PacketRecord(i, 0, i * 7, msdu, rx_time=i * 7 + delay))
         else:
             log.append(PacketRecord(i, 0, i * 7, msdu, drop_reason=outcome))
-    row = build_metrics(log, 0, window)
+    row = build_metrics(tallied(log), 0, window)
     assert row.effective_data_rate_bps == effective_data_rate(log, 0, window)
     assert row.packet_loss_rate == packet_loss_rate(log)
     assert row.mean_delay_s == mean_end_to_end_delay(log)
