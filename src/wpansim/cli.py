@@ -105,8 +105,10 @@ def _cmd_plot_data(args) -> int:
     _check_paths({"--results": args.results}, {"--out": args.out})
     from wpansim.experiment import emit_plot_data, read_results
     results = read_results(args.results)
-    text = emit_plot_data(results, x_axis=args.x, metric=args.metric,
-                          series_key=args.series)
+    try:
+        text = emit_plot_data(results, args.x, args.metric, args.series)
+    except ValueError as exc:
+        raise ValueError(f"{args.results}: {exc}") from None
     _write_text(args.out, text)
     return 0
 

@@ -14,11 +14,12 @@ import csv
 import marshal
 import math
 import os
+import sys
 from dataclasses import dataclass
 from io import StringIO
 from typing import NoReturn
 
-from wpansim.csma import type_error
+from wpansim.csma import brief_repr, type_error
 # The single-run names live with the run and its CSV; they are re-exported.
 from wpansim.metrics import (METRIC_COLUMNS, MetricsRow, _fmt_cell, _metric_values,
                              discard, write_metrics_csv)
@@ -293,9 +294,10 @@ def read_results(path) -> ResultsTable:
 
 
 def _finite(column: str, value):
-    if isinstance(value, float) and not math.isfinite(value):
+    # nan, an infinity, or an int no float can hold
+    if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
         raise ValueError(f"column {column!r} holds a non-finite value: "
-                         f"found {value!r}")
+                         f"found {brief_repr(value)}")
     return value
 
 
@@ -330,7 +332,7 @@ def emit_plot_data(results: ResultsTable, x_axis: str, metric: str,
             continue
         if not isinstance(value, (int, float)):
             raise ValueError(f"column {metric!r} is not numeric: "
-                             f"found {value!r}")
+                             f"found {brief_repr(value)}")
         values.append(_finite(metric, value))
 
     header = "x\tmean\tstddev\tn\n"

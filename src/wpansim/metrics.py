@@ -6,11 +6,11 @@ queued or mid-transaction when a run stops are closed with the reason
 ``unresolved_at_end``; those are excluded from the loss-rate numerator and
 denominator.
 
-A run's :class:`PacketTally` hands each record on, in ``packet_id`` order,
-once it and every earlier record have their outcomes, and adds it to the
-integers the metrics are made of.  So the metrics are pure functions of the
-records; ``tests/metrics_oracle.py`` recomputes a row from an exported log
-and gets the exact same numbers.
+A run's :class:`PacketTally` counts each record into the integers the
+metrics are made of as it gets its outcome, so the metrics are pure functions
+of the records: ``tests/metrics_oracle.py`` recomputes a row from an exported
+log and gets the exact same numbers.  Only a run that streams its records
+(``wpansim run --packet-log``) keeps a window of them, to keep their order.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 from collections import deque
 from dataclasses import dataclass, fields
+from itertools import islice
 
 from wpansim.csma import DropReason
 from wpansim.kernel import SYMBOL_RATE
@@ -56,23 +57,23 @@ class MetricsRow:
 
 
 class PacketTally:
-    """The records of one run from its oldest open one on, and the integers
-    summed over the records handed on: counts by outcome, delivered payload
-    bits and summed delivery delay.
-
-    ``sink`` receives each record once it and every earlier one have their
-    outcomes, so in ``packet_id`` order; a record is handed on at most once.
+    """The integers the metrics of one run are made of, added as each record
+    gets its outcome: counts by outcome, delivered payload bits and summed
+    delay.  With ``sink`` None it keeps every record in ``log``, in
+    ``packet_id`` order, and with :func:`discard` none.  Only another sink
+    makes it keep a window, the records from the oldest open one on, to hand
+    each on once it and every earlier one have their outcomes.
     """
 
-    __slots__ = ("window", "sink", "generated", "first_gen", "delivered", "bits",
-                 "delay_sum", "dropped")
+    __slots__ = ("log", "kept", "sink", "generated", "first_gen", "delivered",
+                 "bits", "delay_sum", "dropped")
 
-    def __init__(self, sink):
-        self.window: deque[PacketRecord] = deque()
-        self.sink = sink
-        self.generated = 0
+    def __init__(self, sink=None):
+        self.log: list[PacketRecord] = []
+        self.sink = None if sink is discard else sink
+        self.kept = self.log if sink is None else None if sink is discard else deque()
         self.first_gen = 0          # the first record's generation time
-        self.delivered = self.bits = self.delay_sum = 0
+        self.generated = self.delivered = self.bits = self.delay_sum = 0
         self.dropped = dict.fromkeys(DropReason, 0)
 
     def open(self, node: int, gen_time: int, msdu_len: int) -> PacketRecord:
@@ -81,47 +82,44 @@ class PacketTally:
         if not self.generated:
             self.first_gen = gen_time
         self.generated += 1
-        self.window.append(rec)
+        if self.kept is not None:
+            self.kept.append(rec)
         return rec
 
-    def settle(self, rec: PacketRecord) -> None:
-        """Note that ``rec`` now has its outcome.  When it is the oldest open
-        record, it and the resolved records after it, up to the next open
-        one, are counted and handed on; a record with two outcomes is a
-        ``ValueError``, also when the record was handed on already."""
-        window = self.window
-        head = window[0] if window else None
-        if rec is not head:
-            if head is None or rec.packet_id < head.packet_id:
-                raise ValueError(f"packet {rec.packet_id} has two outcomes")
-            return
-        while window:
-            rec = window[0]
-            if rec.rx_time is not None:
-                if rec.drop_reason is not None:
-                    raise ValueError(f"packet {rec.packet_id} has two outcomes")
-                self.delivered += 1
-                self.bits += rec.msdu_len * 8
-                self.delay_sum += rec.rx_time - rec.gen_time
-            elif rec.drop_reason is not None:
-                self.dropped[rec.drop_reason] += 1
-            else:
-                return
-            window.popleft()
-            self.sink(rec)
+    def settle(self, rec: PacketRecord, rx_time: int | None, reason=None) -> None:
+        """Give ``rec`` its outcome and count it: delivered at ``rx_time``, or
+        else dropped for ``reason``.  A second outcome is a ``ValueError``."""
+        if rec.rx_time is not None or rec.drop_reason is not None:
+            raise ValueError(f"packet {rec.packet_id} has two outcomes")
+        if rx_time is None:
+            rec.drop_reason = reason
+            self.dropped[reason] += 1
+        else:
+            rec.rx_time = rx_time
+            self.delivered += 1
+            self.bits += rec.msdu_len * 8
+            self.delay_sum += rx_time - rec.gen_time
+        if self.sink is not None and rec is self.kept[0]:
+            window = self.kept      # hand on the head and the settled ones behind it
+            while window and (window[0].rx_time is not None
+                              or window[0].drop_reason is not None):
+                self.sink(window.popleft())
 
     def close(self) -> None:
-        """Close every record still open as ``unresolved_at_end`` and hand
-        all of them on."""
-        for rec in self.window:
-            if rec.rx_time is None and rec.drop_reason is None:
-                rec.drop_reason = UNRESOLVED
-        if self.window:
-            self.settle(self.window[0])
+        """Settle every record still open as ``unresolved_at_end``: a tally
+        that kept none only counts them.  A sink gets every record it has
+        not had yet."""
+        still_open = self.generated - self.delivered - sum(self.dropped.values())
+        kept_open = list(islice((rec for rec in reversed(self.kept or ())  # near the end
+                                 if rec.rx_time is None and rec.drop_reason is None),
+                                still_open))
+        self.dropped[UNRESOLVED] += still_open - len(kept_open)
+        for rec in kept_open:       # newest first, so a window hands on once
+            self.settle(rec, None, UNRESOLVED)
 
 
 def build_metrics(tally: PacketTally, t_start: int, t_end: int) -> MetricsRow:
-    """Every metric of the records ``tally`` has handed on.
+    """Every metric of the records ``tally`` has counted.
 
     The effective data rate is delivered MSDU payload bits per second over
     [t_start, t_end] symbols: headers never count, and a retransmitted packet

@@ -43,6 +43,8 @@ _IN_START_TX, _IN_BACKOFF_EXPIRED = MacInput.START_TX, MacInput.BACKOFF_EXPIRED
 _IN_CCA_IDLE, _IN_CCA_BUSY, _IN_TX_DONE = (MacInput.CCA_IDLE, MacInput.CCA_BUSY,
                                            MacInput.TX_DONE)
 _IN_ACK_RECEIVED, _IN_ACK_TIMEOUT = MacInput.ACK_RECEIVED, MacInput.ACK_TIMEOUT
+_IN_CCA_IDLE_NO_FIT, _DATA, _ACK = MacInput.CCA_IDLE_NO_FIT, FrameKind.DATA, FrameKind.ACK
+_QUEUE_OVERFLOW, _RETRY_EXHAUSTED = DropReason.QUEUE_OVERFLOW, DropReason.RETRY_EXHAUSTED
 _AWAITING_ACK = Phase.AWAITING_ACK
 _INPUTS = tuple(MacInput)      # iterating an Enum class runs Python code each time
 
@@ -81,7 +83,8 @@ class StarNetwork:
                  packets=None, **scenario):
         """``scenario`` takes the fields of :class:`ScenarioSpec`, with its
         defaults and checks, except the MAC ones, which ``csma_params`` sets.
-        ``packets`` is the records' sink (see PacketTally); None keeps them all."""
+        ``packets`` is the records' sink: None keeps all in the result's log,
+        ``metrics.discard`` none; only another sink keeps a window (PacketTally)."""
         self.csma = csma_params or CsmaParams()
         spec = ScenarioSpec(**scenario, **dataclasses.asdict(self.csma))
         n_devices = spec.n_devices
@@ -124,8 +127,7 @@ class StarNetwork:
 
         self._step = slotted_step if self.slotted else unslotted_step
         self._idle_row = _machine(self._step, self.csma)
-        self._log: list[PacketRecord] = []
-        self.packets = PacketTally(self._log.append if packets is None else packets)
+        self.packets = PacketTally(packets)
         self._resolved = 0
         self._total_quota = None if spec.quota is None else spec.quota * n_devices
         self._period_symbols = max(1, seconds_to_symbols(spec.interval_s))
@@ -150,7 +152,7 @@ class StarNetwork:
             dev.ack_timer = None
         self.packets.close()
         metrics = build_metrics(self.packets, self.packets.first_gen, summary.end_time)
-        return RunResult(metrics, summary, self._log)
+        return RunResult(metrics, summary, self.packets.log)
 
     def _schedule_arrival(self, dev: Device) -> None:
         if self._exponential:
@@ -174,7 +176,7 @@ class StarNetwork:
             if self.trace is not None:
                 self.trace.add(now, dev.id, "enqueue", rec.packet_id)
         else:
-            self._resolve_drop(rec, DropReason.QUEUE_OVERFLOW)
+            self._resolve(rec, None, _QUEUE_OVERFLOW)
 
     def _start_attempt(self, dev: Device) -> None:
         dev.state = IDLE_STATE
@@ -218,18 +220,14 @@ class StarNetwork:
             self.sched.at(when, self._on_ack_timeout, dev, kind=_EV_ACK_TIMEOUT)
 
     def _do_success(self, dev: Device, action: Success) -> None:
-        rec = dev.current
         if self.csma.ack_enabled or dev.last_intact:
-            rec.rx_time = now = self.sched.now
-            if self.trace is not None:
-                self.trace.add(now, dev.id, "delivered", rec.packet_id)
-            self._count_resolution(rec)
+            self._resolve(dev.current, self.sched.now)
         else:
-            self._resolve_drop(rec, DropReason.RETRY_EXHAUSTED)
+            self._resolve(dev.current, None, _RETRY_EXHAUSTED)
         self._next_frame(dev)
 
     def _do_fail(self, dev: Device, action: Fail) -> None:
-        self._resolve_drop(dev.current, action.reason)
+        self._resolve(dev.current, None, action.reason)
         self._next_frame(dev)
 
     def _do_defer(self, dev: Device, action: DeferToNextCap) -> None:
@@ -266,14 +264,14 @@ class StarNetwork:
         # transaction must end by that CAP's end.  Unslotted states have cw 0.
         elif (dev.state.cw == 1 and now + self._fit_span
               > now - now % self.schedule.bi + self.schedule.sd):
-            self._feed(dev, MacInput.CCA_IDLE_NO_FIT)
+            self._feed(dev, _IN_CCA_IDLE_NO_FIT)
         else:
             self._feed(dev, _IN_CCA_IDLE)
 
     def _begin_data_tx(self, dev: Device) -> None:
         now = self.sched.now
         rec = dev.current
-        frame = Frame(FrameKind.DATA, dev.id, self.data_airtime, rec.packet_id)
+        frame = Frame(_DATA, dev.id, self.data_airtime, rec.packet_id)
         dev.tx = self.medium.begin_tx(frame, now)
         rec.tx_count += 1
         if self.trace is not None:
@@ -297,7 +295,7 @@ class StarNetwork:
 
     def _begin_ack_tx(self, dev: Device) -> None:
         now = self.sched.now
-        frame = Frame(FrameKind.ACK, COORDINATOR, ACK_AIRTIME, dev.current.packet_id)
+        frame = Frame(_ACK, COORDINATOR, ACK_AIRTIME, dev.current.packet_id)
         tx = self.medium.begin_tx(frame, now)
         if self.trace is not None:
             self.trace.add(now, COORDINATOR, "ack-start", frame.packet_id)
@@ -323,15 +321,15 @@ class StarNetwork:
                            dev.current.packet_id)
         self._feed(dev, _IN_ACK_TIMEOUT)
 
-    def _resolve_drop(self, rec: PacketRecord, reason: DropReason) -> None:
-        rec.drop_reason = reason
+    def _resolve(self, rec: PacketRecord, rx_time: int | None, reason=None) -> None:
+        """``rec`` was delivered at ``rx_time``, or else dropped for ``reason``."""
         if self.trace is not None:
-            self.trace.add(self.sched.now, rec.node, "drop", rec.packet_id,
-                           reason.value)
-        self._count_resolution(rec)
-
-    def _count_resolution(self, rec: PacketRecord) -> None:
-        self.packets.settle(rec)
+            if rx_time is None:
+                self.trace.add(self.sched.now, rec.node, "drop", rec.packet_id,
+                               reason.value)
+            else:
+                self.trace.add(rx_time, rec.node, "delivered", rec.packet_id)
+        self.packets.settle(rec, rx_time, reason)
         self._resolved += 1
         if self._resolved == self._total_quota:
             self.sched.request_stop()

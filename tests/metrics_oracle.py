@@ -57,18 +57,20 @@ def metrics_row(log: list[PacketRecord], t_start: int, t_end: int) -> MetricsRow
 
 
 def tallied(log: list[PacketRecord], sink=None) -> PacketTally:
-    """A closed tally of ``log``, whose packet ids must be 0, 1, ...: every
-    record is opened first and the outcomes settle newest first, so that
-    nothing is handed on before the oldest record settles.  A record
-    without an outcome closes as ``unresolved_at_end``."""
-    tally = PacketTally(sink or (lambda rec: None))
+    """A closed ``PacketTally(sink)`` of ``log``, whose packet ids must be 0,
+    1, ...: every record is opened first and the outcomes settle newest
+    first, so that nothing is handed on before the oldest record settles.  A
+    record with both outcomes settles twice; one without an outcome, or
+    ``unresolved_at_end``, is left for ``close``."""
+    tally = PacketTally(sink)
     opened = [tally.open(made.node, made.gen_time, made.msdu_len) for made in log]
     for made, rec in reversed(list(zip(log, opened))):
         assert rec.packet_id == made.packet_id
-        rec.rx_time, rec.drop_reason = made.rx_time, made.drop_reason
         rec.tx_count = made.tx_count
-        if rec.rx_time is not None or rec.drop_reason is not None:
-            tally.settle(rec)
+        if made.rx_time is not None:
+            tally.settle(rec, made.rx_time)
+        if made.drop_reason not in (None, DropReason.UNRESOLVED_AT_END):
+            tally.settle(rec, None, made.drop_reason)
     tally.close()
     return tally
 

@@ -1,13 +1,19 @@
 """Command-line behaviour: outputs, flag validation, and diagnostics."""
 
 import csv
+import functools
 import os
 import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wpansim.cli import main
 from wpansim.experiment import METRIC_COLUMNS
@@ -276,8 +282,9 @@ def test_plot_data_names_a_non_finite_metric_cell(results_csv, capsys, cell):
     capsys.readouterr()
     assert main(["plot-data", "--results", str(results_csv), "--x", "msdu",
                  "--metric", "mean_delay_s"]) == 1
-    assert capsys.readouterr().err == ("wpansim: error: column 'mean_delay_s' "
-                                       f"holds a non-finite value: found {cell}\n")
+    assert capsys.readouterr().err == (f"wpansim: error: {results_csv}: column "
+                                       f"'mean_delay_s' holds a non-finite value: "
+                                       f"found {cell}\n")
 
 
 def test_plot_data_names_a_non_finite_x_cell(results_csv, capsys):
@@ -285,8 +292,8 @@ def test_plot_data_names_a_non_finite_x_cell(results_csv, capsys):
     capsys.readouterr()
     assert main(["plot-data", "--results", str(results_csv), "--x", "msdu",
                  "--metric", "mean_delay_s"]) == 1
-    assert capsys.readouterr().err == ("wpansim: error: column 'msdu' holds a "
-                                       "non-finite value: found nan\n")
+    assert capsys.readouterr().err == (f"wpansim: error: {results_csv}: column "
+                                       "'msdu' holds a non-finite value: found nan\n")
 
 
 def test_a_sweep_worker_that_dies_is_a_diagnostic(tiny_sweep, monkeypatch,
@@ -388,3 +395,84 @@ def test_plot_data_rejects_a_repeated_column(results_csv, capsys):
 def test_missing_file_is_a_diagnostic_not_a_traceback(capsys):
     assert main(["run", "--config", "/nonexistent/x.yaml"]) == 1
     assert "wpansim: error:" in capsys.readouterr().err
+
+
+@functools.cache
+def _sweep_csv() -> str:
+    """A real two-point results CSV, from the sweep of ``TINY_SWEEP``."""
+    from wpansim.experiment import run_sweep
+    from wpansim.scenario import loads_scenario
+    return run_sweep(loads_scenario(TINY_SWEEP)).to_csv()
+
+
+def _damaged(text: str, how: str, i: int, j: int = 0, cell: str = "") -> str:
+    """``text`` cut at byte ``i``, or with line ``i``'s cell ``j`` dropped,
+    ``cell`` added before it or put in its place, or with the name of
+    column ``j`` repeated in place of column ``i``'s."""
+    if how == "cut":
+        return text[:i]
+    lines = text.splitlines(keepends=True)
+    cells = lines[0 if how == "repeat" else i].rstrip("\n").split(",")
+    if how == "repeat":
+        cells[i] = cells[j]
+        i = 0
+    elif how == "drop":
+        del cells[j]
+    elif how == "add":
+        cells.insert(j, cell)
+    else:
+        cells[j] = cell
+    lines[i] = ",".join(cells) + "\n"
+    return "".join(lines)
+
+
+@st.composite
+def damages(draw):
+    """Arguments of ``_damaged`` for the sweep CSV; a replaced cell is a
+    metric's."""
+    text = _sweep_csv()
+    lines = text.splitlines()
+    header = lines[0].split(",")
+    how = draw(st.sampled_from(["cut", "drop", "add", "repeat", "replace"]))
+    if how == "cut":
+        return how, draw(st.integers(0, len(text)))
+    if how == "repeat":
+        i, j = draw(st.lists(st.integers(0, len(header) - 1), min_size=2,
+                             max_size=2, unique=True))
+        return how, i, j
+    i = draw(st.integers(1 if how == "replace" else 0, len(lines) - 1))
+    if how == "replace":
+        return how, i, header.index(draw(st.sampled_from(METRIC_COLUMNS))), draw(
+            st.sampled_from(["NA", "nan", "inf", "-inf", "text", "", "1e999", "9" * 400]))
+    cells = len(lines[i].split(","))
+    return how, i, draw(st.integers(0, cells - (how == "drop"))), draw(
+        st.sampled_from(["", "1", "x"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(damages(), st.sampled_from(["msdu", "replication", "delivered"]),
+       st.sampled_from(["delivered", "mean_delay_s", "packet_loss_rate"]),
+       st.sampled_from([None, "msdu", "kind"]))
+# The first two were errors that named no file; the third, an int too large
+# for a float, escaped as an OverflowError.
+@example(("cut", 1), "msdu", "delivered", None)
+@example(("replace", 1, 6, "text"), "msdu", "delivered", None)
+@example(("replace", 1, 6, "9" * 400), "msdu", "delivered", None)
+def test_plot_data_on_a_damaged_results_file_returns_or_names_the_file(
+        damage, x, metric, series):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "results.csv")
+        path.write_text(_damaged(_sweep_csv(), *damage))
+        argv = ["plot-data", "--results", str(path), "--x", x, "--metric", metric,
+                "--out", str(Path(tmp, "plot.txt"))]
+        if series:
+            argv += ["--series", series]
+        err = StringIO()
+        with redirect_stderr(err):
+            status = main(argv)
+    lines = err.getvalue().splitlines()
+    if status == 0:
+        assert lines == []
+    else:
+        assert status == 1 and len(lines) == 1, lines
+        assert lines[0].startswith(f"wpansim: error: {path}"), lines[0]

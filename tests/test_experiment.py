@@ -101,7 +101,13 @@ def test_run_scenario_is_deterministic_in_spec_and_seed():
     assert len(result.log) == result.metrics.generated
 
 
-def test_run_scenario_keeps_no_packet_records():
+@pytest.mark.parametrize("spec", [
+    load_builtin("beacon-defaults"),
+    # The s7-so point at SO 1, 0.01 s: 99% of arrivals overflow, and a window
+    # would hold each overflowed record behind the one in flight.
+    dataclasses.replace(load_builtin("s7-so").base, so=1, interval_s=0.01),
+], ids=["beacon-defaults", "s7-so-1-0.01s"])
+def test_run_scenario_keeps_no_packet_records(spec):
     # Memory follows the packets in flight, not the length of the run: a
     # kept log would raise the peak by about 27 KB per simulated second.
     def peak(seconds):
@@ -111,7 +117,6 @@ def test_run_scenario_keeps_no_packet_records():
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    spec = load_builtin("beacon-defaults")
     peak(1.0)                  # the transition table is walked once per process
     assert abs(peak(40.0) - peak(10.0)) < 16 * 1024
 

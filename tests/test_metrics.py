@@ -1,6 +1,7 @@
 """QoS metric formulas, outcome accounting, and log file round-trips."""
 
 import csv
+from collections import deque
 
 import pytest
 
@@ -23,10 +24,18 @@ def _dropped(pid, gen, reason, msdu=60, node=1):
 
 def _row(log, t_start, t_end):
     """The row of ``log`` tallied as a run tallies it, which the one-walk
-    oracle must equal."""
-    row = build_metrics(tallied(log), t_start, t_end)
-    assert row == metrics_row(log, t_start, t_end)
+    oracle must equal whatever the tally keeps."""
+    row = metrics_row(log, t_start, t_end)
+    for sink in (None, discard, lambda rec: None):
+        assert build_metrics(tallied(log, sink), t_start, t_end) == row
     return row
+
+
+# What a tally keeps: the window behind a streamed sink, the full log, or
+# nothing; each maps the list its sink should fill to the sink.
+MODES = {"streamed": lambda handed: handed.append,
+         "kept": lambda handed: None,
+         "discarded": lambda handed: discard}
 
 
 def _write(path, log):
@@ -103,31 +112,50 @@ def test_outcome_counting_partitions_the_log():
     assert row.delivered + dropped + row.unresolved == 7
 
 
-def test_a_record_with_two_outcomes_is_rejected():
+@pytest.mark.parametrize("mode", MODES)
+def test_a_record_with_two_outcomes_is_rejected(mode):
+    sink = MODES[mode]([])
     confused = PacketRecord(0, 1, 0, 60, rx_time=300,
                             drop_reason=DropReason.RETRY_EXHAUSTED)
     with pytest.raises(ValueError, match="packet 0 has two outcomes"):
-        tallied([confused])
+        tallied([confused], sink)
     with pytest.raises(ValueError, match="packet 1 has two outcomes"):
         tallied([_delivered(0, 0, 300), PacketRecord(1, 1, 0, 60, rx_time=300,
-                                                     drop_reason=DropReason.QUEUE_OVERFLOW)])
+                                                     drop_reason=DropReason.QUEUE_OVERFLOW)],
+                sink)
     with pytest.raises(ValueError, match="no outcome"):
         metrics_row([PacketRecord(0, 1, 0, 60)], 0, 1)
 
 
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("outcome", [(300, None), (None, DropReason.QUEUE_OVERFLOW)],
+                         ids=["delivered", "dropped"])
+def test_a_record_settled_twice_with_the_same_outcome_is_rejected(mode, outcome):
+    tally = PacketTally(MODES[mode]([]))
+    tally.open(1, 10, 60)
+    rec = tally.open(1, 20, 60)
+    tally.settle(rec, *outcome)
+    with pytest.raises(ValueError, match="packet 1 has two outcomes"):
+        tally.settle(rec, *outcome)
+    tally.close()
+    row = build_metrics(tally, tally.first_gen, 1000)
+    assert (row.generated, row.unresolved) == (2, 1)
+    assert row.delivered + row.dropped_queue_overflow == 1
+
+
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("still_open", [False, True])
-def test_a_second_outcome_after_the_record_was_handed_on_is_rejected(still_open):
+def test_a_second_outcome_after_the_record_was_handed_on_is_rejected(mode, still_open):
     handed = []
-    tally = PacketTally(handed.append)
+    tally = PacketTally(MODES[mode](handed))
     rec = tally.open(1, 10, 60)
     if still_open:
-        tally.open(1, 20, 60)           # keeps the window non-empty
-    rec.rx_time = 300
-    tally.settle(rec)
-    assert handed == [rec]
-    rec.drop_reason = DropReason.RETRY_EXHAUSTED
+        tally.open(1, 20, 60)           # keeps a window non-empty
+    tally.settle(rec, 300)
+    assert handed == ([rec] if mode == "streamed" else [])
     with pytest.raises(ValueError, match="packet 0 has two outcomes"):
-        tally.settle(rec)
+        tally.settle(rec, None, DropReason.RETRY_EXHAUSTED)
+    assert rec.drop_reason is None and tally.dropped[DropReason.RETRY_EXHAUSTED] == 0
 
 
 def test_the_tally_hands_on_records_in_order_once_every_earlier_one_resolves():
@@ -135,20 +163,36 @@ def test_the_tally_hands_on_records_in_order_once_every_earlier_one_resolves():
     tally = PacketTally(handed.append)
     a, b, c = (tally.open(1, t, 60) for t in (10, 20, 30))
     assert tally.first_gen == 10
-    c.drop_reason = DropReason.QUEUE_OVERFLOW
-    tally.settle(c)
-    b.rx_time = 300
-    tally.settle(b)
-    assert handed == [] and list(tally.window) == [a, b, c]
-    a.rx_time = 400
-    tally.settle(a)
-    assert handed == [a, b, c] and not tally.window
+    tally.settle(c, None, DropReason.QUEUE_OVERFLOW)
+    tally.settle(b, 300)
+    assert handed == [] and list(tally.kept) == [a, b, c]
+    tally.settle(a, 400)
+    assert handed == [a, b, c] and not tally.kept
     d = tally.open(2, 40, 60)          # still open when the run ends
     tally.close()
     assert handed == [a, b, c, d] and d.drop_reason is DropReason.UNRESOLVED_AT_END
+    assert tally.log == []
     row = build_metrics(tally, tally.first_gen, 1000)
     assert row == metrics_row(handed, 10, 1000)
     assert (row.generated, row.delivered, row.unresolved) == (4, 2, 1)
+
+
+@pytest.mark.parametrize("mode", ["kept", "discarded"])
+def test_a_tally_without_a_sink_counts_each_record_as_it_resolves(mode):
+    tally = PacketTally(MODES[mode]([]))
+    a, b, c, d = (tally.open(1, t, 60) for t in (10, 20, 30, 40))
+    tally.settle(c, None, DropReason.QUEUE_OVERFLOW)
+    assert tally.dropped[DropReason.QUEUE_OVERFLOW] == 1
+    tally.settle(b, 300)
+    assert (tally.delivered, tally.bits, tally.delay_sum) == (1, 480, 280)
+    assert not isinstance(tally.kept, deque)        # no window
+    tally.close()
+    assert tally.dropped[DropReason.UNRESOLVED_AT_END] == 2
+    if mode == "kept":
+        assert tally.log == [a, b, c, d]
+        assert a.drop_reason is d.drop_reason is DropReason.UNRESOLVED_AT_END
+    else:       # nothing kept, so nothing to mark
+        assert tally.log == [] and a.drop_reason is d.drop_reason is None
 
 
 def test_build_metrics_assembles_a_full_row():

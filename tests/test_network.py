@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from wpansim.csma import CsmaParams, DropReason
 from wpansim.experiment import run_scenario_full, write_metrics_csv
 from wpansim.kernel import Scheduler, SimulationError, seconds_to_symbols
-from wpansim.metrics import MetricsRow, write_packet_log
+from wpansim.metrics import MetricsRow, discard, write_packet_log
 from wpansim.network import Device, StarNetwork
 from wpansim.phy import (ACK_AIRTIME, CCA_DURATION, TURNAROUND, UNIT_BACKOFF,
                          Transmission, data_frame_airtime)
@@ -352,13 +352,17 @@ def quota_or_timed_networks(draw):
     return kwargs
 
 
+# Time-limited runs that end with packets in flight (16 and 2 unresolved).
+IN_FLIGHT = [dict(n_devices=4, msdu=60, interval_s=0.004, queue_capacity=3,
+                  run_time_s=0.3, seed=3), DEFERRING]
+
+
 @settings(max_examples=30, deadline=None)
 @given(quota_or_timed_networks())
 @example(dict(n_devices=4, msdu=60, interval_s=0.004, queue_capacity=3, quota=6, seed=3))
-@example(dict(n_devices=4, msdu=60, interval_s=0.004, queue_capacity=3,
-              run_time_s=0.3, seed=3))
+@example(IN_FLIGHT[0])
 @example(dict(DEFERRING, run_time_s=None, quota=5))
-@example(DEFERRING)
+@example(IN_FLIGHT[1])
 def test_a_sink_gets_the_kept_log_in_order_as_the_records_resolve(kwargs):
     kept = StarNetwork(**kwargs).run()
     handed, at = [], []
@@ -367,7 +371,12 @@ def test_a_sink_gets_the_kept_log_in_order_as_the_records_resolve(kwargs):
     streamed = net.run()
     assert streamed.log == [] and handed == kept.log
     assert [rec.packet_id for rec in handed] == list(range(len(handed)))
-    assert streamed.metrics == kept.metrics
+    # Without a window (a discarding run) the row is the same.
+    discarded = StarNetwork(**kwargs, packets=discard).run()
+    assert discarded.log == [] and discarded.summary == kept.summary
+    assert streamed.metrics == kept.metrics == discarded.metrics
+    if kwargs in IN_FLIGHT:
+        assert kept.metrics.unresolved > 0
     t_start = kept.log[0].gen_time if kept.log else 0
     assert kept.metrics == metrics_row(kept.log, t_start, kept.summary.end_time)
     # Each record is handed on the moment it and every earlier one have
