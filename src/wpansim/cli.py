@@ -107,7 +107,7 @@ def _cmd_plot_data(args) -> int:
     results = read_results(args.results)
     try:
         text = emit_plot_data(results, args.x, args.metric, args.series)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:   # a mean or stddev past any float
         raise ValueError(f"{args.results}: {exc}") from None
     _write_text(args.out, text)
     return 0

@@ -16,15 +16,14 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from wpansim.csma import (ArmAckTimeout, CsmaParams, DeferToNextCap, DoCca, DropReason,
-                          Fail, IDLE_STATE, MacInput, MacQueue, Phase, Success,
-                          Transmit, TxAttemptState, Wait, backoff_units,
-                          unslotted_step)
+                          Fail, IDLE_STATE, MacInput, MacQueue, Success, Transmit,
+                          TxAttemptState, Wait, backoff_units, unslotted_step)
 from wpansim.kernel import (EventKind, RngManager, Scheduler, SimSummary,
                             SimulationError, StopReason, rng_exponential,
                             seconds_to_symbols)
 from wpansim.metrics import MetricsRow, PacketRecord, PacketTally, build_metrics
-from wpansim.phy import (ACK_AIRTIME, BEACON_AIRTIME, CCA_DURATION, Frame,
-                         FrameKind, Medium, TURNAROUND, UNIT_BACKOFF,
+from wpansim.phy import (ACK_AIRTIME, BEACON_AIRTIME, CCA_DURATION, FrameKind,
+                         Medium, TURNAROUND, Transmission, UNIT_BACKOFF,
                          data_frame_airtime)
 from wpansim.scenario import ScenarioSpec
 from wpansim.superframe import SuperframeSchedule, slotted_step
@@ -45,7 +44,6 @@ _IN_CCA_IDLE, _IN_CCA_BUSY, _IN_TX_DONE = (MacInput.CCA_IDLE, MacInput.CCA_BUSY,
 _IN_ACK_RECEIVED, _IN_ACK_TIMEOUT = MacInput.ACK_RECEIVED, MacInput.ACK_TIMEOUT
 _IN_CCA_IDLE_NO_FIT, _DATA, _ACK = MacInput.CCA_IDLE_NO_FIT, FrameKind.DATA, FrameKind.ACK
 _QUEUE_OVERFLOW, _RETRY_EXHAUSTED = DropReason.QUEUE_OVERFLOW, DropReason.RETRY_EXHAUSTED
-_AWAITING_ACK = Phase.AWAITING_ACK
 _INPUTS = tuple(MacInput)      # iterating an Enum class runs Python code each time
 
 
@@ -271,8 +269,8 @@ class StarNetwork:
     def _begin_data_tx(self, dev: Device) -> None:
         now = self.sched.now
         rec = dev.current
-        frame = Frame(_DATA, dev.id, self.data_airtime, rec.packet_id)
-        dev.tx = self.medium.begin_tx(frame, now)
+        dev.tx = self.medium.begin_tx(
+            Transmission(_DATA, dev.id, self.data_airtime, rec.packet_id), now)
         rec.tx_count += 1
         if self.trace is not None:
             self.trace.add(now, dev.id, "tx-start", rec.packet_id)
@@ -282,7 +280,6 @@ class StarNetwork:
     def _on_data_tx_end(self, dev: Device) -> None:
         now = self.sched.now
         tx = dev.tx
-        dev.tx = None
         self.medium.end_tx(tx, now)
         intact = self.medium.heard_intact(tx, COORDINATOR)
         dev.last_intact = intact
@@ -295,22 +292,22 @@ class StarNetwork:
 
     def _begin_ack_tx(self, dev: Device) -> None:
         now = self.sched.now
-        frame = Frame(_ACK, COORDINATOR, ACK_AIRTIME, dev.current.packet_id)
-        tx = self.medium.begin_tx(frame, now)
+        dev.tx = self.medium.begin_tx(
+            Transmission(_ACK, COORDINATOR, ACK_AIRTIME, dev.current.packet_id), now)
         if self.trace is not None:
-            self.trace.add(now, COORDINATOR, "ack-start", frame.packet_id)
-        self.sched.at(now + ACK_AIRTIME, self._on_ack_tx_end, (tx, dev),
-                      kind=_EV_TX_END)
+            self.trace.add(now, COORDINATOR, "ack-start", dev.current.packet_id)
+        self.sched.at(now + ACK_AIRTIME, self._on_ack_tx_end, dev, kind=_EV_TX_END)
 
-    def _on_ack_tx_end(self, arg) -> None:
-        tx, dev = arg
+    def _on_ack_tx_end(self, dev: Device) -> None:
+        """Only an intact data frame starts an ACK, and its device then waits
+        for it with the timeout held, so the device still awaits this ACK."""
         now = self.sched.now
+        tx = dev.tx
         self.medium.end_tx(tx, now)
         if self.trace is not None:
-            self.trace.add(now, COORDINATOR, "ack-end", tx.frame.packet_id)
+            self.trace.add(now, COORDINATOR, "ack-end", tx.packet_id)
         timer, dev.ack_timer = dev.ack_timer, None
-        if (self.medium.heard_intact(tx, dev.id) and dev.state.phase is _AWAITING_ACK
-                and dev.current.packet_id == tx.frame.packet_id):
+        if self.medium.heard_intact(tx, dev.id):
             self._feed(dev, _IN_ACK_RECEIVED)      # the held timeout is dropped
         else:
             self.sched.release(timer)
@@ -346,8 +343,8 @@ class StarNetwork:
             return
         now = self.sched.now
         self.medium.set_awake(True, now)
-        beacon = Frame(FrameKind.BEACON, COORDINATOR, BEACON_AIRTIME)
-        btx = self.medium.begin_tx(beacon, now)
+        btx = self.medium.begin_tx(
+            Transmission(FrameKind.BEACON, COORDINATOR, BEACON_AIRTIME), now)
         if self.trace is not None:
             self.trace.add(now, COORDINATOR, "sf-start", -1, f"k={k}")
             self.trace.add(now, COORDINATOR, "beacon-start")

@@ -12,7 +12,6 @@ every radio sleeps and wakes at once, never with a frame on the air.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import IntEnum
 
 from wpansim.kernel import SimulationError
@@ -60,21 +59,16 @@ class FrameKind(IntEnum):
     BEACON = 2
 
 
-@dataclass(slots=True)
-class Frame:
-    kind: FrameKind
-    src: int
-    airtime: int
-    packet_id: int = -1
-
-
 class Transmission:
-    __slots__ = ("frame", "start", "end", "overlappers")
+    """One frame on the air; :meth:`Medium.begin_tx` stamps its start and end."""
 
-    def __init__(self, frame: Frame, start: int, end: int):
-        self.frame = frame
-        self.start = start
-        self.end = end
+    __slots__ = ("kind", "src", "airtime", "packet_id", "start", "end", "overlappers")
+
+    def __init__(self, kind: FrameKind, src: int, airtime: int, packet_id: int = -1):
+        self.kind = kind
+        self.src = src
+        self.airtime = airtime
+        self.packet_id = packet_id
         # Senders of the frames that overlapped this one in time at any point;
         # holding the frames themselves would tie overlapping ones in cycles.
         self.overlappers: list[int] = []
@@ -83,9 +77,9 @@ class Transmission:
 class Medium:
     """Shared radio medium for one PAN: who is audible to whom, and when.
 
-    Nodes register once with a position.  Transmissions are opened with
-    :meth:`begin_tx` and closed with :meth:`end_tx`; reception outcomes are
-    evaluated at close, by which time every overlap has been recorded.
+    Nodes register once with a position.  A frame is one :class:`Transmission`
+    from :meth:`begin_tx` to :meth:`end_tx`; reception outcomes are evaluated
+    at its end, by which time every overlap has been recorded.
     """
 
     def __init__(self):
@@ -116,22 +110,22 @@ class Medium:
         if not awake:
             for tx in self._air:
                 if tx.end > now:
-                    raise SimulationError(
-                        f"PAN put to sleep while node {tx.frame.src} transmits")
+                    raise SimulationError(f"PAN put to sleep while node {tx.src} transmits")
         self._awake = awake
 
-    def begin_tx(self, frame: Frame, now: int) -> Transmission:
-        src = frame.src
+    def begin_tx(self, tx: Transmission, now: int) -> Transmission:
+        src = tx.src
         if not self._awake:
             raise SimulationError(f"node {src} began a frame while asleep")
-        tx = Transmission(frame, now, now + frame.airtime)
+        tx.start = now
+        tx.end = now + tx.airtime
         for other in self._air:
             # A transmission ending exactly now does not overlap [now, end).
             if other.end > now:
-                if other.frame.src == src:
+                if other.src == src:
                     raise SimulationError(
                         f"node {src} began a frame while already transmitting")
-                tx.overlappers.append(other.frame.src)
+                tx.overlappers.append(other.src)
                 other.overlappers.append(src)
         self._air.append(tx)
         return tx
@@ -144,11 +138,10 @@ class Medium:
 
     def heard_intact(self, tx: Transmission, node_id: int) -> bool:
         """Whether ``node_id`` received the whole frame uncorrupted."""
-        src = tx.frame.src
-        if node_id == src:
+        if node_id == tx.src:
             return False
         hears = self._hears[node_id]
-        if src not in hears:
+        if tx.src not in hears:
             return False
         # A node that sent during the frame is an overlapper and hears itself.
         return hears.isdisjoint(tx.overlappers)
@@ -164,7 +157,7 @@ class Medium:
         hears = self._hears[node_id]
         w_start = now - CCA_DURATION
         for tx in self._air:
-            src = tx.frame.src
+            src = tx.src
             if src != node_id and tx.start < now and tx.end > w_start and src in hears:
                 return True
         return False

@@ -5,9 +5,11 @@ rename or a call path that bypasses one would silently zero a layer's
 counts.  This runs one unslotted network, one slotted network traced
 in memory and once more streamed, and one ``wpansim run --packet-log``
 under its wrappers, and checks that every layer saw calls, that every
-backoff draw was counted, and that undo restores the originals.
+backoff draw and data frame was counted, and that undo restores the
+originals.
 """
 
+import csv
 import sys
 from io import StringIO
 from pathlib import Path
@@ -35,11 +37,12 @@ def test_bench_tracing_wraps_live_calls_and_undoes(monkeypatch, tmp_path):
     undo = tracing.install(rec)
     kept, sink = MacTrace(), StringIO()
     try:
-        StarNetwork(n_devices=4, msdu=60, interval_s=0.02, quota=5, seed=1).run()
+        logs = [StarNetwork(n_devices=4, msdu=60, interval_s=0.02, quota=5,
+                            seed=1).run().log]
         for trace in (kept, MacTrace(sink)):
-            StarNetwork(mode="beacon", bo=3, so=2, n_devices=4, msdu=60,
-                        interval_s=0.05, run_time_s=1.0, seed=2,
-                        trace=trace).run()
+            logs.append(StarNetwork(mode="beacon", bo=3, so=2, n_devices=4, msdu=60,
+                                    interval_s=0.05, run_time_s=1.0, seed=2,
+                                    trace=trace).run().log)
         assert cli.main(["run", "--config", str(config), "--out",
                          str(tmp_path / "metrics.csv"),
                          "--packet-log", str(packet_log)]) == 0
@@ -68,3 +71,10 @@ def test_bench_tracing_wraps_live_calls_and_undoes(monkeypatch, tmp_path):
                 + sink.getvalue().count("\tbackoff-start\t"))
     assert backoffs > 0
     assert calls["kernel.rng.backoff"] >= backoffs
+    # The PHY observers read the frame that begin_tx and end_tx take first:
+    # every data frame sent is counted, and no other frame.
+    sent = sum(packet.tx_count for log in logs for packet in log)
+    with open(packet_log, newline="") as fh:
+        sent += sum(int(row["tx_count"]) for row in csv.DictReader(fh))
+    assert rec.counters["phy.data_tx"] == sent > 0
+    assert 0 < rec.counters["phy.collided"] < calls["phy.end_tx"]

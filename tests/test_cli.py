@@ -4,6 +4,7 @@ import csv
 import functools
 import os
 import re
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -476,3 +477,107 @@ def test_plot_data_on_a_damaged_results_file_returns_or_names_the_file(
     else:
         assert status == 1 and len(lines) == 1, lines
         assert lines[0].startswith(f"wpansim: error: {path}"), lines[0]
+
+
+def _plot_data(text: str, x: str, metric: str, series: str | None):
+    """In-process ``plot-data`` on a results file holding ``text``: its exit
+    status, output bytes and stderr lines."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp, "results.csv"), Path(tmp, "plot.txt")
+        path.write_text(text)
+        argv = ["plot-data", "--results", str(path), "--x", x, "--metric", metric,
+                "--out", str(out)] + (["--series", series] if series else [])
+        err = StringIO()
+        with redirect_stderr(err):
+            status = main(argv)
+        output = out.read_bytes() if status == 0 else None
+    lines = [line.replace(str(path), "<results>") for line in err.getvalue().splitlines()]
+    return status, output, lines
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.permutations(range(len(_sweep_csv().split("\n", 1)[0].split(",")))),
+       st.sampled_from(["msdu", "replication", "point"]),
+       st.sampled_from(METRIC_COLUMNS),
+       st.sampled_from([None, "msdu", "kind", "replication"]))
+def test_plot_data_reads_columns_by_name_not_by_place(order, x, metric, series):
+    rows = [line.split(",") for line in _sweep_csv().splitlines()]
+    permuted = "".join(",".join(cells[i] for i in order) + "\n" for cells in rows)
+    original = _plot_data(_sweep_csv(), x, metric, series)
+    assert original[0] == 0
+    assert _plot_data(permuted, x, metric, series) == original
+
+
+def _cell(value) -> str:
+    return "NA" if value is None else repr(value) if isinstance(value, float) else str(value)
+
+
+def _plot_data_oracle(rows: list[dict], by_series: bool) -> str:
+    """``plot-data --x x --metric metric [--series series]`` recomputed with
+    ``statistics`` from the rows of a valid results file."""
+    header = "x\tmean\tstddev\tn\n"
+    groups: dict = {}      # series -> x -> metric values, in first-seen order
+    for row in rows:
+        if row["kind"] == "sample" and row["status"] == "ok":
+            values = groups.setdefault(row["series"] if by_series else None,
+                                       {}).setdefault(row["x"], [])
+            if row["metric"] is not None:
+                values.append(row["metric"])
+    blocks = []
+    for series, by_x in groups.items():
+        block = [f"# series: series={_cell(series)}\n"] if by_series else []
+        block.append(header)
+        xs = list(by_x)
+        if not any(isinstance(x, str) for x in xs):
+            xs.sort()
+        for x in xs:
+            values = by_x[x]
+            mean = statistics.fmean(values) if values else None
+            stddev = statistics.stdev(values) if len(values) > 1 else None
+            block.append(f"{_cell(x)}\t{_cell(mean)}\t{_cell(stddev)}\t{len(values)}\n")
+        blocks.append("".join(block))
+    return "\n".join(blocks) or header
+
+
+_WORD = st.sampled_from(["low", "high", "ack"])
+_NUMBER = st.one_of(st.integers(-2**62, 2**62),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def valid_results(draw):
+    """Rows of a results file: samples and aggregates, ok or failed, whose
+    x and series cells are numbers or words and whose metric cells are
+    numbers or NA."""
+    xs = draw(st.lists(st.one_of(_NUMBER, _WORD), min_size=1, max_size=4))
+    series = draw(st.lists(st.one_of(st.integers(0, 3), _WORD), min_size=1, max_size=3))
+    return draw(st.lists(st.fixed_dictionaries({
+        "kind": st.sampled_from(["sample", "sample", "mean", "stddev"]),
+        "status": st.sampled_from(["ok", "ok", "failed"]),
+        "x": st.sampled_from(xs), "series": st.sampled_from(series),
+        "metric": st.one_of(st.none(), _NUMBER)}), max_size=12))
+
+
+def _ok_sample(x, metric) -> dict:
+    return dict(kind="sample", status="ok", x=x, series=0, metric=metric)
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_results(), st.booleans())
+# Finite cells whose mean, or whose stddev, no float can hold were a
+# traceback (an OverflowError).
+@example([_ok_sample(1, 1.7e308), _ok_sample(1, 1.7e308)], False)
+@example([_ok_sample(1, 1.7e308), _ok_sample(1, -1.7e308)], False)
+def test_plot_data_on_a_valid_results_file_matches_a_recomputation(rows, by_series):
+    columns = ["kind", "x", "series", "metric", "status"]
+    text = "".join(",".join(map(_cell, row)) + "\n"
+                   for row in [columns] + [[row[c] for c in columns] for row in rows])
+    status, output, err = _plot_data(text, "x", "metric", "series" if by_series else None)
+    try:
+        expected = _plot_data_oracle(rows, by_series)
+    except OverflowError:
+        assert status == 1 and len(err) == 1, err
+        assert err[0].startswith("wpansim: error: <results>: "), err
+    else:
+        assert (status, err) == (0, [])
+        assert output.decode() == expected

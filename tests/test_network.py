@@ -344,6 +344,53 @@ def test_a_finished_network_is_freed_without_the_cycle_collector(kwargs):
         gc.enable()
 
 
+# Eight devices on a 100-m circle: neighbours hear each other, while devices
+# three or four places apart are hidden pairs.  Unslotted, a neighbour's CCA
+# may fall in the turnaround before an ACK and its frame then corrupts it;
+# a slotted CCA pair cannot both fall there, so slotted ACKs always arrive.
+ACK_COLLIDING = [dict(msdu=20, interval_s=0.02, run_time_s=0.3, seed=seed)
+                 for seed in (1, 2, 3)] + [
+    dict(msdu=20, interval_s=0.02, quota=60, seed=4),
+    dict(mode="beacon", bo=3, so=2, msdu=20, interval_s=0.02, run_time_s=0.5, seed=1),
+    dict(mode="beacon", bo=1, so=0, msdu=60, interval_s=0.01, run_time_s=0.3, seed=2),
+]
+
+
+@pytest.mark.parametrize("kwargs", ACK_COLLIDING)
+def test_an_ack_ends_only_for_a_device_that_awaits_it(kwargs):
+    # The ACK handler feeds ACK_RECEIVED without checking the device's phase
+    # or packet: an ACK starts only a turnaround after an intact data frame,
+    # whose device then waits for it, its timeout held, and does nothing else
+    # with that packet until the ACK ends.
+    sink = StringIO()
+    result = StarNetwork(n_devices=8, circle_radius_m=100.0, **kwargs,
+                         trace=MacTrace(sink)).run()
+    by_packet: dict = {}
+    for line in sink.getvalue().splitlines()[1:]:
+        time, node, event, pkt, *_, note = line.split("\t")
+        by_packet.setdefault(pkt, []).append((int(time), node, event, note))
+    # An ACK ends a turnaround (12) and its airtime (22) after the data frame;
+    # the device's timeout falls macAckWaitDuration (54) after the frame.
+    ack_end, timeout = 34, 20
+    seen = []
+    for lines in by_packet.values():
+        for i, (time, node, event, _) in enumerate(lines):
+            if event != "ack-end":
+                continue
+            own = [line for line in lines[:i] if line[1] != "0"]
+            assert own[-1][0] == time - ack_end and own[-1][2:] == ("tx-end", "intact")
+            if i + 1 == len(lines):     # the run stopped before the ACK resolved
+                assert result.summary.end_time < time + timeout
+                continue
+            next_time, _, next_event, _ = lines[i + 1]
+            assert (next_event, next_time) in (("delivered", time),
+                                               ("ack-timeout", time + timeout))
+            seen.append(next_event)
+    assert "delivered" in seen
+    if kwargs.get("mode") != "beacon" and "quota" not in kwargs:
+        assert "ack-timeout" in seen        # some ACK was corrupted
+
+
 @st.composite
 def quota_or_timed_networks(draw):
     kwargs = draw(small_networks())

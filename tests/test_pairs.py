@@ -58,6 +58,15 @@ def test_higher_is_better_for_rates():
     assert row["change_better_pairs"] == 0 and not pairs.claim_met(row, 10)
 
 
+@pytest.mark.parametrize("better", ["lower", "higher"])
+def test_the_same_commit_against_itself_meets_no_claim(better):
+    # Every pair ties, so none is won and the medians are equal.
+    row = pairs.compare(PARENT, list(PARENT), better)
+    assert row["change_better_pairs"] == 0
+    assert not row["medians_differ_by_more_than_parent_iqr"]
+    assert not pairs.claim_met(row, len(PARENT))
+
+
 def test_the_bound_allows_its_fraction_of_the_parent_median():
     # 25% of 14.5 is 3.625.
     assert pairs.compare(PARENT, [v + 3 for v in PARENT], "lower", 0.25)["within_bound"]

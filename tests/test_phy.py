@@ -3,8 +3,8 @@
 import pytest
 
 from wpansim.kernel import SimulationError
-from wpansim.phy import (ACK_AIRTIME, BEACON_AIRTIME, CCA_DURATION, Frame,
-                         FrameKind, Medium, TURNAROUND, UNIT_BACKOFF,
+from wpansim.phy import (ACK_AIRTIME, BEACON_AIRTIME, CCA_DURATION, FrameKind,
+                         Medium, TURNAROUND, Transmission, UNIT_BACKOFF,
                          data_frame_airtime, frame_airtime)
 
 
@@ -35,7 +35,7 @@ def _medium_with(*nodes):
 
 
 def _data(src, airtime=154, pkt=1):
-    return Frame(FrameKind.DATA, src, airtime, pkt)
+    return Transmission(FrameKind.DATA, src, airtime, pkt)
 
 
 def test_in_range_is_a_closed_disc():
@@ -84,7 +84,7 @@ def test_out_of_range_transmitters_do_not_collide():
     # Two sources both audible at nobody in common: each side hears its own.
     med = _medium_with((0, 0, 0), (1, 100, 0), (2, -100, 0), (3, -200, 0))
     tx1 = med.begin_tx(_data(1, pkt=1), 0)
-    tx2 = med.begin_tx(Frame(FrameKind.DATA, 3, 154, 2), 0)
+    tx2 = med.begin_tx(Transmission(FrameKind.DATA, 3, 154, 2), 0)
     med.end_tx(tx1, 154)
     med.end_tx(tx2, 154)
     assert med.heard_intact(tx1, 0)          # node 3 is 376 m away from 0
@@ -143,8 +143,8 @@ def test_a_sender_may_start_a_frame_as_its_last_one_ends():
     # As in set_awake, an own frame ending exactly now has finished even
     # before end_tx closes it; closing it then leaves the new frame current.
     med = _medium_with((0, 0, 0), (1, 50, 0))
-    ack = med.begin_tx(Frame(FrameKind.ACK, 0, ACK_AIRTIME, 1), 0)
-    beacon = med.begin_tx(Frame(FrameKind.BEACON, 0, BEACON_AIRTIME), 22)
+    ack = med.begin_tx(Transmission(FrameKind.ACK, 0, ACK_AIRTIME, 1), 0)
+    beacon = med.begin_tx(Transmission(FrameKind.BEACON, 0, BEACON_AIRTIME), 22)
     med.end_tx(ack, 22)
     assert med.heard_intact(ack, 1)
     with pytest.raises(SimulationError):
