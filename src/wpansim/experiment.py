@@ -314,8 +314,8 @@ def emit_plot_data(results: ResultsTable, x_axis: str, metric: str,
         if name not in results.columns:
             raise ValueError(f"unknown column {name!r}; available: "
                              f"{', '.join(results.columns)}")
-    if "kind" not in results.columns:
-        raise ValueError("not a sweep results file: it has no 'kind' column")
+    if "kind" not in results.columns or "status" not in results.columns:
+        raise ValueError("not a sweep results file: it lacks 'kind' or 'status'")
 
     # series -> x -> metric values, each level in first-seen order.
     groups: dict = {}

@@ -22,7 +22,7 @@ BASE_SUPERFRAME = 960      # aBaseSuperframeDuration
 MIN_CAP_LENGTH = 440       # aMinCAPLength
 TURNAROUND = 12            # aTurnaroundTime (rx/tx switch)
 CCA_DURATION = 8           # symbols sensed per clear-channel assessment
-ACK_WAIT = 54              # macAckWaitDuration, unslotted acknowledgements
+ACK_WAIT = 54              # macAckWaitDuration, in both modes
 
 PHY_OVERHEAD_BYTES = 6     # synchronisation header + PHY header
 MAC_DATA_OVERHEAD_BYTES = 11   # data-frame MHR + FCS

@@ -267,6 +267,18 @@ def test_plot_data_on_the_wrong_input_is_a_diagnostic_not_a_traceback(
     assert "Traceback" not in done.stdout + done.stderr
 
 
+@pytest.mark.parametrize("column", ["kind", "status"])
+def test_plot_data_needs_the_kind_and_status_columns(results_csv, capsys, column):
+    # Without 'status' every row was skipped: an empty table and exit 0.
+    rows = list(csv.reader(results_csv.read_text().splitlines()))
+    drop = rows[0].index(column)
+    results_csv.write_text("".join(",".join(row[:drop] + row[drop + 1:]) + "\n"
+                                   for row in rows))
+    assert _plot_data_error(results_csv, capsys) == (
+        f"wpansim: error: {results_csv}: not a sweep results file: "
+        "it lacks 'kind' or 'status'\n")
+
+
 def _set_cell(results_csv, index: int, column: str, text: str) -> None:
     with open(results_csv, newline="") as f:
         rows = list(csv.DictReader(f))
@@ -495,9 +507,14 @@ def _plot_data(text: str, x: str, metric: str, series: str | None):
     return status, output, lines
 
 
+@st.composite
+def column_orders(draw):
+    """A permutation of the indices of the sweep CSV's columns."""
+    return draw(st.permutations(range(len(_sweep_csv().split("\n", 1)[0].split(",")))))
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.permutations(range(len(_sweep_csv().split("\n", 1)[0].split(",")))),
-       st.sampled_from(["msdu", "replication", "point"]),
+@given(column_orders(), st.sampled_from(["msdu", "replication", "point"]),
        st.sampled_from(METRIC_COLUMNS),
        st.sampled_from([None, "msdu", "kind", "replication"]))
 def test_plot_data_reads_columns_by_name_not_by_place(order, x, metric, series):
