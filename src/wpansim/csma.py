@@ -1,4 +1,4 @@
-"""CSMA-CA transmit state machine and the MAC queue.
+"""CSMA-CA transmit state machine.
 
 The machine is a pure transition function ``(state, input) -> (state, action)``:
 it owns no clock, draws no random number and schedules nothing.  The caller
@@ -16,7 +16,6 @@ The slotted variant (contention window, CAP deference) shares this core; see
 from __future__ import annotations
 
 import reprlib
-from collections import deque
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -274,28 +273,3 @@ def unslotted_step(state: TxAttemptState, event: MacInput,
     restarts CSMA from scratch until retries exceed MaxFrameRetries.
     """
     return _step(state, event, params, False)
-
-
-class MacQueue:
-    """FIFO of frames waiting behind the one in service; overflow drops the
-    newest arrival.  ``capacity=None`` removes the bound."""
-
-    def __init__(self, capacity: int | None = 1):
-        if capacity is not None and capacity < 0:
-            raise ValueError(f"queue capacity must be non-negative, got {capacity}")
-        self.capacity = capacity
-        self._items: deque = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def offer(self, item) -> bool:
-        """Append ``item``; False when the queue is full and the item dropped."""
-        if self.capacity is not None and len(self._items) >= self.capacity:
-            return False
-        self._items.append(item)
-        return True
-
-    def pop(self):
-        """The oldest waiting item, or None when none waits."""
-        return self._items.popleft() if self._items else None

@@ -299,11 +299,12 @@ class RngManager:
 
     Streams are keyed by (purpose, key), so a node's draws do not change
     when unrelated nodes are added to the scenario.  PCG64 is fixed as the
-    generator for the lifetime of the project.
+    generator for the lifetime of the project.  The master seed is in
+    [0, 2**64 - 1], as ``ScenarioSpec`` checks.
     """
 
     def __init__(self, master_seed: int):
-        self.master_seed = int(master_seed) & _M64
+        self.master_seed = master_seed
         self._pools: dict[str, list[int]] = {}
 
     def draws(self, purpose: str, key: int = 0) -> Pcg64:
@@ -332,8 +333,6 @@ def rng_uniform_units(draws: Pcg64, be: int) -> int:
     a power-of-two range its Lemire method keeps the top ``be`` bits of one
     32-bit word and never rejects.
     """
-    if not 0 <= be <= 32:
-        raise ValueError(f"backoff exponent must be in [0, 32], got {be}")
     if be == 0:
         return 0
     return draws.uint32() >> (32 - be)
@@ -346,7 +345,5 @@ def rng_exponential(draws: Pcg64, mean_seconds: float) -> int:
     on the same numpy stream, which scales one standard exponential by the
     mean.
     """
-    if mean_seconds <= 0:
-        raise ValueError(f"mean interval must be positive, got {mean_seconds}")
     gap = round(draws.standard_exponential() * mean_seconds * SYMBOL_RATE)
     return gap if gap > 1 else 1

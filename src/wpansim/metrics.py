@@ -162,9 +162,9 @@ PACKET_LOG_COLUMNS = ["node", "gen_time_symbols", "msdu_len", "outcome",
                       "rx_time_symbols_or_reason", "packet_id", "tx_count"]
 
 
-def write_packet_log(fh, records=()):
-    """Write the header and ``records`` to ``fh``, a text file opened with
-    ``newline=""``, and return the writer of one more row."""
+def write_packet_log(fh):
+    """Write the header to ``fh``, a text file opened with ``newline=""``,
+    and return the writer of one row, which is a packet sink."""
     # The bytes csv.writer would write, "\r\n" line ends included: no field
     # needs quoting, since each is an integer or a fixed word.
     write = fh.write
@@ -178,8 +178,6 @@ def write_packet_log(fh, records=()):
         write(f"{rec.node},{rec.gen_time},{rec.msdu_len},{outcome},{detail},"
               f"{rec.packet_id},{rec.tx_count}\r\n")
 
-    for rec in records:
-        write_row(rec)
     return write_row
 
 

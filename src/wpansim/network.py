@@ -3,8 +3,9 @@
 Devices placed on a circle around a central coordinator generate MSDUs and
 deliver them upstream as acknowledged data frames, contending for the channel
 with CSMA-CA — unslotted, or slotted under a beacon-enabled superframe with
-duty cycling.  This module owns all event scheduling; the protocol decisions
-themselves live in the pure state machines of ``csma`` and ``superframe``.
+duty cycling.  This module owns all event scheduling and each device's
+drop-tail queue; the protocol decisions themselves live in the pure state
+machines of ``csma`` and ``superframe``.
 """
 
 from __future__ import annotations
@@ -12,11 +13,12 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from wpansim.csma import (ArmAckTimeout, CsmaParams, DeferToNextCap, DoCca, DropReason,
-                          Fail, IDLE_STATE, MacInput, MacQueue, Success, Transmit,
+                          Fail, IDLE_STATE, MacInput, Success, Transmit,
                           TxAttemptState, Wait, backoff_units, unslotted_step)
 from wpansim.kernel import (EventKind, RngManager, Scheduler, SimSummary,
                             SimulationError, StopReason, rng_exponential,
@@ -53,10 +55,9 @@ class Device:
     __slots__ = ("id", "queue", "rng", "traffic_rng", "state", "row", "current",
                  "ack_timer", "tx", "generated", "last_intact")
 
-    def __init__(self, node_id: int, queue_capacity: int | None,
-                 rng, traffic_rng):
+    def __init__(self, node_id: int, rng, traffic_rng):
         self.id = node_id
-        self.queue = MacQueue(queue_capacity)
+        self.queue: deque[PacketRecord] = deque()   # waiting behind ``current``
         self.rng = rng
         self.traffic_rng = traffic_rng
         self.state: TxAttemptState = IDLE_STATE
@@ -93,6 +94,9 @@ class StarNetwork:
         self._exponential = spec.distribution == "exponential"
         self.quota = spec.quota
         self.run_time_s = spec.run_time_s
+        # Drop-tail: an arrival that finds this many waiting is dropped.
+        self._queue_bound = (math.inf if spec.queue_capacity is None
+                             else spec.queue_capacity)
         self.schedule = SuperframeSchedule(spec.bo, spec.so) if self.slotted else None
         self.trace = trace
         if trace is not None:
@@ -119,8 +123,7 @@ class StarNetwork:
             self.medium.add_node(node_id,
                                  circle_radius_m * math.cos(angles[i]),
                                  circle_radius_m * math.sin(angles[i]))
-            self.devices.append(Device(node_id, spec.queue_capacity,
-                                       rngs.draws("backoff", node_id),
+            self.devices.append(Device(node_id, rngs.draws("backoff", node_id),
                                        rngs.draws("traffic", node_id)))
 
         self._step = slotted_step if self.slotted else unslotted_step
@@ -170,7 +173,8 @@ class StarNetwork:
         if dev.current is None:
             dev.current = rec
             self._start_attempt(dev)
-        elif dev.queue.offer(rec):
+        elif len(dev.queue) < self._queue_bound:
+            dev.queue.append(rec)
             if self.trace is not None:
                 self.trace.add(now, dev.id, "enqueue", rec.packet_id)
         else:
@@ -332,9 +336,11 @@ class StarNetwork:
             self.sched.request_stop()
 
     def _next_frame(self, dev: Device) -> None:
-        dev.current = dev.queue.pop()
-        if dev.current is not None:
+        if dev.queue:
+            dev.current = dev.queue.popleft()
             self._start_attempt(dev)
+        else:
+            dev.current = None
 
     def _on_superframe_start(self, k: int) -> None:
         # A quota run whose device events ran dry opens no more superframes,

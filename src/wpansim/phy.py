@@ -37,15 +37,11 @@ COMM_RANGE_M = 176.0       # binary-disc radius at 1 mW tx / -85 dBm sensitivity
 
 def frame_airtime(mpdu_len: int) -> int:
     """Airtime in symbols of a frame whose MAC-level PDU is ``mpdu_len`` bytes."""
-    if mpdu_len < 0:
-        raise ValueError(f"MPDU length must be non-negative, got {mpdu_len}")
     return (mpdu_len + PHY_OVERHEAD_BYTES) * SYMBOLS_PER_BYTE
 
 
 def data_frame_airtime(msdu_bytes: int) -> int:
     """Airtime of a data frame carrying ``msdu_bytes`` of payload."""
-    if msdu_bytes < 0:
-        raise ValueError(f"MSDU size must be non-negative, got {msdu_bytes}")
     return frame_airtime(msdu_bytes + MAC_DATA_OVERHEAD_BYTES)
 
 

@@ -326,9 +326,8 @@ def _scenario_dict(spec: ScenarioSpec) -> dict:
     out = {}
     for field in dataclasses.fields(ScenarioSpec):
         value = getattr(spec, field.name)
-        if value is None and field.name in ("bo", "so", "quota", "run_time_s"):
-            continue
-        out[field.name] = value
+        if value is not None or field.default is not None:
+            out[field.name] = value
     return out
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from wpansim import csma
 from wpansim.csma import (ArmAckTimeout, CsmaParams, DoCca, DropReason, Fail,
-                          IDLE_STATE, MacInput, MacQueue, Phase, Success, Transmit,
+                          IDLE_STATE, MacInput, Phase, Success, Transmit,
                           Wait, backoff_units, unslotted_step)
 from wpansim.kernel import RngManager, SimulationError, rng_uniform_units
 from wpansim.phy import ACK_WAIT
@@ -170,32 +170,3 @@ def test_backoff_draws_follow_the_seeded_stream():
     for be in range(csma.MAX_BE + 1):
         assert set(units[be::csma.MAX_BE + 1]) <= set(range(2 ** be))
     assert set(units[3::csma.MAX_BE + 1]) == set(range(8))
-
-
-# ------------------------------------------------------------------ queue
-
-
-def test_queue_capacity_one_holds_a_single_waiting_frame():
-    q = MacQueue(1)
-    assert q.offer("a")
-    assert not q.offer("b")        # newest arrival dropped
-    assert q.pop() == "a"
-    assert q.offer("c")
-
-
-def test_queue_capacity_zero_rejects_everything():
-    q = MacQueue(0)
-    assert not q.offer("a")
-    assert len(q) == 0
-
-
-def test_unbounded_queue_is_fifo():
-    q = MacQueue(None)
-    for i in range(100):
-        assert q.offer(i)
-    assert [q.pop() for _ in range(100)] == list(range(100))
-
-
-def test_negative_capacity_rejected():
-    with pytest.raises(ValueError):
-        MacQueue(-1)

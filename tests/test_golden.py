@@ -89,7 +89,9 @@ def run_digests(name: str, out_dir: Path) -> dict[str, str]:
     buf = StringIO()
     write_metrics_csv([result.metrics], buf)
     with open(out_dir / "packets.csv", "w", newline="") as fh:
-        write_packet_log(fh, result.log)
+        write_row = write_packet_log(fh)
+        for rec in result.log:
+            write_row(rec)
     trace.write(out_dir / "trace.tsv")
     return {"metrics": _sha256(buf.getvalue().encode()),
             "packet_log": _sha256((out_dir / "packets.csv").read_bytes()),

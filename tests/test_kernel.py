@@ -216,10 +216,6 @@ def test_uniform_units_range_and_degenerate_exponent():
     draws5 = [rng_uniform_units(rng, 5) for _ in range(5000)]
     assert min(draws5) == 0 and max(draws5) == 31
     assert all(rng_uniform_units(rng, 0) == 0 for _ in range(10))
-    with pytest.raises(ValueError):
-        rng_uniform_units(rng, -1)
-    with pytest.raises(ValueError):
-        rng_uniform_units(rng, 33)
 
 
 def test_exponential_interarrival_mean_and_floor():
@@ -229,8 +225,6 @@ def test_exponential_interarrival_mean_and_floor():
     mean = sum(draws) / n
     assert mean == pytest.approx(0.025 * SYMBOL_RATE, rel=0.01)  # 1562.5
     assert min(draws) >= 1
-    with pytest.raises(ValueError):
-        rng_exponential(rng, 0.0)
 
 
 # Every golden output depends on these streams.  numpy 2.4.6's

@@ -40,7 +40,9 @@ MODES = {"streamed": lambda handed: handed.append,
 
 def _write(path, log):
     with open(path, "w", newline="") as fh:
-        write_packet_log(fh, log)
+        write_row = write_packet_log(fh)
+        for rec in log:
+            write_row(rec)
 
 
 def _rate(log, t_start, t_end):

@@ -4,7 +4,9 @@ stop conditions, determinism, and beacon-mode structure."""
 import dataclasses
 import gc
 import hashlib
+import math
 import weakref
+from collections import deque
 from io import StringIO
 
 import pytest
@@ -160,6 +162,57 @@ def test_unbounded_queue_never_overflows():
     assert result.metrics.dropped_queue_overflow == 0
 
 
+def device_lines(trace_text):
+    """node -> that device's trace lines as (time, event, pkt, note), in order."""
+    lines = {}
+    for line in trace_text.splitlines()[1:]:
+        time, node, event, pkt, *_, note = line.split("\t")
+        if node != "0":
+            lines.setdefault(node, []).append((int(time), event, pkt, note))
+    return lines
+
+
+# Four busy devices whose queues hold up to three: arrivals overflow, and a
+# device often has two or more waiting when its frame resolves.
+DEEP_QUEUES = dict(n_devices=4, msdu=100, interval_s=0.004, queue_capacity=3,
+                   run_time_s=0.5, seed=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_networks())
+@example(DEEP_QUEUES)
+@example(dict(DEEP_QUEUES, queue_capacity=None))
+def test_the_queue_is_drop_tail_and_serves_the_oldest_first(kwargs):
+    sink = StringIO()
+    StarNetwork(**kwargs, trace=MacTrace(sink)).run()
+    capacity = kwargs["queue_capacity"]
+    bound = math.inf if capacity is None else capacity
+    for lines in device_lines(sink.getvalue()).values():
+        waiting, serving, expected = deque(), None, None
+        for time, event, pkt, note in lines:
+            # The line an arrival or a resolution calls for comes next.
+            if expected is not None:
+                assert (time, event, pkt) == expected[:3]
+                assert expected[3] in (None, note)
+            expected = None
+            if event == "arrival":
+                if serving is None:     # straight into service
+                    assert not waiting
+                    serving = pkt
+                    expected = (time, "backoff-start", pkt, None)
+                elif len(waiting) < bound:
+                    expected = (time, "enqueue", pkt, None)
+                else:
+                    expected = (time, "drop", pkt, "queue_overflow")
+            elif event == "enqueue":
+                waiting.append(pkt)
+                assert len(waiting) <= bound
+            elif event in ("delivered", "drop") and pkt == serving:
+                serving = waiting.popleft() if waiting else None
+                if serving is not None:
+                    expected = (time, "backoff-start", serving, None)
+
+
 def test_beacon_mode_runs_a_superframe_cadence():
     trace = MacTrace()
     result = StarNetwork(mode="beacon", n_devices=4, msdu=60,
@@ -284,7 +337,9 @@ def test_random_placement_outputs_are_pinned(tmp_path):
     buf = StringIO()
     write_metrics_csv([result.metrics], buf)
     with open(tmp_path / "packets.csv", "w", newline="") as fh:
-        write_packet_log(fh, result.log)
+        write_row = write_packet_log(fh)
+        for rec in result.log:
+            write_row(rec)
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
         "11a9393bce8210be9dd7a41509f56741185d4ec7fa51ca28f749f5954d1221cb")
     assert hashlib.sha256((tmp_path / "packets.csv").read_bytes()).hexdigest() == (

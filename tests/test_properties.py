@@ -1,12 +1,11 @@
 """Property-based checks for the randomized and arithmetic-heavy corners."""
 
 import math
-from collections import deque
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wpansim.csma import DropReason, MacQueue
+from wpansim.csma import DropReason
 from wpansim.kernel import RngManager, rng_exponential, rng_uniform_units
 from wpansim.metrics import PacketRecord, build_metrics
 from wpansim.phy import CCA_DURATION, COMM_RANGE_M, Medium
@@ -31,30 +30,6 @@ def test_exponential_gaps_are_positive_whole_symbols(mean_s, seed):
     rng = RngManager(seed).draws("gaps")
     gap = rng_exponential(rng, mean_s)
     assert isinstance(gap, int) and gap >= 1
-
-
-@given(st.lists(st.one_of(st.just("pop"), st.integers(min_value=0, max_value=999)),
-                max_size=60),
-       st.one_of(st.none(), st.integers(min_value=0, max_value=5)))
-def test_queue_tracks_a_reference_deque(ops, capacity):
-    q = MacQueue(capacity)
-    model = deque()
-    for op in ops:
-        if op == "pop":
-            if model:
-                assert q.pop() == model.popleft()
-            else:
-                assert len(q) == 0 and q.pop() is None
-        else:
-            accepted = q.offer(op)
-            if capacity is None or len(model) < capacity:
-                assert accepted
-                model.append(op)
-            else:
-                assert not accepted      # newest arrival is the one dropped
-        assert len(q) == len(model)
-        if capacity is not None:
-            assert len(q) <= capacity
 
 
 @st.composite
