@@ -89,6 +89,7 @@ SWEEP_HEAD = "base: {mode: nonbeacon, quota: 5}\naxes:\n  - [msdu, [10]]\n"
     ("mode: nonbeacon\nquota: 5\nqueue_capacity: -1\n", 3, "queue_capacity"),
     ("mode: nonbeacon\nseed: 4\nquota: 0\n", 3, "quota"),
     ("mode: nonbeacon\nquota: 5\nseed: -1\n", 3, "seed"),
+    ("mode: nonbeacon\nquota: 5\nseed: 18446744073709551616\n", 3, "seed"),  # 2**64
     (SWEEP_HEAD + "replications: 0\n", 4, "replications"),
     (SWEEP_HEAD + "seed_base: -1\n", 4, "seed_base"),
     ("mode: nonbeacon\nquota: 5\ninterval_s: .inf\n", 3, "interval_s"),
