@@ -162,6 +162,53 @@ def test_unbounded_queue_never_overflows():
     assert result.metrics.dropped_queue_overflow == 0
 
 
+def test_unbounded_queue_is_fifo():
+    sink, resolved = StringIO(), []
+    StarNetwork(n_devices=8, msdu=100, interval_s=0.002, queue_capacity=None,
+                quota=50, seed=5, trace=MacTrace(sink),
+                packets=resolved.append).run()
+    # The run is loaded enough that frames pile up behind the one in service.
+    deepest = max(_deepest_wait(lines)
+                  for lines in device_lines(sink.getvalue()).values())
+    assert deepest >= 2
+    # A device serves one frame at a time, so the packets it delivers
+    # reach the coordinator in the order they arrived.
+    rx_times = {}
+    for rec in resolved:
+        if rec.rx_time is not None:
+            rx_times.setdefault(rec.node, []).append(rec.rx_time)
+    assert all(times == sorted(times) for times in rx_times.values())
+
+
+def test_queue_capacity_one_holds_a_single_waiting_frame():
+    sink = StringIO()
+    result = StarNetwork(n_devices=1, msdu=118, interval_s=0.0008,
+                         queue_capacity=1, quota=200, seed=5,
+                         trace=MacTrace(sink)).run()
+    (lines,) = device_lines(sink.getvalue()).values()
+    assert _deepest_wait(lines) == 1
+    assert result.metrics.dropped_queue_overflow > 0
+    # The newest arrival is the one dropped: a frame that got into the
+    # queue is never pushed out of it.
+    enqueued = {pkt for _, event, pkt, _ in lines if event == "enqueue"}
+    assert enqueued
+    for rec in result.log:
+        if str(rec.packet_id) in enqueued:
+            assert rec.drop_reason is not DropReason.QUEUE_OVERFLOW
+
+
+def _deepest_wait(lines):
+    """The most frames one device's trace lines show waiting at once."""
+    waiting, deepest = set(), 0
+    for _, event, pkt, _ in lines:
+        if event == "enqueue":
+            waiting.add(pkt)
+            deepest = max(deepest, len(waiting))
+        elif event == "backoff-start":
+            waiting.discard(pkt)
+    return deepest
+
+
 def device_lines(trace_text):
     """node -> that device's trace lines as (time, event, pkt, note), in order."""
     lines = {}
